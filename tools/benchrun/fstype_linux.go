@@ -1,0 +1,28 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// fsType names the filesystem holding path: the service workloads'
+// latencies depend on what an fsync costs there.
+func fsType(path string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(path, &st); err != nil {
+		return "unknown"
+	}
+	switch uint32(st.Type) {
+	case 0xEF53:
+		return "ext4"
+	case 0x01021994:
+		return "tmpfs"
+	case 0x794C7630:
+		return "overlayfs"
+	case 0x58465342:
+		return "xfs"
+	case 0x9123683E:
+		return "btrfs"
+	}
+	return fmt.Sprintf("0x%x", uint32(st.Type))
+}
