@@ -199,6 +199,7 @@ func BenchmarkSimulateMatMul(b *testing.B) {
 func BenchmarkXformT1(b *testing.B) {
 	f := load(b)
 	rule := mustRule(b, workloads.RuleTrans1ForLen(16))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng, err := xform.New(xform.Options{}, rule)
@@ -216,6 +217,7 @@ func BenchmarkXformT1(b *testing.B) {
 func BenchmarkXformT3(b *testing.B) {
 	f := load(b)
 	rule := mustRule(b, workloads.RuleTrans3ForLen(1024, 16, 8))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng, err := xform.New(xform.Options{}, rule)
@@ -328,6 +330,7 @@ out:
 struct lHot { int hot; }[64];
 struct lCold { double cold1; double cold2; }[64];
 `)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng, err := xform.New(xform.Options{}, rule)

@@ -34,28 +34,33 @@ func newAttrib(syms *trace.SymTab, nsets int) attrib {
 // bumpConflict counts one eviction of victim's line by evictor's fill.
 func (a *attrib) bumpConflict(evictor trace.SymID, victim cache.OwnerID) {
 	i, j := int(evictor), int(victim)
-	if i >= len(a.conflicts) {
-		grown := make([][]int64, i+1)
-		copy(grown, a.conflicts)
-		a.conflicts = grown
-	}
-	row := a.conflicts[i]
-	if j >= len(row) {
-		grown := make([]int64, j+1)
-		copy(grown, row)
-		row = grown
-		a.conflicts[i] = row
-	}
+	a.conflicts = growTo(a.conflicts, i+1)
+	row := growTo(a.conflicts[i], j+1)
+	a.conflicts[i] = row
 	row[j]++
+}
+
+// growTo returns s extended with zero values to at least n elements. It
+// doubles the backing array when it must grow, so feeding ids 0, 1, 2, …
+// costs O(log n) allocations rather than one copy per new id.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		grown := make([]T, len(s), max(n, 2*cap(s)))
+		copy(grown, s)
+		s = grown
+	}
+	old := len(s)
+	s = s[:n]
+	clear(s[old:])
+	return s
 }
 
 func (a *attrib) varAt(id trace.SymID) *VarSeries {
 	i := int(id)
-	if i >= len(a.varsByID) {
-		grown := make([]*VarSeries, i+1)
-		copy(grown, a.varsByID)
-		a.varsByID = grown
-	}
+	a.varsByID = growTo(a.varsByID, i+1)
 	vs := a.varsByID[i]
 	if vs == nil {
 		vs = newVarSeries(a.syms.Name(id), a.nsets)
@@ -66,11 +71,7 @@ func (a *attrib) varAt(id trace.SymID) *VarSeries {
 
 func (a *attrib) funcAt(id trace.SymID) *FuncStats {
 	i := int(id)
-	if i >= len(a.funcsByID) {
-		grown := make([]*FuncStats, i+1)
-		copy(grown, a.funcsByID)
-		a.funcsByID = grown
-	}
+	a.funcsByID = growTo(a.funcsByID, i+1)
 	fs := a.funcsByID[i]
 	if fs == nil {
 		fs = &FuncStats{Name: a.syms.Name(id)}

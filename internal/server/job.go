@@ -466,7 +466,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		if err != nil {
 			return err
 		}
-		src = &xformSource{src: src, eng: eng}
+		src = eng.Source(src)
 		// The xform span covers the simulation drive: the engine runs
 		// lazily inside each NextBatch the simulator pulls.
 		xsp, simCtx = telemetry.Default().StartSpanCtx(ctx, "xform.stream")
@@ -579,36 +579,4 @@ func (s *jobSource) NextBatch() ([]trace.Record, error) {
 	recs, err := s.src.NextBatch()
 	s.progress.Add(int64(len(recs)))
 	return recs, err
-}
-
-// xformSource applies a transformation engine record-by-record between
-// a source and its consumer, preserving streaming (O(batch) memory).
-type xformSource struct {
-	src trace.RecordSource
-	eng *xform.Engine
-	out []trace.Record
-}
-
-func (s *xformSource) Header() (trace.Header, error) { return s.src.Header() }
-func (s *xformSource) HasHeader() bool               { return s.src.HasHeader() }
-func (s *xformSource) BadLines() int                 { return s.src.BadLines() }
-
-func (s *xformSource) NextBatch() ([]trace.Record, error) {
-	for {
-		in, err := s.src.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		s.out = s.out[:0]
-		for i := range in {
-			recs, err := s.eng.Transform(&in[i])
-			if err != nil {
-				return nil, err
-			}
-			s.out = append(s.out, recs...)
-		}
-		if len(s.out) > 0 {
-			return s.out, nil
-		}
-	}
 }

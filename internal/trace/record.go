@@ -59,22 +59,33 @@ const (
 )
 
 // Record is a single trace line.
+//
+// The one-byte fields and FuncID lead the struct so they share one word:
+// records are the unit every pipeline stage copies, and the packing keeps
+// a Record at 104 bytes instead of 112.
 type Record struct {
-	Op   Op
-	Addr uint64
-	Size int64
-	// Func is the function executing the access (always present).
-	Func string
-
+	Op Op
 	// HasSym reports whether the debug parser could associate the access
-	// with a program variable; when false the fields below are meaningless
-	// (e.g. return-address pushes, unannotated stack traffic).
+	// with a program variable; when false Vis, Aggregate, Frame, Thread,
+	// Var and VarID are meaningless (e.g. return-address pushes,
+	// unannotated stack traffic).
 	HasSym bool
 	// Vis is G for globals, L for locals.
 	Vis Visibility
 	// Aggregate is true when the accessed element is part of a structure or
 	// array (the trace spells the scope GS/LS instead of GV/LV).
 	Aggregate bool
+	// FuncID and VarID are interned ids for Func and Var.Root, filled by
+	// InternRecords against a SymTab. Zero means "not interned"; VarID is
+	// always zero when HasSym is false. They are derived metadata: String,
+	// Equal and the parsers ignore them.
+	FuncID SymID
+
+	Addr uint64
+	Size int64
+	// Func is the function executing the access (always present).
+	Func string
+
 	// Frame is the stack-frame distance for locals: 0 is the executing
 	// function's own frame, 1 its caller's, and so on. Unused for globals.
 	Frame int
@@ -82,14 +93,8 @@ type Record struct {
 	// Gleipnir numbers threads from 1).
 	Thread int
 	// Var is the accessed variable: root name plus access path.
-	Var ctype.AccessExpr
-
-	// FuncID and VarID are interned ids for Func and Var.Root, filled by
-	// InternRecords against a SymTab. Zero means "not interned"; VarID is
-	// always zero when HasSym is false. They are derived metadata: String,
-	// Equal and the parsers ignore them.
-	FuncID SymID
-	VarID  SymID
+	Var   ctype.AccessExpr
+	VarID SymID
 }
 
 // ScopeCode returns the two-letter scope tag (GV, GS, LV, LS) or "" when the

@@ -3,9 +3,19 @@ package trace
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tracedst/internal/ctype"
 )
+
+// TestRecordSize pins the packed field order: Op, HasSym, Vis, Aggregate
+// and FuncID share one word. Every pipeline stage copies records, so a
+// reorder that reopens the padding costs every stage.
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 104 {
+		t.Errorf("sizeof(Record) = %d, want 104", got)
+	}
+}
 
 func TestParseRecordGlobalScalar(t *testing.T) {
 	// Listing 2 line 4 of the paper.

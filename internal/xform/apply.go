@@ -8,32 +8,36 @@ import (
 
 // applyRemap rewrites one SoA↔AoS record: the access is decomposed into a
 // (member, element-index) pair and re-resolved against the out layout.
-func (e *Engine) applyRemap(st *ruleState, r *rules.StructRemapRule, rec *trace.Record) ([]trace.Record, error) {
+func (e *Engine) applyRemap(dst []trace.Record, st *ruleState, r *rules.StructRemapRule, rec *trace.Record) ([]trace.Record, bool, error) {
 	field, flat, ok := splitAccess(r.InType, rec.Var.Path)
 	if !ok {
-		return nil, nil
+		return dst, false, nil
 	}
-	outPath, ok := buildAccess(r.OutType, field, flat)
+	outPath, ok := buildAccess(e.path[:0], r.OutType, field, flat)
 	if !ok {
-		return nil, nil
+		return dst, false, nil
 	}
-	if err := e.establish(st, rec, r.InType); err != nil {
-		return nil, err
+	e.path = outPath
+	if err := e.establish(st, rec); err != nil {
+		return dst, false, err
 	}
 	off, elem, err := ctype.Resolve(r.OutType, outPath)
 	if err != nil {
-		return nil, nil // out of range for the out shape: ignore
+		return dst, false, nil // out of range for the out shape: ignore
 	}
+	out := e.rewritten(rec, r.OutVar, outPath, st.bases[r.OutVar]+uint64(off), elem.Size())
+	return append(e.appendInjects(dst, &out, r.Inject()), out), true, nil
+}
+
+// rewritten returns rec relocated to addr as an aggregate access of size
+// bytes to root+path, the path carved from the engine's slab.
+func (e *Engine) rewritten(rec *trace.Record, root string, path ctype.Path, addr uint64, size int64) trace.Record {
 	out := *rec
-	out.Addr = st.bases[r.OutVar] + uint64(off)
-	out.Size = elem.Size()
-	out.Var = ctype.AccessExpr{Root: r.OutVar, Path: outPath}
+	out.Addr = addr
+	out.Size = size
+	out.Var = ctype.AccessExpr{Root: root, Path: e.carve(path)}
 	out.Aggregate = true
-	var recs []trace.Record
-	if err := e.appendInjects(&out, r.Inject(), &recs); err != nil {
-		return nil, err
-	}
-	return append(recs, out), nil
+	return out
 }
 
 // splitAccess decomposes a conforming access path into (member name, flat
@@ -74,9 +78,9 @@ func splitAccess(t ctype.Type, path ctype.Path) (string, int64, bool) {
 	return fieldName, outer*innerLen + inner, true
 }
 
-// buildAccess is the inverse of splitAccess for the out layout.
-func buildAccess(t ctype.Type, field string, flat int64) (ctype.Path, bool) {
-	var p ctype.Path
+// buildAccess is the inverse of splitAccess for the out layout: it appends
+// the out path to p.
+func buildAccess(p ctype.Path, t ctype.Type, field string, flat int64) (ctype.Path, bool) {
 	st, isStruct := t.(*ctype.Struct)
 	isArray := false
 	if arr, ok := t.(*ctype.Array); ok {
@@ -113,132 +117,100 @@ func buildAccess(t ctype.Type, field string, flat int64) (ctype.Path, bool) {
 // Accesses to the nested member become a pointer load on the out structure
 // followed by the access in the external pool; other members are remapped
 // onto the out structure.
-func (e *Engine) applyOutline(st *ruleState, r *rules.OutlineRule, rec *trace.Record) ([]trace.Record, error) {
+func (e *Engine) applyOutline(dst []trace.Record, st *ruleState, r *rules.OutlineRule, rec *trace.Record) ([]trace.Record, bool, error) {
 	path := rec.Var.Path
 	if len(path) < 2 || !path[0].IsIndex() || path[1].IsIndex() {
-		return nil, nil
+		return dst, false, nil
 	}
-	idx := path[0].Index
-	field := path[1].Field
-	if err := e.establish(st, rec, r.InType); err != nil {
-		return nil, err
+	if err := e.establish(st, rec); err != nil {
+		return dst, false, err
 	}
-	outStruct := r.OutType.Elem.(*ctype.Struct)
-
-	if field != r.NestedField {
+	if path[1].Field != r.NestedField {
 		// Plain member: remap onto the out structure.
-		outPath := append(ctype.Path{{Index: idx}}, path[1:]...)
-		off, elem, err := ctype.Resolve(r.OutType, outPath)
-		if err != nil {
-			return nil, nil
-		}
-		out := *rec
-		out.Addr = st.bases[r.OutVar] + uint64(off)
-		out.Size = elem.Size()
-		out.Var = ctype.AccessExpr{Root: r.OutVar, Path: outPath}
-		out.Aggregate = true
-		return []trace.Record{out}, nil
+		return e.appendMoved(dst, st, r.OutType, r.OutVar, rec)
 	}
 
 	// Nested member: lS1[i].mRarelyUsed.g → load lS2[i].mRarelyUsed (the
 	// pointer), then access lStorage[i].g. "The transformed trace must
 	// reflect this transformation because the new trace should reflect any
 	// additional memory accesses which result from transforming structures."
-	ptrField, _ := outStruct.FieldByName(r.NestedField)
-	ptrPath := ctype.Path{{Index: idx}, {Field: r.NestedField}}
+	// The scratch path holds both: [i].mRarelyUsed, then [i].g.
+	e.path = append(e.path[:0], path[0], ctype.PathElem{Field: r.NestedField}, path[0])
+	e.path = append(e.path, path[2:]...)
+	ptrPath, poolPath := e.path[:2], e.path[2:]
 	ptrOff, _, err := ctype.Resolve(r.OutType, ptrPath)
 	if err != nil {
-		return nil, nil
+		return dst, false, nil
 	}
-	load := *rec
-	load.Op = trace.Load
-	load.Addr = st.bases[r.OutVar] + uint64(ptrOff)
-	load.Size = ptrField.Type.Size()
-	load.Var = ctype.AccessExpr{Root: r.OutVar, Path: ptrPath}
-	load.Aggregate = true
-
-	poolPath := append(ctype.Path{{Index: idx}}, path[2:]...)
 	poolOff, elem, err := ctype.Resolve(r.PoolType, poolPath)
 	if err != nil {
-		return nil, nil
+		return dst, false, nil
 	}
-	out := *rec
-	out.Addr = st.bases[r.PoolVar] + uint64(poolOff)
-	out.Size = elem.Size()
-	out.Var = ctype.AccessExpr{Root: r.PoolVar, Path: poolPath}
-	out.Aggregate = true
-	return []trace.Record{load, out}, nil
+	ptrField, _ := r.OutType.Elem.(*ctype.Struct).FieldByName(r.NestedField)
+	load := e.rewritten(rec, r.OutVar, ptrPath, st.bases[r.OutVar]+uint64(ptrOff), ptrField.Type.Size())
+	load.Op = trace.Load
+	out := e.rewritten(rec, r.PoolVar, poolPath, st.bases[r.PoolVar]+uint64(poolOff), elem.Size())
+	return append(dst, load, out), true, nil
+}
+
+// appendMoved appends rec moved onto the out array t at outVar with its
+// path unchanged — element index and member carry over. It serves the
+// plain members of outline rules and every member of peel rules.
+func (e *Engine) appendMoved(dst []trace.Record, st *ruleState, t ctype.Type, outVar string, rec *trace.Record) ([]trace.Record, bool, error) {
+	off, elem, err := ctype.Resolve(t, rec.Var.Path)
+	if err != nil {
+		return dst, false, nil
+	}
+	return append(dst, e.rewritten(rec, outVar, rec.Var.Path, st.bases[outVar]+uint64(off), elem.Size())), true, nil
 }
 
 // applyStride rewrites one array access through the index formula and
 // prepends the injected arithmetic accesses.
-func (e *Engine) applyStride(st *ruleState, r *rules.StrideRule, rec *trace.Record) ([]trace.Record, error) {
+func (e *Engine) applyStride(dst []trace.Record, st *ruleState, r *rules.StrideRule, rec *trace.Record) ([]trace.Record, bool, error) {
 	path := rec.Var.Path
 	if len(path) != 1 || !path[0].IsIndex() {
-		return nil, nil
+		return dst, false, nil
 	}
 	i := path[0].Index
 	if i < 0 || i >= r.InLen {
-		return nil, nil
+		return dst, false, nil
 	}
-	inType := ctype.NewArray(r.Elem, r.InLen)
-	if err := e.establish(st, rec, inType); err != nil {
-		return nil, err
+	if err := e.establish(st, rec); err != nil {
+		return dst, false, err
 	}
 	j, err := r.Formula.Eval(i)
 	if err != nil {
-		return nil, err
+		return dst, false, err
 	}
-	out := *rec
-	out.Addr = st.bases[r.OutVar] + uint64(j*r.Elem.Size())
-	out.Size = r.Elem.Size()
-	out.Var = ctype.AccessExpr{Root: r.OutVar, Path: ctype.Path{{Index: j}}}
-	out.Aggregate = true
-
-	var recs []trace.Record
-	if err := e.appendInjects(&out, r.Inject(), &recs); err != nil {
-		return nil, err
-	}
-	return append(recs, out), nil
+	e.path = append(e.path[:0], ctype.PathElem{Index: j})
+	out := e.rewritten(rec, r.OutVar, e.path, st.bases[r.OutVar]+uint64(j*r.Elem.Size()), r.Elem.Size())
+	return append(e.appendInjects(dst, &out, r.Inject()), out), true, nil
 }
 
 // applyPeel rewrites one record of the structure-peeling transformation:
 // lRec[i].f moves to the group array holding member f, preserving the
 // element index.
-func (e *Engine) applyPeel(st *ruleState, r *rules.PeelRule, rec *trace.Record) ([]trace.Record, error) {
+func (e *Engine) applyPeel(dst []trace.Record, st *ruleState, r *rules.PeelRule, rec *trace.Record) ([]trace.Record, bool, error) {
 	path := rec.Var.Path
 	if len(path) < 2 || !path[0].IsIndex() || path[1].IsIndex() {
-		return nil, nil
+		return dst, false, nil
 	}
 	gi, ok := r.ByField[path[1].Field]
 	if !ok {
-		return nil, nil
+		return dst, false, nil
 	}
-	if err := e.establish(st, rec, r.InType); err != nil {
-		return nil, err
+	if err := e.establish(st, rec); err != nil {
+		return dst, false, err
 	}
 	group := r.Groups[gi]
-	outPath := append(ctype.Path{{Index: path[0].Index}}, path[1:]...)
-	off, elem, err := ctype.Resolve(group.Type, outPath)
-	if err != nil {
-		return nil, nil
-	}
-	out := *rec
-	out.Addr = st.bases[group.Var] + uint64(off)
-	out.Size = elem.Size()
-	out.Var = ctype.AccessExpr{Root: group.Var, Path: outPath}
-	out.Aggregate = true
-	return []trace.Record{out}, nil
+	return e.appendMoved(dst, st, group.Type, group.Var, rec)
 }
 
-// appendInjects materialises the rule's inject list as records placed
-// before the transformed access. Variables seen in the trace reuse their
-// real addresses; unseen ones (stride temporaries like ITEMSPERLINE) get
-// stable synthetic stack slots.
-func (e *Engine) appendInjects(model *trace.Record, injs []rules.InjectAccess, dst *[]trace.Record) error {
-	if len(injs) == 0 || dst == nil {
-		return nil
-	}
+// appendInjects appends the rule's inject list to dst as records placed
+// before the transformed access model. Variables seen in the trace reuse
+// their real addresses; unseen ones (stride temporaries like ITEMSPERLINE)
+// get stable synthetic stack slots.
+func (e *Engine) appendInjects(dst []trace.Record, model *trace.Record, injs []rules.InjectAccess) []trace.Record {
 	for _, inj := range injs {
 		var rec trace.Record
 		if prev, ok := e.lastScalar[inj.Var]; ok {
@@ -266,7 +238,7 @@ func (e *Engine) appendInjects(model *trace.Record, injs []rules.InjectAccess, d
 		}
 		rec.Op = trace.Op(inj.Op)
 		rec.Size = inj.Size
-		*dst = append(*dst, rec)
+		dst = append(dst, rec)
 	}
-	return nil
+	return dst
 }

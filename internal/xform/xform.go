@@ -64,17 +64,55 @@ type Engine struct {
 	synthNext uint64
 	synthAddr map[string]uint64
 
+	// maxExtra is the largest ruleState.extra; zero lets outBound skip
+	// its scan.
+	maxExtra int
+	// path is scratch for building a rewritten access path; slab is the
+	// storage emitted paths are carved from (see carve).
+	path ctype.Path
+	slab ctype.Path
+
 	stats Stats
 }
+
+// Path slab sizes, in path elements: the first slab, and the cap the
+// doubling stops at.
+const (
+	firstSlabElems = 64
+	slabElems      = 4096
+)
 
 // ruleState is the per-rule address bookkeeping.
 type ruleState struct {
 	rule rules.Rule
+	// inType is the shape of the in structure, fixed when the engine is
+	// built (stride rules describe it as element type × length).
+	inType ctype.Type
+	// extra is the most records one matching input adds to the output:
+	// the rule's injects, plus the pointer load for outline rules.
+	extra int
 	// inBase is established from the first matching record.
 	inBase uint64
 	haveIn bool
 	// bases maps out variable name → base address.
 	bases map[string]uint64
+}
+
+// newRuleState derives a rule's fixed per-engine facts.
+func newRuleState(r rules.Rule) *ruleState {
+	st := &ruleState{rule: r, extra: len(r.Inject()), bases: map[string]uint64{}}
+	switch rr := r.(type) {
+	case *rules.StructRemapRule:
+		st.inType = rr.InType
+	case *rules.OutlineRule:
+		st.inType = rr.InType
+		st.extra++
+	case *rules.StrideRule:
+		st.inType = ctype.NewArray(rr.Elem, rr.InLen)
+	case *rules.PeelRule:
+		st.inType = rr.InType
+	}
+	return st
 }
 
 // New builds an engine over the given rules.
@@ -93,9 +131,10 @@ func New(opts Options, rs ...rules.Rule) (*Engine, error) {
 		if _, dup := e.byRoot[r.InRoot()]; dup {
 			return nil, fmt.Errorf("xform: two rules for root %q", r.InRoot())
 		}
-		st := &ruleState{rule: r, bases: map[string]uint64{}}
+		st := newRuleState(r)
 		e.states = append(e.states, st)
 		e.byRoot[r.InRoot()] = st
+		e.maxExtra = max(e.maxExtra, st.extra)
 	}
 	return e, nil
 }
@@ -118,6 +157,14 @@ func (e *Engine) OutBase(name string) (uint64, bool) {
 // the unchanged record, or the rewritten record preceded by any inserted
 // accesses.
 func (e *Engine) Transform(rec *trace.Record) ([]trace.Record, error) {
+	return e.appendTransform(nil, rec)
+}
+
+// appendTransform appends the record(s) rec becomes to dst and returns the
+// extended slice, or nil and the error that stopped it. Rewritten records
+// carry paths carved from the engine's slab; passed-through records share
+// rec's path.
+func (e *Engine) appendTransform(dst []trace.Record, rec *trace.Record) ([]trace.Record, error) {
 	e.stats.Total++
 	// Track scalar addresses for inject resolution.
 	if rec.HasSym && len(rec.Var.Path) == 0 {
@@ -125,45 +172,80 @@ func (e *Engine) Transform(rec *trace.Record) ([]trace.Record, error) {
 	}
 	if !rec.HasSym {
 		e.stats.Passed++
-		return []trace.Record{*rec}, nil
+		return append(dst, *rec), nil
 	}
 	st, ok := e.byRoot[rec.Var.Root]
 	if !ok {
 		e.stats.Passed++
-		return []trace.Record{*rec}, nil
+		return append(dst, *rec), nil
 	}
-	out, err := e.apply(st, rec)
+	n := len(dst)
+	dst, ok, err := e.apply(dst, st, rec)
 	if err != nil {
 		return nil, err
 	}
-	if out == nil {
+	if !ok {
 		// Non-conforming nesting: ignore (pass through).
 		e.stats.Passed++
-		return []trace.Record{*rec}, nil
+		return append(dst, *rec), nil
 	}
 	e.stats.Matched++
-	if n := len(out) - 1; n > 0 {
-		e.stats.Inserted += int64(n)
-	}
-	return out, nil
+	e.stats.Inserted += int64(len(dst) - n - 1)
+	return dst, nil
 }
 
-// TransformAll rewrites a whole record slice. Each call publishes what it
-// did — records seen, rules fired, records inserted/passed — to the
-// default telemetry registry.
-func (e *Engine) TransformAll(recs []trace.Record) ([]trace.Record, error) {
-	before := e.stats
-	out := make([]trace.Record, 0, len(recs)+len(recs)/4)
+// appendBatch appends the transformation of every record in recs to dst:
+// the one batch loop behind TransformAll and Source.
+func (e *Engine) appendBatch(dst, recs []trace.Record) ([]trace.Record, error) {
 	for i := range recs {
-		rs, err := e.Transform(&recs[i])
-		if err != nil {
-			e.publish(before)
+		var err error
+		if dst, err = e.appendTransform(dst, &recs[i]); err != nil {
 			return nil, err
 		}
-		out = append(out, rs...)
 	}
+	return dst, nil
+}
+
+// outBound is an upper bound on the records recs transforms into, so a
+// buffer of that capacity never regrows.
+func (e *Engine) outBound(recs []trace.Record) int {
+	n := len(recs)
+	if e.maxExtra == 0 {
+		return n
+	}
+	for i := range recs {
+		if !recs[i].HasSym {
+			continue
+		}
+		if st, ok := e.byRoot[recs[i].Var.Root]; ok {
+			n += st.extra
+		}
+	}
+	return n
+}
+
+// carve copies p into the path slab and returns the copy, capped so that
+// appending to it reallocates instead of overwriting the next path. Slab
+// memory is never reused: emitted records may outlive any batch. Slabs
+// start small and double up to slabElems, so an engine that rewrites a
+// short trace does not pay for a full slab.
+func (e *Engine) carve(p ctype.Path) ctype.Path {
+	if cap(e.slab)-len(e.slab) < len(p) {
+		e.slab = make(ctype.Path, 0, max(min(2*cap(e.slab), slabElems), firstSlabElems, len(p)))
+	}
+	n := len(e.slab)
+	e.slab = append(e.slab, p...)
+	return e.slab[n:len(e.slab):len(e.slab)]
+}
+
+// TransformAll rewrites a whole record slice into one output slice sized
+// up front. Each call publishes what it did — records seen, rules fired,
+// records inserted/passed — to the default telemetry registry.
+func (e *Engine) TransformAll(recs []trace.Record) ([]trace.Record, error) {
+	before := e.stats
+	out, err := e.appendBatch(make([]trace.Record, 0, e.outBound(recs)), recs)
 	e.publish(before)
-	return out, nil
+	return out, err
 }
 
 // publish adds this call's stat deltas (engines accumulate across calls)
@@ -175,6 +257,45 @@ func (e *Engine) publish(before Stats) {
 	reg.Counter("xform.rules_fired").Add(e.stats.Matched - before.Matched)
 	reg.Counter("xform.inserted").Add(e.stats.Inserted - before.Inserted)
 	reg.Counter("xform.passed").Add(e.stats.Passed - before.Passed)
+}
+
+// Source returns a RecordSource that yields src's records transformed,
+// batch by batch, holding only one batch live at a time — the streaming
+// transform stage. Its batches reuse one buffer and follow the
+// RecordSource contract: each is valid until the next NextBatch call,
+// though the rewritten paths it holds stay valid for good. It does not
+// publish telemetry; the engine's Stats count its records.
+func (e *Engine) Source(src trace.RecordSource) trace.RecordSource {
+	return &source{src: src, eng: e}
+}
+
+// source is the RecordSource Engine.Source returns.
+type source struct {
+	src trace.RecordSource
+	eng *Engine
+	out []trace.Record
+}
+
+func (s *source) Header() (trace.Header, error) { return s.src.Header() }
+func (s *source) HasHeader() bool               { return s.src.HasHeader() }
+func (s *source) BadLines() int                 { return s.src.BadLines() }
+
+// NextBatch transforms the next input batch. Every input record emits at
+// least one record, so a non-empty input gives a non-empty batch.
+func (s *source) NextBatch() ([]trace.Record, error) {
+	in, err := s.src.NextBatch()
+	if err != nil {
+		return nil, err
+	}
+	if n := s.eng.outBound(in); cap(s.out) < n {
+		s.out = make([]trace.Record, 0, n)
+	}
+	out, err := s.eng.appendBatch(s.out[:0], in)
+	if err != nil {
+		return nil, err
+	}
+	s.out = out
+	return out, nil
 }
 
 // Run streams records from rd to wr, transforming as it goes — the paper's
@@ -189,65 +310,59 @@ func (e *Engine) Run(rd *trace.Reader, wr *trace.Writer) error {
 // publishes its stat deltas to the default telemetry registry.
 func (e *Engine) RunSource(src trace.RecordSource, wr trace.RecordWriter) error {
 	before := e.stats
-	h, err := src.Header()
+	defer e.publish(before)
+	xs := e.Source(src)
+	h, err := xs.Header()
 	if err != nil && err != io.EOF {
 		return err
 	}
 	// A headerless input stays headerless — inventing a zero START line
 	// would break byte-level round trips through tracediff.
-	if src.HasHeader() {
+	if xs.HasHeader() {
 		if err := wr.WriteHeader(h); err != nil {
 			return err
 		}
 	}
 	for {
-		batch, err := src.NextBatch()
+		batch, err := xs.NextBatch()
 		if err == io.EOF {
-			e.publish(before)
 			return wr.Flush()
 		}
 		if err != nil {
-			e.publish(before)
 			return err
 		}
 		for i := range batch {
-			out, err := e.Transform(&batch[i])
-			if err != nil {
-				e.publish(before)
+			if err := wr.Write(&batch[i]); err != nil {
 				return err
-			}
-			for j := range out {
-				if err := wr.Write(&out[j]); err != nil {
-					return err
-				}
 			}
 		}
 	}
 }
 
-// apply dispatches on the rule kind. A nil, nil return means "does not
-// conform — pass through".
-func (e *Engine) apply(st *ruleState, rec *trace.Record) ([]trace.Record, error) {
+// apply dispatches on the rule kind, appending the rewritten record and
+// any inserted accesses to dst. A false return means "does not conform —
+// pass through", with dst unchanged.
+func (e *Engine) apply(dst []trace.Record, st *ruleState, rec *trace.Record) ([]trace.Record, bool, error) {
 	switch r := st.rule.(type) {
 	case *rules.StructRemapRule:
-		return e.applyRemap(st, r, rec)
+		return e.applyRemap(dst, st, r, rec)
 	case *rules.OutlineRule:
-		return e.applyOutline(st, r, rec)
+		return e.applyOutline(dst, st, r, rec)
 	case *rules.StrideRule:
-		return e.applyStride(st, r, rec)
+		return e.applyStride(dst, st, r, rec)
 	case *rules.PeelRule:
-		return e.applyPeel(st, r, rec)
+		return e.applyPeel(dst, st, r, rec)
 	}
-	return nil, fmt.Errorf("xform: unknown rule type %T", st.rule)
+	return dst, false, fmt.Errorf("xform: unknown rule type %T", st.rule)
 }
 
 // establish computes the in base address from the first conforming record
 // and assigns out bases.
-func (e *Engine) establish(st *ruleState, rec *trace.Record, inType ctype.Type) error {
+func (e *Engine) establish(st *ruleState, rec *trace.Record) error {
 	if st.haveIn {
 		return nil
 	}
-	off, _, err := ctype.Resolve(inType, rec.Var.Path)
+	off, _, err := ctype.Resolve(st.inType, rec.Var.Path)
 	if err != nil {
 		return fmt.Errorf("xform: cannot anchor %s: %v", rec.Var, err)
 	}
