@@ -84,8 +84,14 @@ func (a AccessExpr) AppendText(dst []byte) []byte {
 // "glStructArray[0].myArray[0]". The root identifier may contain any
 // non-separator characters (Gleipnir emits names like _zzq_args), and
 // subscripts must be decimal integers.
-func ParseAccess(s string) (AccessExpr, error) {
-	var a AccessExpr
+func ParseAccess(s string) (AccessExpr, error) { return ParseAccessInto(nil, s) }
+
+// ParseAccessInto is ParseAccess building the path in buf's storage
+// (buf[:0], grown as needed), so a decoder can parse into a reused scratch
+// path and copy out only what it keeps. The root and field names are
+// substrings of s.
+func ParseAccessInto(buf Path, s string) (AccessExpr, error) {
+	a := AccessExpr{Path: buf[:0]}
 	if s == "" {
 		return a, fmt.Errorf("ctype: empty access expression")
 	}

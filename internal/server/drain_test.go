@@ -2,11 +2,15 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"tracedst/internal/cache"
+	"tracedst/internal/experiments"
 	"tracedst/internal/telemetry"
 )
 
@@ -107,10 +111,31 @@ func TestDrainPersistsQueuedState(t *testing.T) {
 	}
 	ts.Close()
 
-	// Read the persisted state back the way a fresh process would.
-	srv2, err := New(Config{StateDir: dir, Workers: 1, RatePerSec: -1, Reg: telemetry.NewRegistry()})
+	// Read the persisted state straight from the checkpoint store: a
+	// restarted server's worker may pick a resumed job up at once, so its
+	// in-memory state would race with this check.
+	ck, err := experiments.OpenCheckpoint(filepath.Join(dir, "jobs"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, id := range []string{a.ID, b.ID} {
+		var rec Job
+		if ok, err := ck.Get("job/"+id, &rec); err != nil || !ok {
+			t.Fatalf("job %s lost across drain (ok=%v, err=%v)", id, ok, err)
+		}
+		if rec.State != StateQueued {
+			t.Errorf("job %s persisted as state=%s, want queued", id, rec.State)
+		}
+	}
+
+	// A fresh process adopts both as resumed.
+	reg2 := telemetry.NewRegistry()
+	srv2, err := New(Config{StateDir: dir, Workers: 1, RatePerSec: -1, Reg: reg2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg2.Counter("server.jobs_resumed").Value(); n != 2 {
+		t.Errorf("server.jobs_resumed = %d, want 2", n)
 	}
 	for _, id := range []string{a.ID, b.ID} {
 		j := srv2.lookup(id)
@@ -118,13 +143,58 @@ func TestDrainPersistsQueuedState(t *testing.T) {
 			t.Fatalf("job %s lost across restart", id)
 		}
 		j.mu.Lock()
-		state, resumed := j.State, j.Resumed
+		resumed := j.Resumed
 		j.mu.Unlock()
-		if state != StateQueued || !resumed {
-			t.Errorf("job %s restored as state=%s resumed=%v, want queued/resumed", id, state, resumed)
+		if !resumed {
+			t.Errorf("job %s not marked resumed after restart", id)
 		}
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
 	srv2.Shutdown(ctx2)
+}
+
+// TestPersistKeepsLatestState: the upload handler and the worker both
+// checkpoint a job, and a snapshot the handler took before the worker ran
+// must not land after the worker's terminal write — a restart would then
+// re-run a finished job. Here one goroutine persists a job over and over
+// while another drives it to done; the checkpoint must end at done.
+func TestPersistKeepsLatestState(t *testing.T) {
+	srv, err := New(Config{StateDir: t.TempDir(), Workers: 1, RatePerSec: -1, Reg: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	for round := 0; round < 50; round++ {
+		j := &job{Job: Job{ID: fmt.Sprintf("j%06d", round+1), State: StateQueued}}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					srv.persist(j)
+				}
+			}
+		}()
+		for _, st := range []JobState{StateRunning, StateDone} {
+			j.mu.Lock()
+			j.State = st
+			j.mu.Unlock()
+			srv.persist(j)
+		}
+		close(stop)
+		wg.Wait()
+		var rec Job
+		if ok, err := srv.ck.Get("job/"+j.ID, &rec); err != nil || !ok {
+			t.Fatalf("round %d: checkpoint missing (ok=%v, err=%v)", round, ok, err)
+		}
+		if rec.State != StateDone {
+			t.Fatalf("round %d: checkpoint holds %s after the job finished", round, rec.State)
+		}
+	}
 }

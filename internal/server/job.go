@@ -123,6 +123,10 @@ type JobResources struct {
 // progress and the completion latch.
 type job struct {
 	mu sync.Mutex
+	// persistMu orders checkpoint writes of this job: the upload handler
+	// and the worker both persist it, and without it a snapshot taken
+	// before the worker ran could land after the worker's terminal write.
+	persistMu sync.Mutex
 	Job
 	cancel     context.CancelFunc // non-nil while running
 	userCancel bool               // DELETE requested; distinguishes cancel from drain

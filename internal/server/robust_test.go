@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,11 +45,13 @@ func TestOversizeBodyRejected(t *testing.T) {
 // TestRateLimit429: a client over its token budget gets 429 with a
 // Retry-After, and recovers once the bucket refills.
 func TestRateLimit429(t *testing.T) {
-	clock := time.Unix(1700000000, 0)
+	// Workers read the clock too (job timestamps), so it is atomic.
+	var clock atomic.Int64
+	clock.Store(time.Unix(1700000000, 0).UnixNano())
 	_, ts, reg := newTestServer(t, func(c *Config) {
 		c.RatePerSec = 2
 		c.Burst = 3
-		c.now = func() time.Time { return clock }
+		c.now = func() time.Time { return time.Unix(0, clock.Load()) }
 	})
 	glb := encodeGLB(t, workloadRecords(50), 16)
 
@@ -86,7 +89,7 @@ func TestRateLimit429(t *testing.T) {
 	}
 
 	// Half a second at 2 tokens/s refills one token.
-	clock = clock.Add(time.Second / 2)
+	clock.Add(int64(time.Second / 2))
 	resp3, err := http.Post(ts.URL+"/jobs", "application/octet-stream", bytes.NewReader(glb))
 	if err != nil {
 		t.Fatal(err)

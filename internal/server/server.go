@@ -268,6 +268,10 @@ func (s *Server) spoolPath(id string) string {
 
 // persist checkpoints the job's current Job record.
 func (s *Server) persist(j *job) {
+	// Snapshot under persistMu, so the last write always holds the latest
+	// state.
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	j.mu.Lock()
 	rec := j.Job
 	j.mu.Unlock()

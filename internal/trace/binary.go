@@ -25,7 +25,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"io"
+	"slices"
+
+	"tracedst/internal/ctype"
 )
 
 // DefaultBlockRecords is how many records a BinaryWriter packs per block by
@@ -76,8 +80,13 @@ type BinaryWriter struct {
 
 	strTab   []byte // encoded string-table entries for the block
 	strCount int
-	strIdx   map[string]uint64 // string -> table index
-	recBuf   []byte            // encoded records for the block
+	// strIdx maps every spelling the writer has seen to its index in the
+	// string table of the block it was last used in. Entries outlive their
+	// block (a stamp older than blockNo means "not in this table yet"), so
+	// a spelling's key is allocated once per writer, not once per block.
+	strIdx   internTable[strRef]
+	blockNo  uint32
+	recBuf   []byte // encoded records for the block
 	recCount int
 	prevAddr uint64
 	scratch  []byte // variable-expression rendering
@@ -97,8 +106,14 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{
 		bw:        bufio.NewWriterSize(w, 256*1024),
 		blockRecs: DefaultBlockRecords,
-		strIdx:    make(map[string]uint64),
+		strIdx:    internTable[strRef]{seed: maphash.MakeSeed()},
 	}
+}
+
+// strRef is a spelling's string-table index in block number block.
+type strRef struct {
+	block uint32
+	idx   uint64
 }
 
 // SetBlockRecords overrides the records-per-block flush threshold (tests
@@ -150,14 +165,20 @@ func (wr *BinaryWriter) writePreamble() error {
 	return err
 }
 
-// internString returns the block-local string-table index for s, adding the
-// entry on first use. key avoids allocating when s is scratch-backed.
+// internString returns the block-local string-table index for key, adding
+// the entry on its first use in the block. Only a spelling the writer has
+// never seen allocates.
 func (wr *BinaryWriter) internString(key []byte) uint64 {
-	if idx, ok := wr.strIdx[string(key)]; ok {
-		return idx
+	ref := wr.strIdx.ref(key)
+	if ref != nil && ref.block == wr.blockNo {
+		return ref.idx
 	}
 	idx := uint64(wr.strCount)
-	wr.strIdx[string(key)] = idx
+	if ref != nil {
+		*ref = strRef{wr.blockNo, idx}
+	} else {
+		wr.strIdx.insert(string(key), strRef{wr.blockNo, idx})
+	}
 	wr.strCount++
 	wr.strTab = binary.AppendUvarint(wr.strTab, uint64(len(key)))
 	wr.strTab = append(wr.strTab, key...)
@@ -228,7 +249,14 @@ func (wr *BinaryWriter) flushBlock() error {
 	}
 	wr.strTab = wr.strTab[:0]
 	wr.strCount = 0
-	clear(wr.strIdx)
+	wr.blockNo++
+	if !wr.strIdx.room(2*wr.blockRecs) || wr.blockNo == 0 {
+		// A table that filled up mid-block would stop taking new spellings,
+		// and each use of an uninterned one would add a duplicate entry (a
+		// block uses at most two per record); a wrapped block number would
+		// make stale stamps current. Start afresh.
+		wr.strIdx = internTable[strRef]{seed: wr.strIdx.seed}
+	}
 	wr.recBuf = wr.recBuf[:0]
 	wr.recCount = 0
 	wr.prevAddr = 0
@@ -298,6 +326,7 @@ type BinaryReader struct {
 	next    int
 	dec     blockDecoder
 	payload []byte
+	crcBuf  [4]byte // a field, not a local: io.ReadFull would move a local to the heap
 }
 
 // NewBinaryReader returns a strict BinaryReader over r.
@@ -423,8 +452,8 @@ func (rd *BinaryReader) loadBlock() error {
 		if recCount > payloadLen {
 			return fmt.Errorf("trace: block %d: record count %d exceeds payload %d", rd.block, recCount, payloadLen)
 		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(rd.br, crcBuf[:]); err != nil {
+		crcBuf := rd.crcBuf[:]
+		if _, err := io.ReadFull(rd.br, crcBuf); err != nil {
 			if recCount == 0 && eofish(err) {
 				// A record-free block torn off at the end of the stream
 				// (ReadFull only comes up short there): no records lost.
@@ -433,10 +462,9 @@ func (rd *BinaryReader) loadBlock() error {
 			}
 			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
 		}
-		if cap(rd.payload) < int(payloadLen) {
-			rd.payload = make([]byte, payloadLen)
-		}
-		rd.payload = rd.payload[:payloadLen]
+		// Grow geometrically: block payloads creep upward through a trace,
+		// and an exact-fit buffer would be replaced at nearly every block.
+		rd.payload = slices.Grow(rd.payload[:0], int(payloadLen))[:payloadLen]
 		if _, err := io.ReadFull(rd.br, rd.payload); err != nil {
 			if recCount == 0 && eofish(err) {
 				rd.noteAux(fmt.Errorf("trace: block %d: truncated record-free block: %w", rd.block, err))
@@ -446,7 +474,7 @@ func (rd *BinaryReader) loadBlock() error {
 		}
 		// Framing is intact from here on, so damage is skippable: the next
 		// block starts right after the payload we already consumed.
-		if crc32.ChecksumIEEE(rd.payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
+		if crc32.ChecksumIEEE(rd.payload) != binary.LittleEndian.Uint32(crcBuf) {
 			if recCount == 0 {
 				// Record-free blocks carry auxiliary payloads (the
 				// block-index footer); damage there loses no records.
@@ -486,26 +514,48 @@ func (rd *BinaryReader) decodeBlock(p []byte, recCount int) error {
 // parallel decoder and the block-decoding half of BinaryReader.
 type blockDecoder struct {
 	intern *Interner
-	strs   []string
+	slots  []strSlot // the current block's string table
 }
 
+// strSlot is one entry of a block's string table. Records name entries by
+// index, as a function name, a variable spelling, or both; each role is
+// resolved through the Interner by the first record that uses it and
+// reused by every later record of the block, so an entry costs one lookup
+// per role per block however many records name it.
+type strSlot struct {
+	raw    []byte // the entry's bytes, aliasing the payload
+	fn     string
+	v      ctype.AccessExpr
+	hasFn  bool
+	hasVar bool
+}
+
+// minRecordBytes is the smallest encoded record: tag, address delta, size
+// and function index, one byte each.
+const minRecordBytes = 4
+
 // decode appends the payload's records to recs and returns the extended
-// slice. The payload must already have passed its CRC check.
+// slice. The payload must already have passed its CRC check; the records
+// keep no reference to it.
 func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, error) {
 	strCount, n := binary.Uvarint(p)
 	if n <= 0 || strCount > uint64(len(p)) {
 		return recs, fmt.Errorf("bad string table header")
 	}
 	p = p[n:]
-	d.strs = d.strs[:0]
+	d.slots = d.slots[:0]
 	for i := uint64(0); i < strCount; i++ {
 		slen, n := binary.Uvarint(p)
 		if n <= 0 || slen > uint64(len(p)-n) {
 			return recs, fmt.Errorf("bad string table entry %d", i)
 		}
-		d.strs = append(d.strs, d.intern.internFuncString(string(p[n:n+int(slen)])))
+		d.slots = append(d.slots, strSlot{raw: p[n : n+int(slen)]})
 		p = p[n+int(slen):]
 	}
+	// Size the output once. The frame's record count is bounded by what the
+	// rest of the payload can hold, so a damaged count cannot force a huge
+	// allocation.
+	recs = slices.Grow(recs, min(recCount, len(p)/minRecordBytes))
 	var prevAddr uint64
 	for i := 0; i < recCount; i++ {
 		if len(p) == 0 {
@@ -529,11 +579,15 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 		p = p[n:]
 		r.Size = size
 		fidx, n := binary.Uvarint(p)
-		if n <= 0 || fidx >= uint64(len(d.strs)) {
+		if n <= 0 || fidx >= uint64(len(d.slots)) {
 			return recs, fmt.Errorf("bad function index in record %d", i)
 		}
 		p = p[n:]
-		r.Func = d.strs[fidx]
+		s := &d.slots[fidx]
+		if !s.hasFn {
+			s.fn, s.hasFn = d.intern.internFunc(s.raw), true
+		}
+		r.Func = s.fn
 		if tag&tagHasSym != 0 {
 			r.HasSym = true
 			r.Vis = Global
@@ -553,15 +607,19 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 				r.Frame, r.Thread = int(frame), int(thread)
 			}
 			vidx, n := binary.Uvarint(p)
-			if n <= 0 || vidx >= uint64(len(d.strs)) {
+			if n <= 0 || vidx >= uint64(len(d.slots)) {
 				return recs, fmt.Errorf("bad variable index in record %d", i)
 			}
 			p = p[n:]
-			v, err := d.intern.internVarString(d.strs[vidx])
-			if err != nil {
-				return recs, fmt.Errorf("bad variable in record %d: %v", i, err)
+			s := &d.slots[vidx]
+			if !s.hasVar {
+				v, err := d.intern.internVar(s.raw)
+				if err != nil {
+					return recs, fmt.Errorf("bad variable in record %d: %v", i, err)
+				}
+				s.v, s.hasVar = v, true
 			}
-			r.Var = v
+			r.Var = s.v
 		} else if tag&(tagLocal|tagAggregate) != 0 {
 			return recs, fmt.Errorf("bad tag %#x in record %d", tag, i)
 		}

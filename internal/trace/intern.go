@@ -1,0 +1,205 @@
+// Byte-keyed, typed interning for the trace decoders. Every record carries
+// a function name and, with symbol information, a parsed access expression;
+// a trace spells the same few thousand of them over and over (or, for a
+// large array walked element by element, a hundred thousand of them a few
+// times each). The Interner resolves each distinct spelling once, and the
+// binary decoder's per-block slot table (binary.go) asks it at most once per
+// string-table entry and role.
+package trace
+
+import (
+	"hash/maphash"
+
+	"tracedst/internal/ctype"
+)
+
+// maxInternedStrings caps each intern table so a pathological trace with an
+// unbounded symbol population degrades to plain allocation instead of
+// holding every distinct string alive.
+const maxInternedStrings = 1 << 20
+
+// Interner caches the strings a trace decoder produces — function names and
+// variable access expressions — so that decoding a stream with a bounded
+// symbol population settles at zero allocations per record. The tables are
+// typed (a spelling interned as a function name is not also held as a
+// variable, and the reverse) and byte-keyed: a lookup of bytes already seen
+// allocates nothing, and a new spelling allocates its string once.
+//
+// Cached access expressions share their parsed Path across records; records
+// from an interning decoder must therefore be treated as read-only (which
+// every consumer in this repository already does — transformations build
+// fresh paths). Interned paths are carved from a slab and capped at their
+// length, so an append by a consumer copies rather than overwriting a
+// neighbour. An Interner is not safe for concurrent use; give each decoding
+// goroutine its own.
+type Interner struct {
+	funcs internTable[string]
+	vars  internTable[ctype.AccessExpr]
+	// path is scratch the parser builds paths in; slab is the storage
+	// interned paths are carved from (see carve).
+	path ctype.Path
+	slab ctype.Path
+}
+
+// Path slab sizes, in path elements: the first slab, and the cap the
+// doubling stops at. Slab memory is never reused, since records keep
+// referencing their paths.
+const (
+	firstSlabElems = 64
+	slabElems      = 4096
+)
+
+// NewInterner returns an empty intern table set.
+func NewInterner() *Interner {
+	seed := maphash.MakeSeed()
+	return &Interner{funcs: internTable[string]{seed: seed}, vars: internTable[ctype.AccessExpr]{seed: seed}}
+}
+
+// ParseRecord parses one trace line, interning Func and Var through the
+// table. The line bytes are not retained.
+func (in *Interner) ParseRecord(line []byte) (Record, error) {
+	return parseRecordBytes(line, in)
+}
+
+// internFunc returns the cached string for b, adding it on first sight.
+func (in *Interner) internFunc(b []byte) string {
+	if s := in.funcs.ref(b); s != nil {
+		return *s
+	}
+	s := string(b)
+	in.funcs.insert(s, s)
+	return s
+}
+
+// internVar returns the cached parsed access expression for b, parsing and
+// adding it on first sight. The returned expression shares its Path with
+// every other record carrying the same spelling.
+func (in *Interner) internVar(b []byte) (ctype.AccessExpr, error) {
+	if v := in.vars.ref(b); v != nil {
+		return *v, nil
+	}
+	s := string(b)
+	v, err := ctype.ParseAccessInto(in.path, s)
+	in.path = v.Path[:0]
+	if err != nil {
+		return ctype.AccessExpr{}, err
+	}
+	v.Path = in.carve(v.Path)
+	in.vars.insert(s, v)
+	return v, nil
+}
+
+// carve copies p into the path slab and returns the copy, capped at its
+// length; an empty path stays nil, as ParseAccess returns it. Slabs start
+// small and double up to slabElems, so a decoder of a short trace does not
+// pay for a full slab.
+func (in *Interner) carve(p ctype.Path) ctype.Path {
+	if len(p) == 0 {
+		return nil
+	}
+	if cap(in.slab)-len(in.slab) < len(p) {
+		in.slab = make(ctype.Path, 0, max(min(2*cap(in.slab), slabElems), firstSlabElems, len(p)))
+	}
+	n := len(in.slab)
+	in.slab = append(in.slab, p...)
+	return in.slab[n:len(in.slab):len(in.slab)]
+}
+
+// internTable maps byte strings to values: an open-addressing hash index
+// over entries kept in chunks that never move. Lookups hash the caller's
+// bytes directly, so a hit allocates nothing, and growing rehashes only
+// the index — four bytes per slot — never the entries. A Go map keyed by
+// string would hold each entry in a slot of its own, rebuilt whole at
+// every growth step, which on a trace that walks a large array costs
+// more than the entries themselves.
+type internTable[V any] struct {
+	seed maphash.Seed
+	// slots holds entry locations, (chunk+1)<<chunkShift | offset, and 0
+	// where empty; its length is a power of two at least twice n.
+	slots  []uint32
+	chunks [][]internEntry[V]
+	n      int
+}
+
+type internEntry[V any] struct {
+	key string
+	val V
+}
+
+// Entry chunk sizes: the first chunk, and the cap the doubling stops at.
+// A slot packs (chunk+1)<<chunkShift | offset, so the cap must stay below
+// 1<<chunkShift and the chunk count (at most maxInternedStrings /
+// maxChunkEntries plus the ramp) below 1<<(32-chunkShift).
+const (
+	firstChunkEntries = 16
+	maxChunkEntries   = 4096
+	chunkShift        = 16
+)
+
+// ref returns the value stored for key b, in place, or nil when b is
+// absent.
+func (t *internTable[V]) ref(b []byte) *V {
+	if t.n == 0 {
+		return nil
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := maphash.Bytes(t.seed, b) & mask; t.slots[i] != 0; i = (i + 1) & mask {
+		if e := t.entry(t.slots[i]); e.key == string(b) {
+			return &e.val
+		}
+	}
+	return nil
+}
+
+// insert adds key, which must not be present, with its value. A table
+// holding maxInternedStrings entries stays as it is.
+func (t *internTable[V]) insert(key string, val V) {
+	if !t.room(1) {
+		return
+	}
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		size := firstChunkEntries
+		if last >= 0 {
+			size = min(2*cap(t.chunks[last]), maxChunkEntries)
+		}
+		t.chunks = append(t.chunks, make([]internEntry[V], 0, size))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], internEntry[V]{key, val})
+	t.place(uint32(last+1)<<chunkShift | uint32(len(t.chunks[last])-1))
+	t.n++
+}
+
+// room reports whether k more keys fit under maxInternedStrings.
+func (t *internTable[V]) room(k int) bool { return t.n+k <= maxInternedStrings }
+
+// entry returns the entry a slot locates.
+func (t *internTable[V]) entry(loc uint32) *internEntry[V] {
+	return &t.chunks[loc>>chunkShift-1][loc&(1<<chunkShift-1)]
+}
+
+// place stores loc in the first free slot of its key's probe sequence.
+func (t *internTable[V]) place(loc uint32) {
+	mask := uint64(len(t.slots) - 1)
+	i := maphash.String(t.seed, t.entry(loc).key) & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = loc
+}
+
+// grow doubles the index (the first one fits the first chunk at half
+// load) and re-places every entry.
+func (t *internTable[V]) grow() {
+	old := t.slots
+	t.slots = make([]uint32, max(2*len(old), 2*firstChunkEntries))
+	for _, loc := range old {
+		if loc != 0 {
+			t.place(loc)
+		}
+	}
+}

@@ -67,88 +67,6 @@ func appendHex9(dst []byte, addr uint64) []byte {
 	return append(dst, tmp[i:]...)
 }
 
-// maxInternedStrings caps each intern table so a pathological trace with an
-// unbounded symbol population degrades to plain allocation instead of
-// holding every distinct string alive.
-const maxInternedStrings = 1 << 20
-
-// Interner caches the strings a trace decoder produces — function names and
-// variable access expressions — so that decoding a stream with a bounded
-// symbol population settles at zero allocations per record. Cached access
-// expressions share their parsed Path across records; records from an
-// interning decoder must therefore be treated as read-only (which every
-// consumer in this repository already does — transformations build fresh
-// paths). An Interner is not safe for concurrent use; give each decoding
-// goroutine its own.
-type Interner struct {
-	funcs map[string]string
-	vars  map[string]ctype.AccessExpr
-}
-
-// NewInterner returns an empty intern table set.
-func NewInterner() *Interner {
-	return &Interner{
-		funcs: make(map[string]string),
-		vars:  make(map[string]ctype.AccessExpr),
-	}
-}
-
-// ParseRecord parses one trace line, interning Func and Var through the
-// table. The line bytes are not retained.
-func (in *Interner) ParseRecord(line []byte) (Record, error) {
-	return parseRecordBytes(line, in)
-}
-
-// internFunc returns the cached string for b, adding it on first sight.
-func (in *Interner) internFunc(b []byte) string {
-	if s, ok := in.funcs[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(in.funcs) < maxInternedStrings {
-		in.funcs[s] = s
-	}
-	return s
-}
-
-// internFuncString is internFunc for callers that already hold a string
-// (the binary decoder's block string tables).
-func (in *Interner) internFuncString(s string) string {
-	if c, ok := in.funcs[s]; ok {
-		return c
-	}
-	if len(in.funcs) < maxInternedStrings {
-		in.funcs[s] = s
-	}
-	return s
-}
-
-// internVar returns the cached parsed access expression for b, parsing and
-// adding it on first sight. The returned expression shares its Path with
-// every other record carrying the same spelling.
-func (in *Interner) internVar(b []byte) (ctype.AccessExpr, error) {
-	if v, ok := in.vars[string(b)]; ok {
-		return v, nil
-	}
-	return in.internVarString(string(b))
-}
-
-// internVarString is internVar for callers that already hold a string (the
-// binary decoder's block string tables).
-func (in *Interner) internVarString(s string) (ctype.AccessExpr, error) {
-	if v, ok := in.vars[s]; ok {
-		return v, nil
-	}
-	v, err := ctype.ParseAccess(s)
-	if err != nil {
-		return v, err
-	}
-	if len(in.vars) < maxInternedStrings {
-		in.vars[s] = v
-	}
-	return v, nil
-}
-
 // maxRecordFields is the widest legal record: op addr size func scope frame
 // thread var. One extra slot catches trailing junk without scanning it.
 const maxRecordFields = 8
