@@ -49,17 +49,9 @@ type TraceStream struct {
 // given decode options. The container format is sniffed from the magic;
 // binary traces stream block-at-a-time with zero copying.
 func OpenTraceSource(path string, opts trace.DecodeOptions) (*TraceStream, error) {
-	in, err := OpenTrace(path)
-	if err != nil {
-		return nil, err
-	}
-	cr := &countingReader{r: in}
-	src, format, err := trace.OpenSource(cr, opts, 0)
-	if err != nil {
-		in.Close()
-		return nil, err
-	}
-	return &TraceStream{src: src, in: in, cr: cr, format: format}, nil
+	return openTraceStream(path, func(r io.Reader) (trace.RecordSource, trace.FileFormat, error) {
+		return trace.OpenSource(r, opts, 0)
+	})
 }
 
 // OpenTraceSourceCtx is OpenTraceSource with a "trace.decode.stream" span
@@ -71,9 +63,50 @@ func OpenTraceSourceCtx(ctx context.Context, path string, opts trace.DecodeOptio
 	if err != nil {
 		return nil, err
 	}
+	ts.startSpan(ctx)
+	return ts, nil
+}
+
+// OpenValidatingSourceCtx is OpenTraceSourceCtx over a trace.Validator:
+// one pass over the file both validates it and feeds the consumer, which
+// receives only the batches before the first one that failed validation
+// (see trace.Validator). The Validator is returned for its report; call
+// its Finish once the consumer is done.
+func OpenValidatingSourceCtx(ctx context.Context, path string, opts trace.ValidateOptions) (*TraceStream, *trace.Validator, error) {
+	var v *trace.Validator
+	ts, err := openTraceStream(path, func(r io.Reader) (trace.RecordSource, trace.FileFormat, error) {
+		var err error
+		if v, err = trace.NewValidator(ctx, r, opts); err != nil {
+			return nil, trace.FormatUnknown, err
+		}
+		return v, v.Format(), nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	ts.startSpan(ctx)
+	return ts, v, nil
+}
+
+// openTraceStream opens path and builds the stream's source over it with
+// open, counting the bytes the source reads.
+func openTraceStream(path string, open func(io.Reader) (trace.RecordSource, trace.FileFormat, error)) (*TraceStream, error) {
+	in, err := OpenTrace(path)
+	if err != nil {
+		return nil, err
+	}
+	cr := &countingReader{r: in}
+	src, format, err := open(cr)
+	if err != nil {
+		in.Close()
+		return nil, err
+	}
+	return &TraceStream{src: src, in: in, cr: cr, format: format}, nil
+}
+
+func (ts *TraceStream) startSpan(ctx context.Context) {
 	ts.span, _ = telemetry.Default().StartSpanCtx(ctx, "trace.decode.stream")
 	ts.span.SetAttr("format", ts.format.String())
-	return ts, nil
 }
 
 // Format returns the sniffed container format.

@@ -115,13 +115,22 @@ func (a *attrib) pageAllocs() int64 {
 // vars returns all variable series, materialized and sorted by descending
 // access count, then name.
 func (a *attrib) vars() []*VarSeries {
+	out := a.sortedVars()
+	for _, vs := range out {
+		vs.materialize()
+	}
+	return out
+}
+
+// sortedVars is vars without materializing the per-set series, for
+// readers of the totals alone (the report): the dense PerSet slices cost
+// 16 bytes per set per variable.
+func (a *attrib) sortedVars() []*VarSeries {
 	out := make([]*VarSeries, 0, len(a.varsByID))
 	for _, vs := range a.varsByID {
-		if vs == nil {
-			continue
+		if vs != nil {
+			out = append(out, vs)
 		}
-		vs.materialize()
-		out = append(out, vs)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Accesses != out[j].Accesses {

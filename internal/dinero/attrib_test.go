@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tracedst/internal/cache"
+	"tracedst/internal/ctype"
 	"tracedst/internal/trace"
 )
 
@@ -53,5 +54,32 @@ func TestAttribGrowthAmortized(t *testing.T) {
 	a.bumpConflict(5, 9)
 	if len(a.conflicts) != 6 || len(a.conflicts[5]) != 10 || a.conflicts[5][9] != 1 {
 		t.Errorf("conflict matrix shape %d×%d, cell %d", len(a.conflicts), len(a.conflicts[5]), a.conflicts[5][9])
+	}
+}
+
+// TestReportSkipsPerSetSeries: the report prints each variable's totals
+// only, so rendering it leaves the dense per-set series unbuilt; the
+// series accessors still build them.
+func TestReportSkipsPerSetSeries(t *testing.T) {
+	sim, err := New(Options{L1: cache.Paper32KDirect()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]trace.Record, 200)
+	for i := range recs {
+		recs[i] = trace.Record{Op: trace.Load, Addr: 0x601040 + uint64(i)*32, Size: 4, Func: "main",
+			HasSym: true, Vis: trace.Global, Var: ctype.AccessExpr{Root: []string{"a", "b"}[i%2]}}
+	}
+	sim.Process(recs)
+	sim.Report()
+	for _, vs := range sim.at.sortedVars() {
+		if vs.PerSet != nil {
+			t.Fatalf("Report materialized %s's per-set series", vs.Name)
+		}
+	}
+	for _, vs := range sim.Vars() {
+		if len(vs.PerSet) != cache.Paper32KDirect().Sets() {
+			t.Fatalf("Vars: %s has %d per-set entries", vs.Name, len(vs.PerSet))
+		}
 	}
 }

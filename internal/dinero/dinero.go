@@ -414,7 +414,7 @@ func renderReport(cfg cache.Config, l1 cache.Stats, l2 *cache.Stats, a *attrib) 
 
 	fmt.Fprintf(&b, "\nPer-variable statistics\n")
 	fmt.Fprintf(&b, " %-24s %10s %10s %10s %8s\n", "variable", "accesses", "hits", "misses", "miss%")
-	for _, vs := range a.vars() {
+	for _, vs := range a.sortedVars() {
 		fmt.Fprintf(&b, " %-24s %10d %10d %10d %7.2f%%\n",
 			vs.Name, vs.Accesses, vs.Hits, vs.Misses, pct(vs.Misses, vs.Accesses))
 	}

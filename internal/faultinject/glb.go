@@ -1,14 +1,17 @@
-// Corruption classes for the binary (.glb) container's block-index
-// footer. The footer is a pure suffix optimization: every class here
-// damages only the footer or its end-of-file trailer and loses zero
-// records, so indexed open must degrade to a scan-built index, readers
-// must keep decoding every record, and glcheck must surface the damage
-// as a warning rather than an error.
+// Corruption classes for the binary (.glb) container. The block-index
+// footer is a pure suffix optimization: every footer class damages only
+// the footer or its end-of-file trailer and loses zero records, so
+// indexed open must degrade to a scan-built index, readers must keep
+// decoding every record, and glcheck must surface the damage as a warning
+// rather than an error. GLBFlipPayloadBit is the one class that damages a
+// data block.
 package faultinject
 
 import (
 	"bytes"
 	"encoding/binary"
+
+	"tracedst/internal/trace"
 )
 
 // glbTrailerLen is the fixed size of the .glb footer trailer:
@@ -78,5 +81,39 @@ func GLBFooterClasses() []GLBCorruption {
 		{Name: "torn-footer", Apply: GLBTornFooter},
 		{Name: "bad-footer-crc", Apply: GLBBadFooterCRC},
 		{Name: "truncated-trailer", Apply: GLBTruncatedTrailer},
+	}
+}
+
+// GLBFlipPayloadBit flips one bit in the middle of the first data block's
+// payload and leaves the block's stored CRC as it was — media damage that
+// only reading the payload reveals. The block then fails its checksum, so
+// decoders drop it (lenient) or fail on it (strict). Data that is not a
+// well-framed .glb with a data block passes through unchanged.
+func GLBFlipPayloadBit(data []byte) []byte {
+	if trace.DetectFormat(data) != trace.FormatBinary || len(data) < trace.BinaryMagicLen+1 {
+		return data
+	}
+	p := data[trace.BinaryMagicLen+1:] // magic, flags
+	_, n := binary.Varint(p)           // header PID
+	if n <= 0 {
+		return data
+	}
+	p = p[n:]
+	for {
+		payloadLen, n1 := binary.Uvarint(p)
+		if n1 <= 0 {
+			return data
+		}
+		recCount, n2 := binary.Uvarint(p[n1:])
+		start := n1 + n2 + 4 // frame header, then the CRC
+		if n2 <= 0 || payloadLen == 0 || uint64(len(p)-start) < payloadLen {
+			return data
+		}
+		if recCount > 0 {
+			out := append([]byte(nil), data...)
+			out[len(data)-len(p)+start+int(payloadLen)/2] ^= 0x10
+			return out
+		}
+		p = p[start+int(payloadLen):]
 	}
 }

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"tracedst/internal/trace"
@@ -141,5 +142,60 @@ func TestGLBFooterClassesNoTrailerPassThrough(t *testing.T) {
 		if got := class.Apply(plain); !bytes.Equal(got, plain) {
 			t.Fatalf("%s modified a footerless trace", class.Name)
 		}
+	}
+}
+
+// TestGLBFlipPayloadBit: the flip changes one bit of the first block's
+// payload and nothing else — the stored CRC and the footer stay intact —
+// so the block index still opens, strict decoding fails that block's
+// checksum, and lenient decoding drops exactly that block.
+func TestGLBFlipPayloadBit(t *testing.T) {
+	clean, recs := encodeIndexedGLB(t)
+	data := GLBFlipPayloadBit(clean)
+	if len(data) != len(clean) {
+		t.Fatalf("length %d, want %d", len(data), len(clean))
+	}
+	diff := -1
+	for i := range data {
+		if data[i] != clean[i] {
+			if diff >= 0 {
+				t.Fatalf("bytes %d and %d both changed", diff, i)
+			}
+			diff = i
+		}
+	}
+	if diff < 0 {
+		t.Fatal("trace unchanged")
+	}
+	if x := data[diff] ^ clean[diff]; x&(x-1) != 0 {
+		t.Fatalf("byte %d changed by %#x, want one bit", diff, x)
+	}
+	tr, err := trace.NewIndexedBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.HasFooter() || tr.FooterErr() != nil {
+		t.Fatalf("footer damaged by a payload flip: %v", tr.FooterErr())
+	}
+	if off := tr.Index().Offsets; int64(diff) <= off[0] || (len(off) > 1 && int64(diff) >= off[1]) {
+		t.Fatalf("flipped byte %d outside the first block [%d, %d)", diff, off[0], off[1])
+	}
+
+	_, err = trace.ReadSource(trace.NewSource(trace.NewBinaryReader(bytes.NewReader(data)), 0))
+	if !errors.Is(err, trace.ErrBlockChecksum) {
+		t.Fatalf("strict decode: err %v, want a checksum failure", err)
+	}
+	rd := trace.NewBinaryReaderOptions(bytes.NewReader(data), trace.DecodeOptions{Mode: trace.Lenient})
+	got, err := rd.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.BadLines() != 1 || len(got) != len(recs)-2 {
+		t.Fatalf("lenient decode: %d bad blocks, %d records; want 1 and %d", rd.BadLines(), len(got), len(recs)-2)
+	}
+
+	text := []byte("START PID 1\nL 000601040 4 main\n")
+	if out := GLBFlipPayloadBit(text); !bytes.Equal(out, text) {
+		t.Fatal("text trace modified")
 	}
 }

@@ -60,6 +60,10 @@ type Job struct {
 	Rule string `json:"rule,omitempty"`
 	// Bytes is the spooled upload size.
 	Bytes int64 `json:"bytes"`
+	// TraceHash is the hex SHA-256 of the upload's bytes, computed while
+	// spooling; the result cache keys the job by it. Jobs persisted by a
+	// server that did not hash uploads have none and run uncached.
+	TraceHash string `json:"trace_hash,omitempty"`
 	// Records is the number of records simulated (0 until done).
 	Records int64 `json:"records"`
 	// BadLines counts damaged units skipped during decode.
@@ -249,6 +253,7 @@ func (s *Server) runJob(j *job) {
 	}
 	s.persist(j)
 	if terminal {
+		s.removeSpool(j.ID)
 		close(j.done)
 		if s.cfg.Exporter != nil {
 			if ferr := s.cfg.Exporter.Flush(); ferr != nil {
@@ -356,12 +361,12 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// execute is one attempt of the decode → validate → xform → dinero
-// pipeline, streaming the spooled upload in constant memory. It runs
-// under the job context: client cancellation, drain and the per-job
-// timeout all surface here between record batches. An upload whose
-// (trace, config, rule) is already in the result cache skips the
-// pipeline entirely and finishes with the stored report and cached:true.
+// execute is one attempt of the job's pipeline, streaming the spooled
+// upload in constant memory. It runs under the job context: client
+// cancellation, drain and the per-job timeout all surface here between
+// record batches. An upload whose (trace, config, rule) is already in the
+// result cache skips the pipeline entirely and finishes with the stored
+// report and cached:true.
 func (s *Server) execute(ctx context.Context, j *job) error {
 	j.progress.Store(0)
 	path := s.spoolPath(j.ID)
@@ -376,7 +381,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		}
 	}
 	shards := s.jobShards(j)
-	ckey, haveKey := s.cacheKey(j, path, cfg, shards)
+	ckey, haveKey := s.cacheKey(j, cfg, shards)
 	if haveKey {
 		if e, ok, gerr := s.simc.Get(ckey); gerr == nil && ok {
 			j.progress.Store(e.Records)
@@ -391,41 +396,30 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 			return nil
 		}
 	}
-
-	// Pass 1: structural validation. Region checks are skipped — uploads
-	// come from arbitrary tracers whose address spaces the server's
-	// memory model knows nothing about.
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	rep, verr := trace.ValidateCtx(ctx, f, trace.ValidateOptions{SkipRegionChecks: true})
-	f.Close()
-	if verr != nil {
-		return verr
-	}
-	if !rep.OK() {
-		first := ""
-		for _, d := range rep.Diags {
-			if d.Sev == trace.SevError {
-				first = d.String()
-				break
-			}
-		}
-		return fmt.Errorf("trace failed validation: %d errors; first: %s", rep.Errors(), first)
-	}
-	j.mu.Lock()
-	j.Warnings = rep.Warnings()
-	j.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+	// Region checks are skipped — uploads come from arbitrary tracers
+	// whose address spaces the server's memory model knows nothing about.
+	vopts := trace.ValidateOptions{SkipRegionChecks: true}
 
 	if shards > 1 {
-		// Sharded pass 2: an indexed binary upload with no rule splits
-		// over JobShards cold simulators and merges — one big job uses
-		// all cores. The report equals a serial run with a cache Flush at
-		// every shard boundary.
+		// The shards decode block ranges in parallel, but the checks
+		// follow thread order and per-symbol state through the whole
+		// trace, so validation is a pass of its own here.
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		rep, verr := trace.ValidateCtx(ctx, f, vopts)
+		f.Close()
+		if err := settleValidation(j, rep, verr); err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		// An indexed binary upload with no rule splits over JobShards
+		// cold simulators and merges — one big job uses all cores. The
+		// report equals a serial run with a cache Flush at every shard
+		// boundary.
 		tr, err := trace.OpenIndexed(path)
 		if err != nil {
 			return err
@@ -447,13 +441,25 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		return nil
 	}
 
-	// Pass 2: optional transformation feeding the simulator, straight
-	// from the spool file batch by batch.
+	// One pass: the validating decode of the spool file feeds the
+	// optional transformation and the simulator batch by batch. Every
+	// stage is built before the file is opened, so once it is, the pass
+	// runs to its end.
 	sim, err := dinero.New(dinero.Options{L1: cfg})
 	if err != nil {
 		return err
 	}
-	ts, err := cliutil.OpenTraceSourceCtx(ctx, path, trace.DecodeOptions{})
+	var eng *xform.Engine
+	if j.Rule != "" {
+		rule, err := rules.Parse(j.Rule)
+		if err != nil {
+			return err
+		}
+		if eng, err = xform.New(xform.Options{}, rule); err != nil {
+			return err
+		}
+	}
+	ts, v, err := cliutil.OpenValidatingSourceCtx(ctx, path, vopts)
 	if err != nil {
 		return err
 	}
@@ -461,15 +467,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	var src trace.RecordSource = &jobSource{ctx: ctx, src: ts, progress: &j.progress, delay: s.cfg.Throttle}
 	simCtx := ctx
 	var xsp *telemetry.Span
-	if j.Rule != "" {
-		rule, err := rules.Parse(j.Rule)
-		if err != nil {
-			return err
-		}
-		eng, err := xform.New(xform.Options{}, rule)
-		if err != nil {
-			return err
-		}
+	if eng != nil {
 		src = eng.Source(src)
 		// The xform span covers the simulation drive: the engine runs
 		// lazily inside each NextBatch the simulator pulls.
@@ -479,6 +477,14 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	if xsp != nil {
 		xsp.SetAttr("records_out", strconv.FormatInt(sim.Records(), 10))
 		xsp.End()
+	}
+	// Validation outranks the pipeline's outcome: after a pipeline error
+	// Finish still checks the rest of the upload, and a trace that fails
+	// validation fails the job for that reason, whatever stopped the
+	// pipeline.
+	rep, verr := v.Finish()
+	if err := settleValidation(j, rep, verr); err != nil {
+		return err
 	}
 	if serr != nil {
 		return serr
@@ -495,6 +501,29 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	return nil
 }
 
+// settleValidation turns a finished validation pass into the job's
+// outcome: its error, a failure naming the first error-severity finding,
+// or — for a trace that passed — the warning count on the job.
+func settleValidation(j *job, rep *trace.Report, verr error) error {
+	if verr != nil {
+		return verr
+	}
+	if !rep.OK() {
+		first := ""
+		for _, d := range rep.Diags {
+			if d.Sev == trace.SevError {
+				first = d.String()
+				break
+			}
+		}
+		return fmt.Errorf("trace failed validation: %d errors; first: %s", rep.Errors(), first)
+	}
+	j.mu.Lock()
+	j.Warnings = rep.Warnings()
+	j.mu.Unlock()
+	return nil
+}
+
 // jobShards resolves the effective shard count for one job. The sharded
 // engine applies to indexed binary uploads simulated plainly: text
 // uploads have no block index, rules stream record-by-record, and a
@@ -506,21 +535,17 @@ func (s *Server) jobShards(j *job) int {
 	return 1
 }
 
-// cacheKey derives the job's result-cache key: trace content hash ×
-// config × rule hash × shard tier × engine version. It reports false —
-// no lookup, no store — when the cache is off, the server is throttled
-// (Throttle holds jobs in flight; a hit would defeat it), or the spool
-// file cannot be hashed.
-func (s *Server) cacheKey(j *job, path string, cfg cache.Config, shards int) (simcache.Key, bool) {
-	if s.simc == nil || s.cfg.Throttle != 0 {
-		return simcache.Key{}, false
-	}
-	th, err := simcache.HashFile(path)
-	if err != nil {
+// cacheKey derives the job's result-cache key: the SHA-256 of the
+// upload's bytes (taken while spooling) × config × rule hash × shard tier
+// × engine version. It reports false — no lookup, no store — when the
+// cache is off, the server is throttled (Throttle holds jobs in flight; a
+// hit would defeat it), or the job predates upload hashing.
+func (s *Server) cacheKey(j *job, cfg cache.Config, shards int) (simcache.Key, bool) {
+	if s.simc == nil || s.cfg.Throttle != 0 || j.TraceHash == "" {
 		return simcache.Key{}, false
 	}
 	k := simcache.Key{
-		Trace:  th,
+		Trace:  "raw:" + j.TraceHash,
 		Config: simcache.ConfigSig(cfg),
 		Rule:   simcache.HashText(j.Rule),
 		Engine: simcache.EngineVersion,

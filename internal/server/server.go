@@ -9,10 +9,13 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net"
 	"net/http"
@@ -266,6 +269,16 @@ func (s *Server) spoolPath(id string) string {
 	return filepath.Join(s.cfg.StateDir, "spool", id+".trace")
 }
 
+// removeSpool deletes a job's spooled upload once the job is terminal:
+// only a queued job is ever run from it again. The terminal state is
+// persisted first, so a crash in between leaves a stray file rather than
+// a queued job whose upload is gone.
+func (s *Server) removeSpool(id string) {
+	if err := os.Remove(s.spoolPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		s.log.Error("spool cleanup failed", "job", id, "err", err)
+	}
+}
+
 // persist checkpoints the job's current Job record.
 func (s *Server) persist(j *job) {
 	// Snapshot under persistMu, so the last write always holds the latest
@@ -374,7 +387,8 @@ func clientKey(r *http.Request) string {
 //	slow/torn body     → 400
 //
 // An admitted upload is spooled to disk (so the job survives restarts),
-// sniffed for container format, persisted as a queued job and enqueued.
+// hashed and sniffed for container format on the way, persisted as a
+// queued job and enqueued.
 // With ?wait=1 the handler blocks until the job finishes; a client that
 // disconnects while waiting cancels the job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -427,7 +441,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tmpName := tmp.Name()
-	n, err := io.Copy(tmp, body)
+	// One pass over the body spools it, hashes it for the result cache
+	// and keeps the prefix the format is sniffed from.
+	hash := sha256.New()
+	var prefix prefixWriter
+	buf := copyBufs.Get().(*[]byte)
+	n, err := io.CopyBuffer(io.MultiWriter(tmp, hash, &prefix), body, *buf)
+	copyBufs.Put(buf)
 	cerr := tmp.Close()
 	if err != nil || cerr != nil {
 		os.Remove(tmpName)
@@ -450,14 +470,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty upload")
 		return
 	}
-	prefix := make([]byte, trace.BinaryMagicLen)
-	pf, err := os.Open(tmpName)
-	if err == nil {
-		m, _ := io.ReadFull(pf, prefix)
-		prefix = prefix[:m]
-		pf.Close()
-	}
-	format := trace.DetectFormat(prefix)
+	format := trace.DetectFormat(prefix.bytes())
 
 	// Create the job and move the spool into place under its ID.
 	s.mu.Lock()
@@ -480,6 +493,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			ConfigSpec: configSpec,
 			Rule:       ruleSrc,
 			Bytes:      n,
+			TraceHash:  hex.EncodeToString(hash.Sum(nil)),
 			TraceID:    tid.String(),
 			Submitted:  s.cfg.now().UTC(),
 		},
@@ -524,6 +538,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, j.view())
 }
 
+// copyBufs recycles the buffer uploads are spooled through.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
+// prefixWriter keeps the first bytes written through it: enough of the
+// upload to sniff its container format.
+type prefixWriter struct {
+	buf [trace.BinaryMagicLen]byte
+	n   int
+}
+
+func (p *prefixWriter) Write(b []byte) (int, error) {
+	p.n += copy(p.buf[p.n:], b)
+	return len(b), nil
+}
+
+func (p *prefixWriter) bytes() []byte { return p.buf[:p.n] }
+
 // waitForJob services ?wait=1: block until the job reaches a terminal
 // state, canceling it if the waiting client disconnects first.
 func (s *Server) waitForJob(w http.ResponseWriter, r *http.Request, j *job) {
@@ -557,6 +591,7 @@ func (s *Server) cancelJob(j *job, reason string) bool {
 		s.reg.Counter("server.jobs_canceled").Inc()
 		j.mu.Unlock()
 		s.persist(j)
+		s.removeSpool(j.ID)
 		close(j.done)
 		s.gauges()
 		return true

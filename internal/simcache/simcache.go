@@ -21,12 +21,10 @@ package simcache
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -44,8 +42,8 @@ const EngineVersion = 1
 // Key identifies one simulation result. Equal keys mean equal results;
 // every field that can change the outcome must be represented.
 type Key struct {
-	// Trace is the trace content hash ("glb:…", "raw:…" or "recs:…" —
-	// see HashFile and HashRecords).
+	// Trace is the trace content hash: "raw:" and the hex SHA-256 of a
+	// trace file's bytes, or "recs:…" for an in-memory trace (HashRecords).
 	Trace string `json:"trace"`
 	// Config is the canonical configuration signature (ConfigSig).
 	Config string `json:"config"`
@@ -179,74 +177,6 @@ func HashText(src string) string {
 	}
 	sum := sha256.Sum256([]byte(src))
 	return "txt:" + hex.EncodeToString(sum[:])
-}
-
-// HashFile content-hashes a trace file. Indexed .glb traces fold the
-// stored per-block CRC32s plus preamble and record count — no payload is
-// decoded and no record is walked; anything else (text traces, binary
-// traces without a parseable index) streams the raw bytes through
-// SHA-256.
-func HashFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("simcache: %w", err)
-	}
-	prefix := make([]byte, trace.BinaryMagicLen)
-	n, _ := io.ReadFull(f, prefix)
-	if trace.DetectFormat(prefix[:n]) == trace.FormatBinary {
-		f.Close()
-		if h, err := hashIndexedFile(path); err == nil {
-			return h, nil
-		}
-		// Unindexed or damaged binary: fall back to hashing the bytes.
-		if f, err = os.Open(path); err != nil {
-			return "", fmt.Errorf("simcache: %w", err)
-		}
-	} else if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return "", fmt.Errorf("simcache: %w", err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", fmt.Errorf("simcache: %w", err)
-	}
-	return "raw:" + hex.EncodeToString(h.Sum(nil)), nil
-}
-
-func hashIndexedFile(path string) (string, error) {
-	tr, err := trace.OpenIndexed(path)
-	if err != nil {
-		return "", err
-	}
-	defer tr.Close()
-	if !tr.HasFooter() || tr.FooterErr() != nil {
-		// A damaged or missing footer changes the job's validation
-		// diagnostics without touching block payloads, so distinct damage
-		// variants could collide under the CRC fold. Hash the raw bytes
-		// instead — only clean indexed traces take the cheap path.
-		return "", fmt.Errorf("simcache: %s: no healthy block index", path)
-	}
-	return HashIndexed(tr)
-}
-
-// HashIndexed hashes an already-open indexed trace by folding its block
-// checksums (see HashFile).
-func HashIndexed(tr *trace.IndexedTrace) (string, error) {
-	sums, err := tr.BlockChecksums()
-	if err != nil {
-		return "", err
-	}
-	hdr, _ := tr.Header()
-	h := sha256.New()
-	fmt.Fprintf(h, "glb hdr=%t pid=%d blocks=%d records=%d\x00",
-		tr.HasHeader(), hdr.PID, len(sums), tr.Records())
-	var word [4]byte
-	for _, c := range sums {
-		binary.LittleEndian.PutUint32(word[:], c)
-		h.Write(word[:])
-	}
-	return "glb:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // HashRecords hashes an in-memory record slice (the experiments' memoized

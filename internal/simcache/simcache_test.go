@@ -153,127 +153,6 @@ func testRecords(n int) []trace.Record {
 	return recs
 }
 
-func writeTraceFile(t *testing.T, name string, data []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func encodeBinary(t *testing.T, recs []trace.Record, indexed bool) []byte {
-	t.Helper()
-	var sb bytesBuffer
-	bw := trace.NewBinaryWriter(&sb)
-	if indexed {
-		bw.EnableIndex()
-		bw.SetBlockRecords(64)
-	}
-	for i := range recs {
-		if err := bw.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return sb.b
-}
-
-// bytesBuffer is a minimal io.Writer over a byte slice (avoids importing
-// bytes just for a buffer in one helper).
-type bytesBuffer struct{ b []byte }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
-
-// TestHashFileTiers: clean indexed .glb files take the cheap CRC-fold
-// path; unindexed binaries, damaged footers and text traces hash raw
-// bytes — and equal content hashes equal either way.
-func TestHashFileTiers(t *testing.T) {
-	recs := testRecords(500)
-
-	glb := encodeBinary(t, recs, true)
-	p1 := writeTraceFile(t, "a.glb", glb)
-	h1, err := HashFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(h1, "glb:") {
-		t.Errorf("indexed trace hashed %q, want glb: prefix", h1)
-	}
-	// Same bytes under another name hash identically.
-	h2, err := HashFile(writeTraceFile(t, "b.glb", glb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Errorf("identical .glb content hashed differently: %q vs %q", h1, h2)
-	}
-	// HashIndexed over an open handle agrees with HashFile.
-	tr, err := trace.NewIndexedBytes(glb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h3, err := HashIndexed(tr); err != nil || h3 != h1 {
-		t.Errorf("HashIndexed %q (err %v) != HashFile %q", h3, err, h1)
-	}
-
-	// Damage the footer: the cheap path must refuse (distinct damage
-	// variants share block CRCs but not diagnostics) and fall back to raw.
-	damaged := append([]byte(nil), glb...)
-	damaged[len(damaged)-5] ^= 0xff
-	hd, err := HashFile(writeTraceFile(t, "damaged.glb", damaged))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(hd, "raw:") {
-		t.Errorf("damaged-footer trace hashed %q, want raw: fallback", hd)
-	}
-	if hd == h1 {
-		t.Error("damaged trace collided with the clean trace")
-	}
-
-	// Unindexed binary and text traces hash raw bytes.
-	plain := encodeBinary(t, recs, false)
-	hp, err := HashFile(writeTraceFile(t, "plain.bin", plain))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(hp, "raw:") {
-		t.Errorf("unindexed binary hashed %q, want raw:", hp)
-	}
-	var txt bytesBuffer
-	tw := trace.NewWriter(&txt)
-	for i := range recs {
-		if err := tw.Write(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ht, err := HashFile(writeTraceFile(t, "t.trace", txt.b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(ht, "raw:") {
-		t.Errorf("text trace hashed %q, want raw:", ht)
-	}
-
-	// A one-record change must change every tier's hash.
-	recs[100].Addr++
-	if g2 := encodeBinary(t, recs, true); g2 != nil {
-		hg, err := HashFile(writeTraceFile(t, "c.glb", g2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hg == h1 {
-			t.Error("modified trace collided under the glb CRC fold")
-		}
-	}
-}
-
 // TestHashRecords: deterministic over equal slices, sensitive to any
 // record change, distinct from the file-tier prefixes.
 func TestHashRecords(t *testing.T) {

@@ -227,22 +227,6 @@ func (t *IndexedTrace) Source(lo, hi int, opts DecodeOptions) RecordSource {
 	}
 }
 
-// BlockChecksums returns the stored CRC32 (IEEE) of every data block, in
-// block order, read straight from the frame headers without decoding any
-// payload. Together with the preamble and record count they identify the
-// trace's content — the cheap content hash simcache keys .glb files by.
-func (t *IndexedTrace) BlockChecksums() ([]uint32, error) {
-	sums := make([]uint32, 0, t.NumBlocks())
-	for i := 0; i < t.NumBlocks(); i++ {
-		framed, _, err := t.frameAt(i)
-		if err != nil {
-			return nil, err
-		}
-		sums = append(sums, binary.LittleEndian.Uint32(framed[:4]))
-	}
-	return sums, nil
-}
-
 // ShardRanges splits the data blocks into up to n contiguous ranges of
 // near-equal record count — the work division for sharded simulation. It
 // returns [lo, hi) block-index pairs; fewer than n when the trace has

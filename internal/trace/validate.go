@@ -156,19 +156,12 @@ type ValidateOptions struct {
 // transformed traces still validate.
 const synthLimit = memmodel.StackTop + 1<<16
 
-// ValidateCtx is Validate wrapped in a "validate.trace" span: when ctx
-// carries a trace the span joins its tree, tagged with the record and
-// diagnostic counts, and the per-name aggregate is recorded either way.
+// ValidateCtx is Validate under ctx: the pass is a "validate.trace" span
+// that joins ctx's trace when it carries one, tagged with the record and
+// diagnostic counts (the per-name aggregate is recorded either way), and
+// it stops with ctx's error once ctx is done.
 func ValidateCtx(ctx context.Context, r io.Reader, opts ValidateOptions) (*Report, error) {
-	sp, _ := telemetry.Default().StartSpanCtx(ctx, "validate.trace")
-	rep, err := Validate(r, opts)
-	if rep != nil {
-		sp.SetAttr("records", strconv.Itoa(rep.Records))
-		sp.SetAttr("errors", strconv.Itoa(rep.Errors()))
-		sp.SetAttr("warnings", strconv.Itoa(rep.Warnings()))
-	}
-	sp.End()
-	return rep, err
+	return newValidator(ctx, r, opts, true).Finish()
 }
 
 // Validate streams the trace from r through the decoder and semantic
@@ -177,91 +170,245 @@ func ValidateCtx(ctx context.Context, r io.Reader, opts ValidateOptions) (*Repor
 // blown bad-line budget — format problems (including damaged or truncated
 // binary blocks) land in the Report instead.
 func Validate(r io.Reader, opts ValidateOptions) (*Report, error) {
-	rep := &Report{max: opts.MaxDiags}
-	if rep.max == 0 {
-		rep.max = 100
+	return newValidator(context.Background(), r, opts, false).Finish()
+}
+
+// Validator is a validating RecordSource: it decodes a trace leniently,
+// exactly as Validate does, and runs the semantic checks on each batch
+// before handing the batch on unchanged — block by block for binary
+// traces, DefaultBatchRecords records at a time for text. The first batch
+// that draws an error-severity finding, a decode failure included, is not
+// handed on, nor is any later one: the Validator drains the rest of the
+// input into its Report, checking its context between batches, and then
+// returns io.EOF. A consumer of the stream therefore never sees a record
+// of a batch that failed validation, and the Report still counts every
+// finding of the whole trace. Validate is this loop with no consumer.
+type Validator struct {
+	ctx  context.Context
+	opts ValidateOptions
+	rep  *Report
+	chk  *recordChecker
+	span *telemetry.Span // nil for Validate; ended with the pass
+
+	rd     RecordReader
+	format FileFormat
+	bin    *BinaryReader // binary input: batches are decoded blocks
+	text   *Reader       // text input: records are read one by one for their line numbers
+	buf    []Record      // text batch
+
+	sawBadHeader bool
+	failed       bool  // an error-severity finding was seen: forward nothing more
+	err          error // sticky end of the pass; io.EOF when it completed
+}
+
+// NewValidator opens r for one validating pass under ctx, timed as a
+// "validate.trace" span like ValidateCtx. The error is non-nil only when
+// the input could not be opened (see Validate); an unreadable binary
+// preamble is a finding, and the Validator then yields no batches.
+func NewValidator(ctx context.Context, r io.Reader, opts ValidateOptions) (*Validator, error) {
+	v := newValidator(ctx, r, opts, true)
+	if v.err != nil && v.err != io.EOF {
+		return nil, v.err
 	}
-	sawBadHeader := false
-	isBinary := false
-	dec := DecodeOptions{
+	return v, nil
+}
+
+func newValidator(ctx context.Context, r io.Reader, opts ValidateOptions, traced bool) *Validator {
+	v := &Validator{ctx: ctx, opts: opts, rep: &Report{max: opts.MaxDiags}}
+	if v.rep.max == 0 {
+		v.rep.max = 100
+	}
+	if traced {
+		v.span, _ = telemetry.Default().StartSpanCtx(ctx, "validate.trace")
+	}
+	v.chk = newRecordChecker(v.rep)
+	rd, format, err := OpenReader(r, DecodeOptions{
 		Mode:         Lenient,
 		MaxLineBytes: opts.MaxLineBytes,
-		OnError: func(line int, text string, err error) {
-			switch {
-			case isBinary:
-				rep.add(line, SevError, CodeBlock, "damaged block dropped: %v", err)
-			case err == ErrLineTooLong:
-				rep.add(line, SevError, CodeLineLen, "%v", err)
-			case strings.HasPrefix(text, "START"):
-				sawBadHeader = true
-				if _, herr := ParseHeader(text); herr == nil {
-					rep.add(line, SevError, CodeHeader, "misplaced START header mid-stream")
-				} else {
-					rep.add(line, SevError, CodeHeader, "corrupt START line %q", text)
-				}
-			default:
-				rep.add(line, SevError, CodeParse, "%v (%.60q)", err, text)
-			}
-		},
-	}
-	rd, format, err := OpenReader(r, dec)
+		OnError:      v.onError,
+	})
 	if err != nil {
-		return rep, err
+		v.end(err)
+		return v
 	}
-	isBinary = format == FormatBinary
-	lineOf := func() int {
-		if tr, ok := rd.(*Reader); ok {
-			return tr.Line()
-		}
-		return rep.Records // binary: record ordinal
+	v.rd, v.format = rd, format
+	switch rd := rd.(type) {
+	case *BinaryReader:
+		v.bin = rd
+	case *Reader:
+		v.text = rd
+		v.buf = make([]Record, DefaultBatchRecords)
 	}
 	h, err := rd.Header()
 	if err != nil && err != io.EOF {
-		if isBinary {
-			rep.add(0, SevError, CodeBlock, "unreadable binary preamble: %v", err)
-			rep.publish()
-			return rep, nil
+		if v.bin != nil {
+			v.rep.add(0, SevError, CodeBlock, "unreadable binary preamble: %v", err)
+			err = io.EOF
 		}
-		return rep, err
+		v.end(err)
+		return v
 	}
-	rep.Header, rep.HasHeader = h, rd.HasHeader()
-	v := newRecordChecker(rep)
-	if rep.HasHeader {
-		v.checkHeader(lineOf(), h)
+	v.rep.Header, v.rep.HasHeader = h, rd.HasHeader()
+	if v.rep.HasHeader {
+		v.chk.checkHeader(v.line(), h)
 	}
-	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
+	return v
+}
+
+// onError turns each decode failure into a finding.
+func (v *Validator) onError(line int, text string, err error) {
+	switch {
+	case v.bin != nil:
+		v.rep.add(line, SevError, CodeBlock, "damaged block dropped: %v", err)
+	case err == ErrLineTooLong:
+		v.rep.add(line, SevError, CodeLineLen, "%v", err)
+	case strings.HasPrefix(text, "START"):
+		v.sawBadHeader = true
+		if _, herr := ParseHeader(text); herr == nil {
+			v.rep.add(line, SevError, CodeHeader, "misplaced START header mid-stream")
+		} else {
+			v.rep.add(line, SevError, CodeHeader, "corrupt START line %q", text)
+		}
+	default:
+		v.rep.add(line, SevError, CodeParse, "%v (%.60q)", err, text)
+	}
+}
+
+// line is where the last record came from: the input line for text, the
+// record ordinal for binary traces.
+func (v *Validator) line() int {
+	if v.text != nil {
+		return v.text.Line()
+	}
+	return v.rep.Records
+}
+
+// Format returns the sniffed container format.
+func (v *Validator) Format() FileFormat { return v.format }
+
+// Header returns the trace header read when the Validator was opened.
+func (v *Validator) Header() (Header, error) { return v.rep.Header, nil }
+
+// HasHeader reports whether the trace carried a valid START header.
+func (v *Validator) HasHeader() bool { return v.rep.HasHeader }
+
+// BadLines returns how many damaged units the decoder skipped so far.
+func (v *Validator) BadLines() int { return v.rd.BadLines() }
+
+// NextBatch returns the next batch that passed validation (see Validator).
+func (v *Validator) NextBatch() ([]Record, error) {
+	for v.err == nil {
+		if batch := v.step(); batch != nil {
+			return batch, nil
+		}
+	}
+	return nil, v.err
+}
+
+// Finish drains whatever input is left into the report, handing nothing
+// on, and returns the report. The error is non-nil when the pass could
+// not complete: an I/O failure or blown bad-line budget (as for Validate),
+// or the context's error.
+func (v *Validator) Finish() (*Report, error) {
+	for v.err == nil {
+		v.step()
+	}
+	if v.err != io.EOF {
+		return v.rep, v.err
+	}
+	return v.rep, nil
+}
+
+// step decodes and checks one batch. It returns the batch when it may be
+// handed on, and nil when it may not or the pass has ended.
+func (v *Validator) step() []Record {
+	if err := v.ctx.Err(); err != nil {
+		v.end(err)
+		return nil
+	}
+	errs := v.rep.errors
+	batch, err := v.read()
+	if err != nil {
+		if err != io.EOF && v.bin != nil {
+			// Framing damage is unrecoverable (the block chain is lost);
+			// report it and end the pass instead of aborting glcheck.
+			v.rep.add(0, SevError, CodeBlock, "binary stream unreadable: %v", err)
+			err = io.EOF
+		}
+		v.end(err)
+		return nil
+	}
+	if v.rep.errors > errs {
+		v.failed = true
+	}
+	if v.failed {
+		return nil
+	}
+	return batch
+}
+
+// read decodes the next batch and checks its records. Each text record is
+// checked as soon as it is read, so findings keep their input order.
+func (v *Validator) read() ([]Record, error) {
+	if v.bin != nil {
+		recs, err := v.bin.NextBlock()
+		if err != nil {
+			return nil, err
+		}
+		for i := range recs {
+			v.rep.Records++
+			v.chk.check(v.rep.Records, &recs[i], v.opts.SkipRegionChecks)
+		}
+		return recs, nil
+	}
+	n := 0
+	for n < len(v.buf) {
+		rec, err := v.text.Read()
+		if err == io.EOF && n > 0 {
 			break
 		}
 		if err != nil {
-			if isBinary {
-				// Framing damage is unrecoverable (the block chain is
-				// lost); report it and stop instead of aborting glcheck.
-				rep.add(0, SevError, CodeBlock, "binary stream unreadable: %v", err)
-				break
+			return nil, err
+		}
+		v.buf[n] = rec
+		v.rep.Records++
+		v.chk.check(v.text.Line(), &v.buf[n], v.opts.SkipRegionChecks)
+		n++
+	}
+	return v.buf[:n], nil
+}
+
+// end closes the pass with err, io.EOF for a complete pass. A complete
+// pass settles the end-of-trace findings and publishes the report; every
+// pass ends its span.
+func (v *Validator) end(err error) {
+	v.err = err
+	rep := v.rep
+	if err == io.EOF {
+		rep.BadLines = v.rd.BadLines()
+		if v.bin != nil {
+			if aerr := v.bin.AuxDamage(); aerr != nil {
+				// Footer damage loses no records (readers fall back to a
+				// frame scan), so it degrades the trace rather than
+				// corrupting it.
+				rep.add(0, SevWarn, CodeFooter, "damaged block-index footer ignored (records intact): %v", aerr)
 			}
-			return rep, err
 		}
-		rep.Records++
-		v.check(lineOf(), &rec, opts.SkipRegionChecks)
-	}
-	rep.BadLines = rd.BadLines()
-	if br, ok := rd.(*BinaryReader); ok {
-		if aerr := br.AuxDamage(); aerr != nil {
-			// Footer damage loses no records (readers fall back to a frame
-			// scan), so it degrades the trace rather than corrupting it.
-			rep.add(0, SevWarn, CodeFooter, "damaged block-index footer ignored (records intact): %v", aerr)
+		// A corrupt START already produced a header finding; only flag
+		// traces that never attempted a header at all.
+		if !rep.HasHeader && !v.sawBadHeader && rep.Records > 0 {
+			rep.add(0, SevWarn, CodeNoHeader, "trace has no START header")
 		}
+		v.chk.finish()
+		rep.publish()
 	}
-	// A corrupt START already produced a header finding; only flag traces
-	// that never attempted a header at all.
-	if !rep.HasHeader && !sawBadHeader && rep.Records > 0 {
-		rep.add(0, SevWarn, CodeNoHeader, "trace has no START header")
+	if v.span != nil {
+		v.span.SetAttr("records", strconv.Itoa(rep.Records))
+		v.span.SetAttr("errors", strconv.Itoa(rep.Errors()))
+		v.span.SetAttr("warnings", strconv.Itoa(rep.Warnings()))
+		v.span.End()
+		v.span = nil
 	}
-	v.finish()
-	rep.publish()
-	return rep, nil
 }
 
 // publish adds the report's totals — records checked, bad lines, and
