@@ -190,6 +190,64 @@ func TestCLIDineroPhysicalIndexing(t *testing.T) {
 	}
 }
 
+// TestCLIDineroOneConfigParity: a plain dinero run is a one-config pass
+// of the multi-config engine, so `dinero <flags>` prints exactly what
+// `dinero -config size=<same> <flags>` prints after its banner line — on
+// text, .glb and indexed .glb input, serial and with -shards 2, for a
+// plain, a two-level and a miss-classifying geometry. Sharding needs the
+// binary container, so on text both forms must fail alike.
+func TestCLIDineroOneConfigParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	bin := buildTools(t)
+	dir := t.TempDir()
+	text := filepath.Join(dir, "t.out")
+	glb := filepath.Join(dir, "t.glb")
+	indexed := filepath.Join(dir, "t-idx.glb")
+	runTool(t, "gltrace", "-w", "matmul", "-D", "N=16", "-o", text)
+	runTool(t, "gltrace", "-w", "matmul", "-D", "N=16", "-format", "binary", "-o", glb)
+	runTool(t, "gltrace", "-w", "matmul", "-D", "N=16", "-format", "binary", "-glb-index", "-o", indexed)
+
+	run := func(args ...string) (stdout, stderr string, err error) {
+		cmd := exec.Command(filepath.Join(bin, "dinero"), args...)
+		var o, e strings.Builder
+		cmd.Stdout, cmd.Stderr = &o, &e
+		err = cmd.Run()
+		return o.String(), e.String(), err
+	}
+	base := []string{"-l1-size", "2k", "-l1-assoc", "2"}
+	for _, geom := range [][]string{{}, {"-with-l2"}, {"-l1-classify"}} {
+		for _, mode := range [][]string{{}, {"-shards", "2"}} {
+			for _, in := range []string{text, glb, indexed} {
+				flags := append(append(append([]string{}, base...), geom...), mode...)
+				name := strings.Join(append(append([]string{}, flags...), filepath.Base(in)), " ")
+				plainOut, plainErr, perr := run(append(flags, in)...)
+				multiOut, multiErr, merr := run(append(flags, "-config", "size=2k", in)...)
+				if sharded := len(mode) > 0; sharded && in == text {
+					if perr == nil || merr == nil || plainErr != multiErr {
+						t.Errorf("%s: want both forms to fail alike, got %v / %v:\n%s\n%s", name, perr, merr, plainErr, multiErr)
+					}
+					continue
+				}
+				if perr != nil || merr != nil {
+					t.Fatalf("%s: %v / %v:\n%s\n%s", name, perr, merr, plainErr, multiErr)
+				}
+				banner, report, ok := strings.Cut(multiOut, "\n")
+				if !ok || !strings.HasPrefix(banner, "==== config 1/1: ") {
+					t.Fatalf("%s: -config run has no banner line:\n%.200s", name, multiOut)
+				}
+				if report != plainOut {
+					t.Errorf("%s: -config report differs from the plain run:\n--- plain ---\n%s\n--- -config ---\n%s", name, plainOut, report)
+				}
+				if plainErr != multiErr {
+					t.Errorf("%s: stderr differs:\n--- plain ---\n%s\n--- -config ---\n%s", name, plainErr, multiErr)
+				}
+			}
+		}
+	}
+}
+
 func TestCLISteeringDriver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")

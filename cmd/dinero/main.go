@@ -7,13 +7,25 @@
 //	dinero -l1-size 32k -l1-bsize 32 -l1-assoc 1 trace.out
 //	gltrace -w trans3-cont | dinero -l1-assoc 64 -l1-repl rr -plot -
 //
-// Multi-configuration mode evaluates several geometries in one pass over
-// the trace (decode, translation and symbol resolution are shared); with
+// Every run is one streaming pass of the multi-configuration engine
+// (dinero.MultiSim): the trace is decoded batch by batch in constant
+// memory, text or .glb alike, and never materialized. A plain run is a
+// one-config pass. Multi-configuration mode evaluates several geometries
+// in the same pass (decode, translation and symbol resolution are shared)
+// and prints a banner line before each config's report; with
 // -sample-sets/-sample-interval the pass is approximate and prints scaled
 // estimates instead of full reports:
 //
 //	dinero -config size=8k -config size=16k -config size=32k,assoc=2 trace.out
 //	dinero -configs sweep.cfgs -sample-sets 8 trace.out
+//
+// -shards N splits the pass over a binary .glb (mmap'd; its block-index
+// footer, when present, saves a frame scan) into N parallel cold shards
+// that merge; reports then equal a serial run with a cache Flush at each
+// shard boundary:
+//
+//	dinero -shards 4 trace.glb
+//	dinero -config size=8k -config size=16k -shards -1 trace.glb
 package main
 
 import (
@@ -46,8 +58,7 @@ func main() {
 	sampleSets := fs.Int("sample-sets", 0, "approximate: simulate every Nth cache set, scale stats (power of two, 0/1 = exact)")
 	sampleInterval := fs.Int("sample-interval", 0, "approximate: simulate every Kth window of records, scale stats (0/1 = exact)")
 	sampleWindow := fs.Int("sample-window", 0, "records per -sample-interval window (0 = default)")
-	stream := fs.Bool("stream", false, "stream the trace batch-by-batch in constant memory instead of materializing it")
-	shards := fs.Int("shards", 0, "sharded streaming over a binary .glb file: N workers simulate disjoint block ranges and merge (0 = off, -1 = one per CPU; implies -stream semantics)")
+	shards := fs.Int("shards", 0, "sharded simulation over a binary .glb file: N workers simulate disjoint block ranges and merge (0 = off, -1 = one per CPU)")
 	phys := fs.String("phys", "off", "physical indexing: off | seq | shuffled (4 KiB pages)")
 	physSeed := fs.Uint64("phys-seed", 0, "seed for the shuffled frame permutation")
 	tf := cliutil.NewTraceFlags(fs, "dinero")
@@ -69,7 +80,9 @@ func main() {
 	if err != nil {
 		obs.Fatal(err)
 	}
-	opts := dinero.Options{L1: cfg1}
+	opts := dinero.MultiOptions{
+		Sampling: dinero.Sampling{SetFactor: *sampleSets, Interval: *sampleInterval, Window: *sampleWindow},
+	}
 	switch *phys {
 	case "off":
 	case "seq":
@@ -86,78 +99,27 @@ func main() {
 		}
 		opts.L2 = &cfg2
 	}
-	sampling := dinero.Sampling{SetFactor: *sampleSets, Interval: *sampleInterval, Window: *sampleWindow}
-	if len(cfgSpecs) > 0 || *configsFile != "" || !sampling.Exact() {
-		if *shards != 0 && !sampling.Exact() {
+	multi := len(cfgSpecs) > 0 || *configsFile != "" || !opts.Sampling.Exact()
+	if multi {
+		if *shards != 0 && !opts.Sampling.Exact() {
 			obs.Fatal(fmt.Errorf("-shards needs exact sampling (interval state spans the whole stream)"))
 		}
-		runMulti(fs.Arg(0), opts, cfgSpecs, *configsFile, sampling, tf,
-			*plot || *csv != "" || *gnuplot != "", *stream, *shards)
+		if *plot || *csv != "" || *gnuplot != "" {
+			obs.Fatal(fmt.Errorf("-plot/-csv/-gnuplot need a single exact config"))
+		}
+	}
+	if opts.Configs, err = configs(cfg1, cfgSpecs, *configsFile); err != nil {
+		obs.Fatal(err)
+	}
+	ms := simulate(fs.Arg(0), opts, *shards, tf)
+	if multi {
+		printMultiReports(ms, opts.Sampling)
+		obs.Close()
 		return
 	}
-	var sim *dinero.Simulator
-	switch {
-	case *shards != 0:
-		// SIGINT/SIGTERM cancel the shard context: every worker stops at
-		// its next record batch instead of the process dying mid-merge.
-		ctx, stop := signal.NotifyContext(obs.Ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		sp, _ := obs.Reg.StartSpanCtx(ctx, "dinero/simulate-sharded")
-		tr, err := trace.OpenIndexed(fs.Arg(0))
-		if err != nil {
-			obs.Fatal(err)
-		}
-		res, err := dinero.SimulateShardedContext(ctx, tr, opts, *shards, tf.Options())
-		if err != nil {
-			tr.Close()
-			obs.Fatal(err)
-		}
-		sim = res.Sim
-		cliutil.PublishIndexedDecode(tr, sim.Records())
-		if err := tr.Close(); err != nil {
-			obs.Fatal(err)
-		}
-		sp.End()
-		res.PublishShardTelemetry(obs.Reg)
-	case *stream:
-		sim, err = dinero.New(opts)
-		if err != nil {
-			obs.Fatal(err)
-		}
-		sp, sctx := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate-stream")
-		ts, err := cliutil.OpenTraceSourceCtx(sctx, fs.Arg(0), tf.Options())
-		if err != nil {
-			obs.Fatal(err)
-		}
-		serr := sim.ProcessSourceCtx(sctx, ts)
-		cerr := ts.Close()
-		sp.End()
-		if serr != nil {
-			obs.Fatal(serr)
-		}
-		if cerr != nil {
-			obs.Fatal(cerr)
-		}
-		sim.PublishTelemetry(obs.Reg)
-	default:
-		sim, err = dinero.New(opts)
-		if err != nil {
-			obs.Fatal(err)
-		}
-		sp, _ := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/load")
-		_, _, recs, err := cliutil.LoadTraceOpts(fs.Arg(0), tf.Options())
-		sp.End()
-		if err != nil {
-			obs.Fatal(err)
-		}
-		sp, _ = obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate")
-		sim.Process(recs)
-		sp.End()
-		sim.PublishTelemetry(obs.Reg)
-	}
-	fmt.Print(sim.Report())
+	fmt.Print(ms.Report(0))
 
-	p := analysis.FromSimulator("per-set cache behaviour", sim, *noSym)
+	p := analysis.FromMulti("per-set cache behaviour", ms, 0, *noSym)
 	if *plot {
 		fmt.Println()
 		fmt.Print(p.ASCII(40))
@@ -181,76 +143,44 @@ func main() {
 // every error path can flush profiles and the metrics manifest.
 var obs *cliutil.Obs
 
-// runMulti is the single-pass multi-configuration mode: the trace is
-// decoded, translated and symbol-resolved once, and every config (the -l1
-// flags as base, overridden per -config/-configs spec) simulates from that
-// shared stream. Reports print back-to-back in config order and are
-// byte-identical to independent runs when sampling is exact. With -shards
-// the pass runs sharded over a .glb block index on the full-attribution
-// merged engine; reports then equal a serial run with Flush at each shard
-// boundary.
-func runMulti(path string, opts dinero.Options, specs []string, specFile string, sampling dinero.Sampling, tf *cliutil.TraceFlags, wantsPlot, stream bool, shards int) {
-	if wantsPlot {
-		obs.Fatal(fmt.Errorf("-plot/-csv/-gnuplot need a single exact config"))
-	}
+// configs lists the geometries of the pass: every -configs file line,
+// then every -config spec, each overriding the -l1 flags in base; with
+// neither, base alone.
+func configs(base cache.Config, specs []string, specFile string) ([]cache.Config, error) {
 	cfgs := []cache.Config{}
 	if specFile != "" {
-		fromFile, err := cliutil.LoadConfigSpecs(specFile, opts.L1)
+		fromFile, err := cliutil.LoadConfigSpecs(specFile, base)
 		if err != nil {
-			obs.Fatal(err)
+			return nil, err
 		}
 		cfgs = fromFile
 	}
 	for _, spec := range specs {
-		cfg, err := cliutil.ParseConfigSpec(opts.L1, spec)
+		cfg, err := cliutil.ParseConfigSpec(base, spec)
 		if err != nil {
-			obs.Fatal(err)
+			return nil, err
 		}
 		cfgs = append(cfgs, cfg)
 	}
 	if len(cfgs) == 0 {
-		cfgs = append(cfgs, opts.L1) // sampling-only mode: base config alone
+		cfgs = append(cfgs, base)
 	}
-	if shards != 0 {
-		// SIGINT/SIGTERM cancel the shard context, as in the single-config
-		// sharded path.
-		ctx, stop := signal.NotifyContext(obs.Ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		sp, _ := obs.Reg.StartSpanCtx(ctx, "dinero/multisim-sharded")
-		tr, err := trace.OpenIndexed(path)
+	return cfgs, nil
+}
+
+// simulate runs the one pass over the trace at path, under the
+// dinero/simulate span. Serially it streams the trace batch by batch in
+// constant memory, whatever its format. With shards != 0 the trace must
+// be a binary .glb: workers simulate disjoint block ranges on cold
+// engines and merge, so reports equal a serial run with Flush at each
+// shard boundary.
+func simulate(path string, opts dinero.MultiOptions, shards int, tf *cliutil.TraceFlags) *dinero.MultiSim {
+	if shards == 0 {
+		ms, err := dinero.NewMulti(opts)
 		if err != nil {
 			obs.Fatal(err)
 		}
-		res, err := dinero.MultiSimShardedContext(ctx, tr, dinero.MultiOptions{
-			Configs:   cfgs,
-			L2:        opts.L2,
-			Translate: opts.Translate,
-		}, shards, tf.Options())
-		if err != nil {
-			tr.Close()
-			obs.Fatal(err)
-		}
-		cliutil.PublishIndexedDecode(tr, res.Sim.Records())
-		if err := tr.Close(); err != nil {
-			obs.Fatal(err)
-		}
-		sp.End()
-		res.PublishShardTelemetry(obs.Reg)
-		printMultiReports(res.Sim, sampling)
-		obs.Close()
-		return
-	}
-	ms, err := dinero.NewMulti(dinero.MultiOptions{
-		Configs:   cfgs,
-		L2:        opts.L2,
-		Translate: opts.Translate,
-		Sampling:  sampling,
-	})
-	if err != nil {
-		obs.Fatal(err)
-	}
-	if stream {
-		sp, sctx := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate-stream")
+		sp, sctx := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate")
 		ts, err := cliutil.OpenTraceSourceCtx(sctx, path, tf.Options())
 		if err != nil {
 			obs.Fatal(err)
@@ -264,20 +194,30 @@ func runMulti(path string, opts dinero.Options, specs []string, specFile string,
 		if cerr != nil {
 			obs.Fatal(cerr)
 		}
-	} else {
-		sp, _ := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/load")
-		_, _, recs, err := cliutil.LoadTraceOpts(path, tf.Options())
-		sp.End()
-		if err != nil {
-			obs.Fatal(err)
-		}
-		sp, _ = obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate")
-		ms.Process(recs)
-		sp.End()
+		ms.PublishTelemetry(obs.Reg)
+		return ms
 	}
-	ms.PublishTelemetry(obs.Reg)
-	printMultiReports(ms, sampling)
-	obs.Close()
+	// SIGINT/SIGTERM cancel the shard context: every worker stops at its
+	// next record batch instead of the process dying mid-merge.
+	ctx, stop := signal.NotifyContext(obs.Ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	sp, _ := obs.Reg.StartSpanCtx(ctx, "dinero/simulate")
+	tr, err := trace.OpenIndexed(path)
+	if err != nil {
+		obs.Fatal(err)
+	}
+	res, err := dinero.MultiSimShardedContext(ctx, tr, opts, shards, tf.Options())
+	if err != nil {
+		tr.Close()
+		obs.Fatal(err)
+	}
+	cliutil.PublishIndexedDecode(tr, res.Sim.Records())
+	if err := tr.Close(); err != nil {
+		obs.Fatal(err)
+	}
+	sp.End()
+	res.PublishShardTelemetry(obs.Reg)
+	return res.Sim
 }
 
 // printMultiReports prints every config's banner plus report (exact) or

@@ -1,6 +1,7 @@
 // Command setplot renders per-cache-set hit/miss histograms for a trace —
-// the plotting step of the paper's figures. It simulates the trace on the
-// requested geometry and emits CSV, gnuplot data or an ASCII chart.
+// the plotting step of the paper's figures. It streams the trace through
+// a simulator of the requested geometry in constant memory and emits CSV,
+// gnuplot data or an ASCII chart.
 //
 // Usage:
 //
@@ -47,13 +48,20 @@ func main() {
 	if err != nil {
 		obs.Fatal(err)
 	}
-	_, _, recs, err := cliutil.LoadTraceOpts(fs.Arg(0), tf.Options())
+	sp, sctx := obs.Reg.StartSpanCtx(obs.Ctx, "setplot/simulate")
+	ts, err := cliutil.OpenTraceSourceCtx(sctx, fs.Arg(0), tf.Options())
 	if err != nil {
 		obs.Fatal(err)
 	}
-	sp := obs.Reg.StartSpan("setplot/simulate")
-	sim.Process(recs)
+	serr := sim.ProcessSourceCtx(sctx, ts)
+	cerr := ts.Close()
 	sp.End()
+	if serr != nil {
+		obs.Fatal(serr)
+	}
+	if cerr != nil {
+		obs.Fatal(cerr)
+	}
 	sim.PublishTelemetry(obs.Reg)
 	p := analysis.FromSimulator(*title, sim, *noSym)
 	switch *format {

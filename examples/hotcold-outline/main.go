@@ -14,8 +14,8 @@ import (
 	"tracedst/internal/cache"
 	"tracedst/internal/dinero"
 	"tracedst/internal/rules"
-	"tracedst/internal/trace"
 	"tracedst/internal/telemetry"
+	"tracedst/internal/trace"
 	"tracedst/internal/tracer"
 	"tracedst/internal/workloads"
 	"tracedst/internal/xform"

@@ -13,8 +13,8 @@ import (
 
 	"tracedst/internal/analysis"
 	"tracedst/internal/profile"
-	"tracedst/internal/trace"
 	"tracedst/internal/telemetry"
+	"tracedst/internal/trace"
 	"tracedst/internal/tracer"
 	"tracedst/internal/workloads"
 )

@@ -14,9 +14,9 @@ import (
 	"tracedst/internal/cache"
 	"tracedst/internal/dinero"
 	"tracedst/internal/rules"
+	"tracedst/internal/telemetry"
 	"tracedst/internal/trace"
 	"tracedst/internal/tracediff"
-	"tracedst/internal/telemetry"
 	"tracedst/internal/tracer"
 	"tracedst/internal/workloads"
 	"tracedst/internal/xform"

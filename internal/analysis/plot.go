@@ -41,22 +41,7 @@ type Plot struct {
 // simulation, largest series first. Variables with no traffic are skipped;
 // the (nosym) bucket is included only when includeNoSym is set.
 func FromSimulator(title string, sim *dinero.Simulator, includeNoSym bool) *Plot {
-	p := &Plot{Title: title, Sets: sim.L1().Config().Sets()}
-	for _, vs := range sim.Vars() {
-		if vs.Name == dinero.NoSymbol && !includeNoSym {
-			continue
-		}
-		if vs.Accesses == 0 {
-			continue
-		}
-		s := Series{Label: vs.Name, Hits: make([]int64, p.Sets), Misses: make([]int64, p.Sets)}
-		for i, ps := range vs.PerSet {
-			s.Hits[i] = ps.Hits
-			s.Misses[i] = ps.Misses
-		}
-		p.Series = append(p.Series, s)
-	}
-	return p
+	return fromVars(title, sim.L1().Config().Sets(), sim.Vars(), includeNoSym)
 }
 
 // FromMulti builds the plot of configuration i of a finished multi-config
@@ -64,15 +49,21 @@ func FromSimulator(title string, sim *dinero.Simulator, includeNoSym bool) *Plot
 // plots are identical to FromSimulator over an independent run of the
 // same configuration.
 func FromMulti(title string, ms *dinero.MultiSim, i int, includeNoSym bool) *Plot {
-	p := &Plot{Title: title, Sets: ms.Config(i).Sets()}
-	for _, vs := range ms.Vars(i) {
+	return fromVars(title, ms.Config(i).Sets(), ms.Vars(i), includeNoSym)
+}
+
+// fromVars is the body of FromSimulator and FromMulti: one series per
+// variable with traffic, in the order given.
+func fromVars(title string, sets int, vars []*dinero.VarSeries, includeNoSym bool) *Plot {
+	p := &Plot{Title: title, Sets: sets}
+	for _, vs := range vars {
 		if vs.Name == dinero.NoSymbol && !includeNoSym {
 			continue
 		}
 		if vs.Accesses == 0 {
 			continue
 		}
-		s := Series{Label: vs.Name, Hits: make([]int64, p.Sets), Misses: make([]int64, p.Sets)}
+		s := Series{Label: vs.Name, Hits: make([]int64, sets), Misses: make([]int64, sets)}
 		for j, ps := range vs.PerSet {
 			s.Hits[j] = ps.Hits
 			s.Misses[j] = ps.Misses

@@ -229,12 +229,6 @@ func OpenTrace(path string) (io.ReadCloser, error) {
 	return os.Open(path)
 }
 
-// LoadTrace reads a trace file ("-" means stdin) with a strict decoder.
-func LoadTrace(path string) (trace.Header, []trace.Record, error) {
-	h, _, recs, err := LoadTraceOpts(path, trace.DecodeOptions{})
-	return h, recs, err
-}
-
 // LoadTraceOpts reads a trace file ("-" means stdin) with explicit decode
 // options. hasHdr reports whether the input actually began with a START
 // line, so writers can round-trip headerless traces byte-for-byte.

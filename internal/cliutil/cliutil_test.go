@@ -121,17 +121,17 @@ func TestLoadWriteTraceRoundTrip(t *testing.T) {
 	if err := WriteTrace(path, h, []trace.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
-	h2, recs, err := LoadTrace(path)
+	h2, hasHdr, recs, err := LoadTraceOpts(path, trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h2.PID != 42 || len(recs) != 1 || !recs[0].Equal(&rec) {
+	if h2.PID != 42 || !hasHdr || len(recs) != 1 || !recs[0].Equal(&rec) {
 		t.Errorf("round trip: %+v %+v", h2, recs)
 	}
 }
 
 func TestLoadTraceMissing(t *testing.T) {
-	if _, _, err := LoadTrace(filepath.Join(t.TempDir(), "missing.trc")); err == nil {
+	if _, _, _, err := LoadTraceOpts(filepath.Join(t.TempDir(), "missing.trc"), trace.DecodeOptions{}); err == nil {
 		t.Error("missing file accepted")
 	}
 }

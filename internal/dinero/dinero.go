@@ -260,20 +260,6 @@ func (s *Simulator) Process(recs []trace.Record) {
 	}
 }
 
-// ProcessReader streams records from a trace reader until EOF.
-func (s *Simulator) ProcessReader(rd *trace.Reader) error {
-	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Feed(&rec)
-	}
-}
-
 // ProcessSourceCtx is ProcessSource wrapped in a "dinero.simulate" span:
 // when ctx carries a trace the span joins its tree, tagged with the record
 // count, and the per-name aggregate is recorded either way.

@@ -198,9 +198,6 @@ func (m *MultiSim) NumConfigs() int { return len(m.cfgs) }
 // Config returns configuration i.
 func (m *MultiSim) Config(i int) cache.Config { return m.cfgs[i] }
 
-// Sampling returns the active sampling configuration.
-func (m *MultiSim) Sampling() Sampling { return m.sampling }
-
 // Records returns how many trace records were fed (including records in
 // windows that interval sampling skipped).
 func (m *MultiSim) Records() int64 { return m.fed }
@@ -290,25 +287,12 @@ func (m *MultiSim) Process(recs []trace.Record) {
 	}
 }
 
-// ProcessReader streams records from a trace reader until EOF.
-func (m *MultiSim) ProcessReader(rd *trace.Reader) error {
-	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		m.Feed(&rec)
-	}
-}
-
-// ProcessSourceCtx is ProcessSource wrapped in a "dinero.multisim" span:
-// when ctx carries a trace the span joins its tree, tagged with the fed
-// record and configuration counts.
+// ProcessSourceCtx is ProcessSource wrapped in a "dinero.simulate" span,
+// the name Simulator.ProcessSourceCtx uses too, so the simulate layer has
+// one name whichever engine runs. When ctx carries a trace the span joins
+// its tree, tagged with the fed record and configuration counts.
 func (m *MultiSim) ProcessSourceCtx(ctx context.Context, src trace.RecordSource) error {
-	sp, _ := telemetry.Default().StartSpanCtx(ctx, "dinero.multisim")
+	sp, _ := telemetry.Default().StartSpanCtx(ctx, "dinero.simulate")
 	err := m.ProcessSource(src)
 	sp.SetAttr("records", strconv.FormatInt(m.Records(), 10))
 	sp.SetAttr("configs", strconv.Itoa(m.NumConfigs()))
@@ -406,16 +390,6 @@ func (m *MultiSim) MergeFrom(other *MultiSim) error {
 	m.fed += other.fed
 	m.simFed += other.simFed
 	m.ignored += other.ignored
-	return nil
-}
-
-// Sub returns the fallback Simulator behind configuration i, or nil when
-// the config runs on the fast kernel — analysis consumers (plots, CSV)
-// need the full simulator.
-func (m *MultiSim) Sub(i int) *Simulator {
-	if s := m.slot[i]; !s.kernel {
-		return m.subs[s.idx]
-	}
 	return nil
 }
 

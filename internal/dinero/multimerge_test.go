@@ -1,6 +1,7 @@
 package dinero
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -176,26 +177,50 @@ func TestMultiSimEmptyTraceScales(t *testing.T) {
 }
 
 // TestMultiSimShardedRecordsEmpty pins the sharded entry points on the
-// degenerate inputs: an empty record slice yields a usable zero-shard
-// result, and shard counts clamp to the record count.
+// degenerate inputs: an empty record slice and an empty indexed trace
+// both yield a usable zero-shard result (Shards == 0 from either entry
+// point), and shard counts clamp to the record count.
 func TestMultiSimShardedRecordsEmpty(t *testing.T) {
 	cfgs := []cache.Config{{Size: 2048, BlockSize: 32, Assoc: 2, Repl: cache.ReplLRU}}
-	res, err := MultiSimShardedRecords(context.Background(), nil, MultiOptions{Configs: cfgs}, 4)
+	var buf bytes.Buffer
+	bw := trace.NewBinaryWriter(&buf)
+	bw.EnableIndex()
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.NewIndexedBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sim.Records() != 0 {
-		t.Errorf("empty input: %d records", res.Sim.Records())
-	}
-	if sc := res.Sim.RecordScale(); sc != 1 {
-		t.Errorf("empty input: RecordScale() = %v, want 1", sc)
-	}
-	if rep := res.Sim.Report(0); strings.Contains(rep, "NaN") || strings.Contains(rep, "Inf") {
-		t.Errorf("empty sharded report contains NaN/Inf:\n%s", rep)
+	for name, run := range map[string]func() (*MultiShardedResult, error){
+		"records": func() (*MultiShardedResult, error) {
+			return MultiSimShardedRecords(context.Background(), nil, MultiOptions{Configs: cfgs}, 4)
+		},
+		"indexed": func() (*MultiShardedResult, error) {
+			return MultiSimSharded(tr, MultiOptions{Configs: cfgs}, 4, trace.DecodeOptions{})
+		},
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Shards != 0 || res.Requested != 4 || len(res.Boundaries) != 0 {
+			t.Errorf("%s: empty input ran %d of %d shards, boundaries %v; want 0 of 4, none",
+				name, res.Shards, res.Requested, res.Boundaries)
+		}
+		if res.Sim.Records() != 0 {
+			t.Errorf("%s: empty input: %d records", name, res.Sim.Records())
+		}
+		if sc := res.Sim.RecordScale(); sc != 1 {
+			t.Errorf("%s: empty input: RecordScale() = %v, want 1", name, sc)
+		}
+		if rep := res.Sim.Report(0); strings.Contains(rep, "NaN") || strings.Contains(rep, "Inf") {
+			t.Errorf("%s: empty sharded report contains NaN/Inf:\n%s", name, rep)
+		}
 	}
 
 	recs := multiRecords(3, 2)
-	res, err = MultiSimShardedRecords(context.Background(), recs, MultiOptions{Configs: cfgs}, 16)
+	res, err := MultiSimShardedRecords(context.Background(), recs, MultiOptions{Configs: cfgs}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
-// Sharded multi-configuration simulation: the full-attribution MultiSim
-// engine split over N workers, each simulating a disjoint slice of the
-// trace on its own cold MultiSim, reduced with MultiSim.MergeFrom. Like
-// the single-config sharded path (stream.go), the merged result equals a
+// Sharded simulation: the full-attribution MultiSim engine split over N
+// workers, each simulating a disjoint slice of the trace on its own cold
+// MultiSim, reduced with MultiSim.MergeFrom. One runner serves both
+// inputs — block ranges of an indexed binary trace, decoded straight out
+// of the mmap, and windows of an in-memory record slice — and a
+// single-config run is a one-config MultiSim. The merged result equals a
 // serial run with Flush at every shard boundary — byte-identical reports
 // in exact mode (ReplRandom excepted: its draw stream survives a Flush
 // but cannot survive a shard split).
@@ -24,7 +26,7 @@ type MultiShardedResult struct {
 	Sim *MultiSim
 	// Requested is the shard count asked for (after the <1 → GOMAXPROCS
 	// default); Shards is how many actually ran, clamped to the available
-	// block or record count.
+	// block or record count (0 for an empty trace).
 	Requested int
 	Shards    int
 	// Boundaries are the record indices where shards split — the Flush
@@ -37,100 +39,48 @@ type MultiShardedResult struct {
 // MultiSim, and merges the shards. opts.Syms must be nil (each shard
 // interns privately; MergeFrom matches attribution by symbol name) and
 // opts.Sampling must be exact — interval sampling is stateful across the
-// whole record stream and cannot split.
+// whole record stream and cannot split. dec carries the lenient/strict
+// decode semantics applied per shard.
 func MultiSimSharded(tr *trace.IndexedTrace, opts MultiOptions, shards int, dec trace.DecodeOptions) (*MultiShardedResult, error) {
 	return MultiSimShardedContext(context.Background(), tr, opts, shards, dec)
 }
 
 // MultiSimShardedContext is MultiSimSharded under a context: every shard
-// polls ctx between record batches, so cancellation stops all workers
-// within one batch and surfaces ctx.Err(). An interrupted run returns no
-// partial result — callers resume by re-running.
+// polls ctx between record batches, so cancellation (SIGINT/SIGTERM in
+// cmd/dinero and cmd/experiments) stops all workers within one batch and
+// surfaces ctx.Err(). An interrupted run returns no partial result —
+// callers resume by re-running, which is cheap because shards are
+// deterministic.
 func MultiSimShardedContext(ctx context.Context, tr *trace.IndexedTrace, opts MultiOptions, shards int, dec trace.DecodeOptions) (*MultiShardedResult, error) {
 	requested, err := checkMultiShard(&opts, &shards)
 	if err != nil {
 		return nil, err
 	}
 	ranges := tr.ShardRanges(shards)
-	if len(ranges) == 0 {
-		// Empty trace: nothing to shard, return one cold simulator.
-		ms, err := NewMulti(opts)
-		if err != nil {
-			return nil, err
-		}
-		return &MultiShardedResult{Sim: ms, Requested: requested, Shards: 0}, nil
-	}
-
-	sims := make([]*MultiSim, len(ranges))
-	errs := make([]error, len(ranges))
-	var wg sync.WaitGroup
+	srcs := make([]trace.RecordSource, len(ranges))
 	for i, r := range ranges {
-		ms, err := NewMulti(opts)
-		if err != nil {
-			return nil, err
-		}
-		sims[i] = ms
-		wg.Add(1)
-		go func(i int, lo, hi int) {
-			defer wg.Done()
-			errs[i] = sims[i].ProcessSource(&ctxSource{ctx: ctx, src: tr.Source(lo, hi, dec)})
-		}(i, r[0], r[1])
+		srcs[i] = tr.Source(r[0], r[1], dec)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			if cerr := context.Cause(ctx); cerr != nil {
-				return nil, cerr
-			}
-			return nil, fmt.Errorf("dinero: multisim shard %d (blocks %d-%d): %w", i, ranges[i][0], ranges[i][1], err)
-		}
-	}
-	return reduceMultiShards(sims, requested)
+	return runShards(ctx, srcs, opts, requested)
 }
 
 // MultiSimShardedRecords is the in-memory variant: the record slice is
-// split into min(shards, len(recs)) contiguous ranges, each simulated on a
-// cold MultiSim, and the shards merge. It backs the experiments sweeps and
-// figure regeneration, where traces are already materialized. Same
+// split into min(shards, len(recs)) contiguous windows, each simulated on
+// a cold MultiSim, and the shards merge. It backs the experiments sweeps
+// and figure regeneration, where traces are already materialized. Same
 // constraints as MultiSimSharded: nil Syms, exact sampling.
 func MultiSimShardedRecords(ctx context.Context, recs []trace.Record, opts MultiOptions, shards int) (*MultiShardedResult, error) {
 	requested, err := checkMultiShard(&opts, &shards)
 	if err != nil {
 		return nil, err
 	}
-	if shards > len(recs) {
-		shards = len(recs)
-	}
-	if shards < 1 {
-		shards = 1 // empty slice: one cold, zero-fed simulator
-	}
-
-	sims := make([]*MultiSim, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		ms, err := NewMulti(opts)
-		if err != nil {
-			return nil, err
-		}
-		sims[i] = ms
+	shards = min(shards, len(recs))
+	srcs := make([]trace.RecordSource, shards)
+	for i := range srcs {
 		lo, hi := len(recs)*i/shards, len(recs)*(i+1)/shards
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			errs[i] = sims[i].processRecordsCtx(ctx, recs[lo:hi])
-		}(i, lo, hi)
+		srcs[i] = trace.NewSliceSource(trace.Header{}, false, recs[lo:hi], 0)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			if cerr := context.Cause(ctx); cerr != nil {
-				return nil, cerr
-			}
-			return nil, fmt.Errorf("dinero: multisim shard %d: %w", i, err)
-		}
-	}
-	return reduceMultiShards(sims, requested)
+	return runShards(ctx, srcs, opts, requested)
 }
 
 // checkMultiShard validates the sharding constraints and resolves the
@@ -148,25 +98,40 @@ func checkMultiShard(opts *MultiOptions, shards *int) (int, error) {
 	return *shards, nil
 }
 
-// processRecordsCtx feeds recs in chunks, polling ctx between chunks so a
-// cancelled sharded run stops promptly.
-func (m *MultiSim) processRecordsCtx(ctx context.Context, recs []trace.Record) error {
-	const chunk = 1 << 16
-	for len(recs) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+// runShards is the one shard runner: every source feeds its own cold
+// MultiSim on its own goroutine, then the shards merge left to right,
+// recording the record-index boundaries a serial reference run must
+// Flush at. No sources (an empty trace) yields one cold, zero-fed
+// simulator and Shards == 0.
+func runShards(ctx context.Context, srcs []trace.RecordSource, opts MultiOptions, requested int) (*MultiShardedResult, error) {
+	sims := make([]*MultiSim, max(len(srcs), 1))
+	for i := range sims {
+		ms, err := NewMulti(opts)
+		if err != nil {
+			return nil, err
 		}
-		n := min(chunk, len(recs))
-		m.Process(recs[:n])
-		recs = recs[n:]
+		sims[i] = ms
 	}
-	return nil
-}
+	errs := make([]error, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = sims[i].ProcessSource(&ctxSource{ctx: ctx, src: src})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			if cerr := context.Cause(ctx); cerr != nil {
+				return nil, cerr
+			}
+			return nil, fmt.Errorf("dinero: shard %d: %w", i, err)
+		}
+	}
 
-// reduceMultiShards merges shard simulators left to right, recording the
-// record-index boundaries a serial reference run must Flush at.
-func reduceMultiShards(sims []*MultiSim, requested int) (*MultiShardedResult, error) {
-	res := &MultiShardedResult{Sim: sims[0], Requested: requested, Shards: len(sims)}
+	res := &MultiShardedResult{Sim: sims[0], Requested: requested, Shards: len(srcs)}
 	var cum int64
 	for i := 1; i < len(sims); i++ {
 		cum += sims[i-1].Records()
@@ -176,6 +141,25 @@ func reduceMultiShards(sims []*MultiSim, requested int) (*MultiShardedResult, er
 		}
 	}
 	return res, nil
+}
+
+// ctxSource threads context cancellation into a RecordSource: NextBatch
+// fails with the context's error as soon as it fires, so a shard stops
+// within one batch of cancellation.
+type ctxSource struct {
+	ctx context.Context
+	src trace.RecordSource
+}
+
+func (s *ctxSource) Header() (trace.Header, error) { return s.src.Header() }
+func (s *ctxSource) HasHeader() bool               { return s.src.HasHeader() }
+func (s *ctxSource) BadLines() int                 { return s.src.BadLines() }
+
+func (s *ctxSource) NextBatch() ([]trace.Record, error) {
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.src.NextBatch()
 }
 
 // PublishShardTelemetry records the sharded run's shape — requested vs

@@ -417,14 +417,14 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 			return err
 		}
 		// An indexed binary upload with no rule splits over JobShards
-		// cold simulators and merges — one big job uses all cores. The
-		// report equals a serial run with a cache Flush at every shard
-		// boundary.
+		// cold simulators of a one-config MultiSim and merges — one big
+		// job uses all cores. The report equals a serial run with a cache
+		// Flush at every shard boundary.
 		tr, err := trace.OpenIndexed(path)
 		if err != nil {
 			return err
 		}
-		res, rerr := dinero.SimulateShardedContext(ctx, tr, dinero.Options{L1: cfg}, shards, trace.DecodeOptions{})
+		res, rerr := dinero.MultiSimShardedContext(ctx, tr, dinero.MultiOptions{Configs: []cache.Config{cfg}}, shards, trace.DecodeOptions{})
 		tr.Close()
 		if rerr != nil {
 			return rerr
@@ -433,7 +433,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		j.progress.Store(sim.Records())
 		j.mu.Lock()
 		j.Records = sim.Records()
-		j.Report = sim.Report()
+		j.Report = sim.Report(0)
 		j.mu.Unlock()
 		s.reg.Counter("server.records_simulated").Add(sim.Records())
 		res.PublishShardTelemetry(s.reg)

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"net/url"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -91,6 +93,72 @@ func TestDuplicateUploadCached(t *testing.T) {
 	}
 }
 
+// TestForgedCollisionMisses: a cache file that holds another trace's
+// result — here, the entries of two uploads swapped on disk — never
+// answers an upload. Each re-upload misses, re-runs and comes back with
+// its own report, because the store checks the key inside the envelope,
+// not only the file name it was found under.
+func TestForgedCollisionMisses(t *testing.T) {
+	srv, ts, reg := newTestServer(t, nil)
+	recsA := workloadRecords(3000)
+	recsB := workloadRecords(2000)
+	uploads := []struct {
+		glb  []byte
+		want string
+	}{
+		{encodeGLB(t, recsA, 64), refReport(t, recsA, cache.Paper32KDirect())},
+		{encodeGLB(t, recsB, 64), refReport(t, recsB, cache.Paper32KDirect())},
+	}
+	if uploads[0].want == uploads[1].want {
+		t.Fatal("the two traces have the same report; the swap would prove nothing")
+	}
+	for i, u := range uploads {
+		v := submit(t, ts.URL, "?wait=1", u.glb)
+		if done := waitState(t, ts.URL, v.ID, StateDone); done.Cached {
+			t.Fatalf("upload %d: first upload claims cached", i)
+		}
+		if got := fetchReport(t, ts.URL, v.ID); got != u.want {
+			t.Fatalf("upload %d: report diverges from direct simulation", i)
+		}
+	}
+
+	entries, err := filepath.Glob(filepath.Join(srv.cfg.StateDir, "simcache", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("simcache holds %d entries, want 2: %v", len(entries), entries)
+	}
+	a, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(entries[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[1], a, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	misses := reg.Counter("simcache.misses").Value()
+	for i, u := range uploads {
+		v := submit(t, ts.URL, "?wait=1", u.glb)
+		if done := waitState(t, ts.URL, v.ID, StateDone); done.Cached {
+			t.Errorf("upload %d: re-upload answered from a swapped cache entry", i)
+		}
+		if got := fetchReport(t, ts.URL, v.ID); got != u.want {
+			t.Errorf("upload %d: re-upload returned another trace's report:\n%s", i, got)
+		}
+	}
+	if got := reg.Counter("simcache.misses").Value(); got != misses+2 {
+		t.Errorf("simcache.misses went %d -> %d, want both re-uploads counted as misses", misses, got)
+	}
+}
+
 // TestThrottledServerBypassesCache: Throttle exists to hold jobs in
 // flight (drain testing); answering from the cache would defeat it, so
 // duplicates re-run.
@@ -109,11 +177,11 @@ func TestThrottledServerBypassesCache(t *testing.T) {
 }
 
 // TestJobShardsReport: with -job-shards, an indexed binary upload is
-// simulated on N parallel cold shards and the report equals the sharded
-// library engine's (itself pinned byte-identical to a flush-at-boundary
-// serial run); the result still lands in the cache under the sharded
-// tier, so a duplicate is answered without re-running, and the serial
-// tier stays separate.
+// simulated on N parallel cold shards of a one-config MultiSim and the
+// report equals a serial dinero.New run that flushes the cache at the
+// shard boundaries; the result still lands in the cache under the
+// sharded tier, so a duplicate is answered without re-running, and the
+// serial tier stays separate.
 func TestJobShardsReport(t *testing.T) {
 	const shards = 4
 	_, ts, reg := newTestServer(t, func(c *Config) { c.JobShards = shards })
@@ -127,22 +195,39 @@ func TestJobShardsReport(t *testing.T) {
 	}
 	got := fetchReport(t, ts.URL, v.ID)
 
+	// The flush points are where the shard ranges start, in records.
 	tr, err := trace.NewIndexedBytes(glb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dinero.SimulateSharded(tr, dinero.Options{L1: cache.Paper32KDirect()}, shards, trace.DecodeOptions{})
+	ranges := tr.ShardRanges(shards)
+	if len(ranges) != shards {
+		t.Fatalf("%d shard ranges, want %d", len(ranges), shards)
+	}
+	counts := tr.Index().Counts
+	ref, err := dinero.New(dinero.Options{L1: cache.Paper32KDirect()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := res.Sim.Report(); got != want {
-		t.Errorf("sharded job report diverges from the sharded engine:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	next := 0
+	for _, r := range ranges[1:] {
+		at := 0
+		for _, n := range counts[:r[0]] {
+			at += int(n)
+		}
+		ref.Process(recs[next:at])
+		ref.Flush()
+		next = at
+	}
+	ref.Process(recs[next:])
+	if want := ref.Report(); got != want {
+		t.Errorf("sharded job report diverges from a flush-at-boundary serial run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 	if done.Records != int64(len(recs)) {
 		t.Errorf("sharded job simulated %d records, want %d", done.Records, len(recs))
 	}
-	if reg.Counter("dinero.sharded_runs").Value() == 0 {
-		t.Error("sharded run telemetry missing")
+	if got := reg.Counter("multisim.sharded_runs").Value(); got != 1 {
+		t.Errorf("multisim.sharded_runs = %d, want 1", got)
 	}
 
 	v2 := submit(t, ts.URL, "?wait=1", glb)

@@ -89,7 +89,9 @@ func TestCLIMetricsLossless(t *testing.T) {
 	if m.Counters["dinero.sims"] != 1 {
 		t.Errorf("dinero.sims = %d, want 1", m.Counters["dinero.sims"])
 	}
-	for _, span := range []string{"dinero/load", "dinero/simulate"} {
+	// One streaming pass: the CLI span encloses the decode stream and the
+	// engine's simulate span.
+	for _, span := range []string{"dinero/simulate", "trace.decode.stream", "dinero.simulate"} {
 		if m.Spans[span].Count != 1 {
 			t.Errorf("span %q count = %d, want 1", span, m.Spans[span].Count)
 		}
@@ -246,7 +248,7 @@ func TestCLITraceExport(t *testing.T) {
 	traceFile := filepath.Join(dir, "t.out")
 	spansFile := filepath.Join(dir, "spans.jsonl")
 	runTool(t, "gltrace", "-w", "trans1-soa", "-o", traceFile)
-	runTool(t, "dinero", "-stream", "-trace-out", spansFile, traceFile)
+	runTool(t, "dinero", "-trace-out", spansFile, traceFile)
 
 	type spanEvent struct {
 		Trace   string            `json:"trace"`
@@ -298,7 +300,7 @@ func TestCLITraceExport(t *testing.T) {
 	if !ok || root.Parent != "" {
 		t.Fatalf("no parentless root span named dinero (have %+v)", byName)
 	}
-	for _, want := range []string{"dinero/simulate-stream", "trace.decode.stream", "dinero.simulate"} {
+	for _, want := range []string{"dinero/simulate", "trace.decode.stream", "dinero.simulate"} {
 		ev, ok := byName[want]
 		if !ok {
 			t.Fatalf("no %s span in export", want)

@@ -71,9 +71,9 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 
 // BenchmarkShardedSimulate measures the indexed sharded path end to end
 // (footer lookup, per-shard block-range decode, simulate, merge) against
-// the same serial streaming run. On a single-CPU host the two are
-// expected to tie; on multi-core hosts the shards decode and simulate
-// concurrently.
+// the same serial streaming run, both on the one-config MultiSim that
+// dinero runs. On a single-CPU host the two are expected to tie; on
+// multi-core hosts the shards decode and simulate concurrently.
 func BenchmarkShardedSimulate(b *testing.B) {
 	f := loadCodec(b)
 	data := encodeIndexedTrace(b, f.recs, 0)
@@ -81,7 +81,7 @@ func BenchmarkShardedSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := goldenConfigs[2]
+	opts := dinero.MultiOptions{Configs: goldenConfigs[2:3]}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	var serialNS, shardNS time.Duration
@@ -92,17 +92,17 @@ func BenchmarkShardedSimulate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim, err := dinero.New(dinero.Options{L1: cfg})
+		ms, err := dinero.NewMulti(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sim.ProcessSource(src); err != nil {
+		if err := ms.ProcessSource(src); err != nil {
 			b.Fatal(err)
 		}
 		serialNS += time.Since(t0)
 
 		t0 = time.Now()
-		res, err := dinero.SimulateSharded(tr, dinero.Options{L1: cfg}, 4, trace.DecodeOptions{})
+		res, err := dinero.MultiSimSharded(tr, opts, 4, trace.DecodeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

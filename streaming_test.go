@@ -2,9 +2,9 @@
 // indistinguishable from the materializing ones. For every built-in
 // workload, a simulator fed batch-by-batch from a RecordSource renders the
 // byte-identical report to one fed the materialized slice; K-way sharded
-// streaming over an indexed .glb merges to exactly the serial
-// flush-at-boundary reference; and the live heap of a streaming run stays
-// O(batch) however large the trace file is.
+// streaming of a one-config MultiSim over an indexed .glb merges to
+// exactly the serial flush-at-boundary reference; and the live heap of a
+// streaming run stays O(batch) however large the trace file is.
 package tracedst_test
 
 import (
@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tracedst/internal/cache"
 	"tracedst/internal/cliutil"
 	"tracedst/internal/dinero"
 	"tracedst/internal/trace"
@@ -90,11 +91,12 @@ func TestStreamingGoldenAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestShardedStreamingGoldenAllWorkloads: K-way sharded streaming over an
-// indexed trace, reduced with MergeFrom, equals — byte-for-byte in the
-// rendered report — a serial run that flushes the cache at the shard
-// boundaries. All 15 workloads, every golden config (none use ReplRandom,
-// whose draw stream cannot survive a shard split).
+// TestShardedStreamingGoldenAllWorkloads: K-way sharded streaming of a
+// one-config MultiSim over an indexed trace — what dinero -shards runs —
+// reduced with MergeFrom, equals — byte-for-byte in the rendered report —
+// a serial dinero.New run that flushes the cache at the shard boundaries.
+// All 15 workloads, every golden config (none use ReplRandom, whose draw
+// stream cannot survive a shard split).
 func TestShardedStreamingGoldenAllWorkloads(t *testing.T) {
 	for _, name := range sortedWorkloads() {
 		recs := traceWorkload(t, name)
@@ -108,7 +110,7 @@ func TestShardedStreamingGoldenAllWorkloads(t *testing.T) {
 		}
 		for _, shards := range []int{2, 4} {
 			for _, cfg := range goldenConfigs {
-				res, err := dinero.SimulateSharded(tr, dinero.Options{L1: cfg}, shards, trace.DecodeOptions{})
+				res, err := dinero.MultiSimSharded(tr, dinero.MultiOptions{Configs: []cache.Config{cfg}}, shards, trace.DecodeOptions{})
 				if err != nil {
 					t.Fatalf("%s/%s/shards=%d: %v", name, cfg.Name, shards, err)
 				}
@@ -125,7 +127,7 @@ func TestShardedStreamingGoldenAllWorkloads(t *testing.T) {
 				}
 				ref.Process(recs[next:])
 
-				if got, want := res.Sim.Report(), ref.Report(); got != want {
+				if got, want := res.Sim.Report(0), ref.Report(); got != want {
 					t.Errorf("%s/%s/shards=%d: sharded report diverges from flush-at-boundary serial:\n--- want ---\n%s\n--- got ---\n%s",
 						name, cfg.Name, shards, want, got)
 				}
@@ -144,23 +146,24 @@ func TestShardedSimulateCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := dinero.MultiOptions{Configs: goldenConfigs[:1]}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = dinero.SimulateShardedContext(ctx, tr, dinero.Options{L1: goldenConfigs[0]}, 2, trace.DecodeOptions{})
+	_, err = dinero.MultiSimShardedContext(ctx, tr, opts, 2, trace.DecodeOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	// An uncancelled context changes nothing about the result.
-	res, err := dinero.SimulateShardedContext(context.Background(), tr, dinero.Options{L1: goldenConfigs[0]}, 2, trace.DecodeOptions{})
+	res, err := dinero.MultiSimShardedContext(context.Background(), tr, opts, 2, trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := dinero.SimulateSharded(tr, dinero.Options{L1: goldenConfigs[0]}, 2, trace.DecodeOptions{})
+	plain, err := dinero.MultiSimSharded(tr, opts, 2, trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sim.Report() != plain.Sim.Report() {
+	if res.Sim.Report(0) != plain.Sim.Report(0) {
 		t.Fatal("context-threaded sharded run diverges from plain run")
 	}
 }
