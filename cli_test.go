@@ -4,6 +4,7 @@
 package tracedst_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -391,6 +392,25 @@ func TestCLIErrorPaths(t *testing.T) {
 		cmd := exec.Command(filepath.Join(bin, c[0]), c[1:]...)
 		if out, err := cmd.CombinedOutput(); err == nil {
 			t.Errorf("%v unexpectedly succeeded:\n%s", c, out)
+		}
+	}
+}
+
+// TestCLIExperimentsRemovedStoreFlags: -checkpoint is the one store flag;
+// -resume and -simcache are unknown flags, a usage error (exit 2).
+func TestCLIExperimentsRemovedStoreFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	bin := filepath.Join(buildTools(t), "experiments")
+	for _, flag := range []string{"-resume", "-simcache"} {
+		out, err := exec.Command(bin, "-sweep", flag, t.TempDir()).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("experiments %s: err = %v, want exit status 2\n%s", flag, err, out)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: "+flag) {
+			t.Errorf("experiments %s: no unknown-flag message:\n%s", flag, out)
 		}
 	}
 }

@@ -11,12 +11,14 @@
 //	experiments -all -outdir results  # also write CSV/gnuplot per figure
 //	experiments -all -parallel 1      # force a serial run
 //
-// Long batches run resiliently: -checkpoint persists every finished
-// sweep/figure atomically, Ctrl-C cancels cleanly (completed work stays on
-// disk), and -resume picks up where an interrupted run stopped:
+// Long batches run resiliently: -checkpoint DIR stores every finished
+// sweep point and figure atomically in one store (internal/simcache),
+// Ctrl-C cancels cleanly (completed work stays on disk), and rerunning
+// with the same -checkpoint DIR resumes where an interrupted run stopped
+// and reuses any earlier run's results:
 //
 //	experiments -sweep -all -checkpoint run1   # interrupted by crash/SIGINT
-//	experiments -sweep -all -resume run1       # redoes only unfinished work
+//	experiments -sweep -all -checkpoint run1   # redoes only unfinished work
 //	experiments -all -keep-going               # collect failures, don't stop
 //	experiments -all -task-timeout 2m -retries 2 -max-steps 500000000
 package main
@@ -49,8 +51,7 @@ func main() {
 	outdir := fs.String("outdir", "", "also write per-figure CSV/gnuplot/diff files to this directory")
 	par := fs.Int("parallel", runtime.NumCPU(), "worker count for sweeps and -all figure regeneration (1 = serial)")
 	validate := fs.Bool("validate", false, "run every generated trace through the strict validator before use")
-	ckptDir := fs.String("checkpoint", "", "persist each finished sweep point/figure to this directory (atomic JSON per task)")
-	resumeDir := fs.String("resume", "", "resume from this checkpoint directory, skipping finished work (implies -checkpoint)")
+	ckptDir := fs.String("checkpoint", "", "store each finished sweep point and figure in this directory, and reuse what it already holds (resumes an interrupted run)")
 	keepGoing := fs.Bool("keep-going", false, "run every task even after failures, then report the full failure list")
 	taskTimeout := fs.Duration("task-timeout", 0, "per-task deadline (0 = none)")
 	retries := fs.Int("retries", 0, "retry a task failing with a transient I/O error this many times")
@@ -60,7 +61,6 @@ func main() {
 	sampleInterval := fs.Int("sample-interval", 0, "approximate sweeps: simulate every Kth window of records (0/1 = exact)")
 	sampleWindow := fs.Int("sample-window", 0, "records per -sample-interval window (0 = default)")
 	shards := fs.Int("shards", 0, "sharded runs: split each sweep side and figure simulation into N cold shards merged with full attribution (equals flush-at-boundary serial run; 0/1 = off)")
-	simCacheDir := fs.String("simcache", "", "content-addressed result cache directory: finished sweep simulations are stored by (trace hash, config, tier) and reused across runs")
 	of := cliutil.NewObsFlags(fs, "experiments")
 	of.AddProfileFlags(fs)
 	_ = fs.Parse(os.Args[1:])
@@ -77,8 +77,8 @@ func main() {
 	experiments.SetMaxSteps(*maxSteps)
 
 	// SIGINT/SIGTERM cancel the run context: in-flight simulations stop at
-	// their next context poll, finished tasks stay checkpointed, and the
-	// exit message names the resume command.
+	// their next context poll, finished tasks stay stored, and the exit
+	// message names the resume command.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -106,30 +106,13 @@ func main() {
 			"shards", opts.Shards)
 		experiments.SetFigureShards(opts.Shards)
 	}
-	if *simCacheDir != "" {
-		sc, err := simcache.Open(*simCacheDir, obs.Reg)
+	if *ckptDir != "" {
+		store, err := simcache.Open(*ckptDir, obs.Reg)
 		if err != nil {
 			obs.Fatal(err)
 		}
-		opts.SimCache = sc
-		obs.Log.Info("simulation result cache enabled", "dir", sc.Dir(), "engine", simcache.EngineVersion)
-	}
-	dir := *ckptDir
-	if *resumeDir != "" {
-		if dir != "" && dir != *resumeDir {
-			obs.Fatal(fmt.Errorf("-checkpoint %s and -resume %s name different directories", dir, *resumeDir))
-		}
-		dir = *resumeDir
-	}
-	if dir != "" {
-		ck, err := experiments.OpenCheckpoint(dir)
-		if err != nil {
-			obs.Fatal(err)
-		}
-		if n := ck.Len(); n > 0 {
-			obs.Log.Info("resuming: finished tasks loaded", "tasks", n, "dir", dir)
-		}
-		opts.Checkpoint = ck
+		opts.Store = store
+		obs.Log.Info("store enabled", "dir", *ckptDir, "engine", simcache.EngineVersion)
 	}
 
 	exit := 0
@@ -138,7 +121,7 @@ func main() {
 		ss, err := experiments.SweepsOpts(ctx, opts)
 		sp.End()
 		if err != nil {
-			exit = reportRunError("sweeps", err, dir)
+			exit = reportRunError("sweeps", err, *ckptDir)
 		}
 		if err == nil || isKeepGoing(err) {
 			for _, s := range ss {
@@ -160,7 +143,7 @@ func main() {
 		rs, err := experiments.AllOpts(ctx, opts)
 		sp.End()
 		if err != nil {
-			exit = reportRunError("figures", err, dir)
+			exit = reportRunError("figures", err, *ckptDir)
 			if !isKeepGoing(err) {
 				obs.Exit(exit)
 			}
@@ -228,13 +211,13 @@ func isKeepGoing(err error) bool {
 }
 
 // reportRunError explains a failed phase and returns the exit code: the
-// run keeps its partial output, and interrupted checkpointed runs get a
+// run keeps its partial output, and interrupted runs with a store get a
 // resume hint.
 func reportRunError(phase string, err error, ckptDir string) int {
 	obs.Log.Error(phase+" failed", "err", err.Error())
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		if ckptDir != "" {
-			obs.Log.Warn("interrupted; finished tasks are checkpointed — rerun with -resume "+ckptDir, "resume", ckptDir)
+			obs.Log.Warn("interrupted; finished tasks are stored — rerun with -checkpoint "+ckptDir+" to resume", "resume", ckptDir)
 		} else {
 			obs.Log.Warn("interrupted; rerun with -checkpoint DIR to make runs resumable")
 		}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,58 +12,8 @@ import (
 	"tracedst/internal/workloads"
 )
 
-func TestCheckpointPutGetRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Put("sweep/t1/4096/orig", sweepEntry{Misses: 42}); err != nil {
-		t.Fatal(err)
-	}
-	var got sweepEntry
-	if ok, err := ck.Get("sweep/t1/4096/orig", &got); err != nil || !ok || got.Misses != 42 {
-		t.Fatalf("Get = %v %v %v", ok, got, err)
-	}
-	if ok, _ := ck.Get("sweep/t1/4096/xform", &got); ok {
-		t.Error("Get of absent key reported present")
-	}
-
-	// A fresh open of the same directory must see the persisted entry.
-	ck2, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck2.Len() != 1 {
-		t.Fatalf("reloaded checkpoint has %d entries, want 1", ck2.Len())
-	}
-	got = sweepEntry{}
-	if ok, err := ck2.Get("sweep/t1/4096/orig", &got); err != nil || !ok || got.Misses != 42 {
-		t.Fatalf("reloaded Get = %v %v %v", ok, got, err)
-	}
-}
-
-func TestCheckpointIgnoresTornFiles(t *testing.T) {
-	dir := t.TempDir()
-	// A half-written JSON file, as a crash mid-write without atomic rename
-	// would leave. OpenCheckpoint must skip it, not fail.
-	if err := os.WriteFile(filepath.Join(dir, "torn.json"), []byte(`{"key":"a","val`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("unrelated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Len() != 0 {
-		t.Errorf("checkpoint loaded %d entries from garbage", ck.Len())
-	}
-}
-
 // TestSweepCheckpointResume is the crash-recovery acceptance test: cancel
-// a sweep run mid-flight, then resume from the checkpoint directory with a
+// a sweep run mid-flight, then resume from the store directory with a
 // different worker count — the merged results must be byte-identical to an
 // uninterrupted run, and the resumed run must reuse the persisted work.
 func TestSweepCheckpointResume(t *testing.T) {
@@ -76,16 +24,13 @@ func TestSweepCheckpointResume(t *testing.T) {
 	want := fingerprintSweeps(clean)
 
 	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, _ := openStore(t, dir)
 	// Interrupt the run after 5 completed tasks — mid-flight by
 	// construction (a full run has eight side-level tasks).
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done int32
-	opts := RunOptions{Workers: 1, Checkpoint: ck,
+	opts := RunOptions{Workers: 1, Store: store,
 		Policy: RunPolicy{afterTask: func(int) {
 			if atomic.AddInt32(&done, 1) == 5 {
 				cancel()
@@ -95,43 +40,34 @@ func TestSweepCheckpointResume(t *testing.T) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
 
-	// Resume in a fresh checkpoint handle, as a restarted process would.
-	ck2, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	persisted := ck2.Len()
-	if persisted < 5 {
-		t.Fatalf("only %d tasks checkpointed before cancellation, want >= 5", persisted)
-	}
-	resumed, err := SweepsOpts(context.Background(), RunOptions{Workers: 4, Checkpoint: ck2})
+	// Resume in a fresh store handle, as a restarted process would.
+	store2, reg2 := openStore(t, dir)
+	resumed, err := SweepsOpts(context.Background(), RunOptions{Workers: 4, Store: store2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := fingerprintSweeps(resumed); got != want {
 		t.Errorf("resumed results differ from a clean run:\n--- clean ---\n%s\n--- resumed ---\n%s", want, got)
 	}
+	// The resume reuses the points the finished tasks stored.
+	if hits := reg2.Counter("simcache.hits").Value(); hits < 5 {
+		t.Fatalf("resume restored only %d points stored before cancellation, want >= 5", hits)
+	}
 }
 
-// TestFigureCheckpointReplay: figures restored from a checkpoint print
+// TestFigureCheckpointReplay: figures restored from a store print
 // identically to freshly computed ones (Sim aside, which is never
 // printed).
 func TestFigureCheckpointReplay(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := AllOpts(context.Background(), RunOptions{Workers: 2, Checkpoint: ck})
+	store, _ := openStore(t, dir)
+	first, err := AllOpts(context.Background(), RunOptions{Workers: 2, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ck2, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := AllOpts(context.Background(), RunOptions{Workers: 2, Checkpoint: ck2})
+	store2, _ := openStore(t, dir)
+	replayed, err := AllOpts(context.Background(), RunOptions{Workers: 2, Store: store2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,18 +158,13 @@ func TestSweepKeepGoingWithRunawayWorkload(t *testing.T) {
 }
 
 // TestSweepCancellationReturnsPartialResults: a cancelled run still hands
-// back the points it finished, and with a checkpoint those points are on
-// disk.
+// back the points it finished, and with a store those points are on disk.
 func TestSweepCancellationReturnsPartialResults(t *testing.T) {
-	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, reg := openStore(t, t.TempDir())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done int32
-	opts := RunOptions{Workers: 1, Checkpoint: ck,
+	opts := RunOptions{Workers: 1, Store: store,
 		Policy: RunPolicy{afterTask: func(int) {
 			if atomic.AddInt32(&done, 1) == 3 {
 				cancel()
@@ -257,7 +188,8 @@ func TestSweepCancellationReturnsPartialResults(t *testing.T) {
 	if nonZero == 0 {
 		t.Error("no partial results survived cancellation")
 	}
-	if ck.Len() < 3 {
-		t.Errorf("%d checkpoint entries after 3 completed tasks", ck.Len())
+	// A put is counted once its entry is written.
+	if puts := reg.Counter("simcache.puts").Value(); puts < 3 {
+		t.Errorf("%d stored points after 3 completed tasks", puts)
 	}
 }

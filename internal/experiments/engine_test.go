@@ -60,26 +60,23 @@ func TestSweepEnginesEquivalent(t *testing.T) {
 }
 
 // TestSweepsSamplingCheckpointSeparation: sampled runs must not replay
-// exact checkpoint entries (or vice versa) — their keys differ.
+// exact stored entries (or vice versa) — their keys differ.
 func TestSweepsSamplingCheckpointSeparation(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir)
+	store, _ := openStore(t, dir)
+	exact, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Checkpoint: ck})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactKeys := ck.Len()
+	store2, reg2 := openStore(t, dir)
 	sampled, err := SweepsOpts(context.Background(), RunOptions{
-		Workers: 1, Checkpoint: ck, Sampling: dinero.Sampling{SetFactor: 4},
+		Workers: 1, Store: store2, Sampling: dinero.Sampling{SetFactor: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Len() == exactKeys {
-		t.Fatal("sampled run reused exact checkpoint entries")
+	if hits, puts := reg2.Counter("simcache.hits").Value(), reg2.Counter("simcache.puts").Value(); hits != 0 || puts == 0 {
+		t.Fatalf("sampled run: %d hits, %d puts — it reused exact entries", hits, puts)
 	}
 	// The sampled estimate should be in the right ballpark of the exact
 	// totals (the golden suite measures tight per-workload bounds; this

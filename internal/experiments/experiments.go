@@ -15,6 +15,7 @@ import (
 	"tracedst/internal/cache"
 	"tracedst/internal/dinero"
 	"tracedst/internal/rules"
+	"tracedst/internal/simcache"
 	"tracedst/internal/telemetry"
 	"tracedst/internal/trace"
 	"tracedst/internal/tracediff"
@@ -33,9 +34,9 @@ const (
 )
 
 // Result is one regenerated figure. Every printed field survives a JSON
-// round trip, which is how checkpoint/resume replays a finished figure
-// without recomputing it; only SimReport (never printed) is excluded and
-// stays empty on restored results.
+// round trip, which is how a store replays a finished figure without
+// recomputing it; only SimReport (never printed) is excluded and stays
+// empty on restored results.
 type Result struct {
 	// ID is the figure identifier, e.g. "fig3".
 	ID string
@@ -48,8 +49,8 @@ type Result struct {
 	// Diff holds the trace alignment for diff figures (nil otherwise).
 	Diff *tracediff.Diff
 	// SimReport is the rendered simulator report for histogram figures.
-	// It is not checkpointed: results restored from a checkpoint have an
-	// empty SimReport.
+	// It is not stored: results restored from a store have an empty
+	// SimReport.
 	SimReport string `json:"-"`
 	// Notes are measured observations to compare against the paper's
 	// claims.
@@ -251,7 +252,7 @@ var (
 // (≤1 = serial) and returns the previous value. Sharded figures carry
 // full attribution — merged per-variable series, per-function stats and
 // conflict matrices — and equal a serial run with Flush at every shard
-// boundary, so AllOpts checkpoints them under distinct @shardsN keys.
+// boundary, so AllOpts stores them under distinct @shardsN keys.
 func SetFigureShards(n int) int {
 	figShardsMu.Lock()
 	defer figShardsMu.Unlock()
@@ -294,20 +295,6 @@ func simulate(recs []trace.Record, cfgs ...cache.Config) (*dinero.MultiSim, erro
 	reg.Counter("experiments.records_in").Add(int64(len(recs)))
 	ms.PublishTelemetry(reg)
 	return ms, nil
-}
-
-// ckptCounters caches the checkpoint hit/miss/put counters for one run.
-type ckptCounters struct {
-	hits, misses, puts *telemetry.Counter
-}
-
-func checkpointCounters() ckptCounters {
-	reg := telemetry.Default()
-	return ckptCounters{
-		hits:   reg.Counter("experiments.checkpoint.hits"),
-		misses: reg.Counter("experiments.checkpoint.misses"),
-		puts:   reg.Counter("experiments.checkpoint.puts"),
-	}
 }
 
 func histogramResult(id, title string, recs []trace.Record, cfg cache.Config) (*Result, error) {
@@ -582,45 +569,46 @@ func AllParallel(workers int) ([]*Result, error) {
 	return AllOpts(context.Background(), opts)
 }
 
+// figNS is the store namespace of regenerated figures.
+const figNS = "fig"
+
 // AllOpts regenerates every figure under explicit run options. A non-nil
-// checkpoint replays figures finished by an earlier interrupted run
-// (restored results print identically; their SimReport is empty) and
-// persists fresh ones. On error the partial result slice is returned with
-// it — failed or skipped figures are nil entries, and in KeepGoing mode
-// the error is a TaskErrors naming each failed figure while the others
-// completed.
+// store replays figures an earlier run finished (restored results print
+// identically; their SimReport is empty) and stores fresh ones, keyed by
+// figure id, shard tier and engine version. On error the partial result
+// slice is returned with it — failed or skipped figures are nil entries,
+// and in KeepGoing mode the error is a TaskErrors naming each failed
+// figure while the others completed.
 func AllOpts(ctx context.Context, opts RunOptions) ([]*Result, error) {
 	ids := IDs()
 	out := make([]*Result, len(ids))
 	name := func(i int) string { return ids[i] }
-	ck := checkpointCounters()
+	// Sharded figures are a distinct result tier (flush-at-boundary
+	// reference), like the sweeps' @shardsN result keys.
+	tier := ""
+	if n := FigureShards(); n > 1 {
+		tier = fmt.Sprintf("@shards%d", n)
+	}
 	err := forEachPolicy(ctx, opts.Policy, opts.workerCount(), len(ids), name, func(_ context.Context, i int) error {
 		id := ids[i]
-		ckptKey := "fig/" + id
-		if n := FigureShards(); n > 1 {
-			// Sharded figures are a distinct result tier (flush-at-boundary
-			// reference), like the sweeps' @shardsN checkpoint keys.
-			ckptKey = fmt.Sprintf("fig/%s@shards%d", id, n)
-		}
-		if opts.Checkpoint != nil {
-			var saved Result
-			if ok, err := opts.Checkpoint.Get(ckptKey, &saved); err != nil {
+		key := fmt.Sprintf("%s%s@engine%d", id, tier, simcache.EngineVersion)
+		if opts.Store != nil {
+			saved, ok, err := simcache.Record[Result](opts.Store, figNS, key)
+			if err != nil {
 				return err
-			} else if ok {
-				ck.hits.Inc()
+			}
+			if ok {
 				out[i] = &saved
 				return nil
 			}
-			ck.misses.Inc()
 		}
 		r, err := Run(id)
 		if err != nil {
 			return err // forEachPolicy's TaskError labels it with the figure id
 		}
 		out[i] = r
-		if opts.Checkpoint != nil {
-			ck.puts.Inc()
-			return opts.Checkpoint.Put(ckptKey, r)
+		if opts.Store != nil {
+			return opts.Store.PutRecord(figNS, key, r)
 		}
 		return nil
 	})

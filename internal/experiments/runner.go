@@ -47,34 +47,31 @@ func Parallelism() int {
 }
 
 // RunOptions bundles everything that shapes a resilient batch run: worker
-// count, failure policy, and the checkpoint store (nil = no persistence).
+// count, failure policy, and the store (nil = no persistence).
 type RunOptions struct {
 	// Workers is the pool size; values below 1 mean the SetParallelism
 	// default.
 	Workers int
 	// Policy is the per-task failure policy.
 	Policy RunPolicy
-	// Checkpoint, when non-nil, is consulted before each task (completed
-	// tasks are skipped, their stored results reused) and updated after
-	// each task completes — the resume path of cmd/experiments.
-	Checkpoint *Checkpoint
+	// Store, when non-nil, holds every finished sweep point as a result —
+	// content-addressed by (trace hash, config, result tier, engine
+	// version) — and every regenerated figure as a record. Work it
+	// already holds is restored instead of recomputed, whether an
+	// interrupted run stored it or any earlier run, spec or process did:
+	// the resume path of cmd/experiments.
+	Store *simcache.Store
 	// Sampling selects the sweeps' approximation tier (exact when zero).
-	// Sampled results are estimates: they checkpoint under distinct keys
+	// Sampled results are estimates: they are stored under distinct keys
 	// and never mix with exact ones.
 	Sampling dinero.Sampling
 	// Shards > 1 splits each sweep side's record stream into that many
 	// contiguous shards simulated in parallel on cold caches and merges
 	// the per-config statistics with cache.Stats.Merge. The result equals
 	// a serial run that flushes the cache at every shard boundary, so it
-	// checkpoints under distinct keys and never mixes with unsharded
+	// is stored under distinct keys and never mixes with unsharded
 	// results. Incompatible with non-exact Sampling.
 	Shards int
-	// SimCache, when non-nil, memoizes finished sweep simulations on disk,
-	// content-addressed by (trace hash, config, result tier, engine
-	// version). Unlike Checkpoint — which keys by task name and is scoped
-	// to one resumable run — the result cache recognizes identical work
-	// across runs, specs and processes. Both can be active at once.
-	SimCache *simcache.Store
 }
 
 // workerCount resolves the effective pool size.
@@ -86,7 +83,7 @@ func (o *RunOptions) workerCount() int {
 }
 
 // DefaultRunOptions is the options Sweeps/All use: the process-wide
-// parallelism and policy, no checkpointing.
+// parallelism and policy, no store.
 func DefaultRunOptions() RunOptions {
 	return RunOptions{Workers: Parallelism(), Policy: Policy()}
 }

@@ -69,23 +69,20 @@ func TestSweepShardedDegenerate(t *testing.T) {
 }
 
 // TestSweepsShardedCheckpointSeparation: sharded results equal a
-// flush-at-boundary run, not a plain serial one — they must checkpoint
-// under distinct keys and never replay into unsharded entries.
+// flush-at-boundary run, not a plain serial one — they must be stored
+// under distinct keys and never replay unsharded entries.
 func TestSweepsShardedCheckpointSeparation(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir)
-	if err != nil {
+	store, _ := openStore(t, dir)
+	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Store: store}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Checkpoint: ck}); err != nil {
+	store2, reg2 := openStore(t, dir)
+	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Store: store2, Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	exactKeys := ck.Len()
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Checkpoint: ck, Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if ck.Len() == exactKeys {
-		t.Fatal("sharded run reused unsharded checkpoint entries")
+	if hits, puts := reg2.Counter("simcache.hits").Value(), reg2.Counter("simcache.puts").Value(); hits != 0 || puts == 0 {
+		t.Fatalf("sharded run: %d hits, %d puts — it reused unsharded entries", hits, puts)
 	}
 }
 

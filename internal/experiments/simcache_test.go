@@ -8,7 +8,9 @@ import (
 	"tracedst/internal/telemetry"
 )
 
-func openSimCache(t *testing.T, dir string) (*simcache.Store, *telemetry.Registry) {
+// openStore opens a store handle on dir with a registry of its own, as a
+// separate process would.
+func openStore(t *testing.T, dir string) (*simcache.Store, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	sc, err := simcache.Open(dir, reg)
@@ -25,8 +27,8 @@ func openSimCache(t *testing.T, dir string) (*simcache.Store, *telemetry.Registr
 func TestSweepSimCacheSecondRunAllHits(t *testing.T) {
 	dir := t.TempDir()
 
-	sc1, reg1 := openSimCache(t, dir)
-	first, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, SimCache: sc1})
+	sc1, reg1 := openStore(t, dir)
+	first, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Store: sc1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +45,8 @@ func TestSweepSimCacheSecondRunAllHits(t *testing.T) {
 	}
 
 	// A fresh handle over the same directory, as a separate process.
-	sc2, reg2 := openSimCache(t, dir)
-	second, err := SweepsOpts(context.Background(), RunOptions{Workers: 4, SimCache: sc2})
+	sc2, reg2 := openStore(t, dir)
+	second, err := SweepsOpts(context.Background(), RunOptions{Workers: 4, Store: sc2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,60 +64,18 @@ func TestSweepSimCacheSecondRunAllHits(t *testing.T) {
 	}
 }
 
-// TestSweepSimCacheBackfillsCheckpoint: a cache hit also lands in the
-// run's checkpoint, so a later resume on the checkpoint alone replays
-// without touching either the trace or the cache.
-func TestSweepSimCacheBackfillsCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	sc1, _ := openSimCache(t, dir)
-	first, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, SimCache: sc1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprintSweeps(first)
-
-	ckDir := t.TempDir()
-	ck, err := OpenCheckpoint(ckDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc2, reg2 := openSimCache(t, dir)
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, SimCache: sc2, Checkpoint: ck}); err != nil {
-		t.Fatal(err)
-	}
-	if m := reg2.Counter("simcache.misses").Value(); m != 0 {
-		t.Fatalf("warm run: %d misses, want 0", m)
-	}
-	if ck.Len() == 0 {
-		t.Fatal("cache hits were not backfilled into the checkpoint")
-	}
-
-	// Checkpoint-only replay: no cache handle at all.
-	ck2, err := OpenCheckpoint(ckDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Checkpoint: ck2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprintSweeps(replayed); got != want {
-		t.Errorf("checkpoint replay of cached results differs:\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
-}
-
 // TestSweepSimCacheShardTierIsSeparate: sharded sweeps equal a
 // flush-at-boundary serial run, not an unflushed one, so their results
 // live under a distinct key tier and never answer exact serial lookups
 // (or vice versa).
 func TestSweepSimCacheShardTierIsSeparate(t *testing.T) {
 	dir := t.TempDir()
-	sc1, _ := openSimCache(t, dir)
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, SimCache: sc1}); err != nil {
+	sc1, _ := openStore(t, dir)
+	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Store: sc1}); err != nil {
 		t.Fatal(err)
 	}
-	sc2, reg2 := openSimCache(t, dir)
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Shards: 2, SimCache: sc2}); err != nil {
+	sc2, reg2 := openStore(t, dir)
+	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Shards: 2, Store: sc2}); err != nil {
 		t.Fatal(err)
 	}
 	if h := reg2.Counter("simcache.hits").Value(); h != 0 {

@@ -170,9 +170,8 @@ func sweepMissesSharded(ctx context.Context, recs []trace.Record, cfgs []cache.C
 	return out, nil
 }
 
-// samplingKeySuffix distinguishes sampled checkpoint entries from exact
-// ones — an estimate must never be replayed as an exact result or vice
-// versa.
+// samplingKeySuffix distinguishes sampled results from exact ones — an
+// estimate must never be replayed as an exact result or vice versa.
 func samplingKeySuffix(sm dinero.Sampling) string {
 	if sm.Exact() {
 		return ""
@@ -184,10 +183,10 @@ func samplingKeySuffix(sm dinero.Sampling) string {
 	return fmt.Sprintf("@sets%d-int%d-win%d", sm.SetFactor, sm.Interval, w)
 }
 
-// runKeySuffix is the full checkpoint-key qualifier for a run's result
-// tier: sampling parameters and/or shard count. Sharded results equal a
-// flush-at-boundary serial run, not a plain one, so they must not replay
-// into (or from) unsharded entries.
+// runKeySuffix is the result tier of a run's keys: sampling parameters
+// and/or shard count. Sharded results equal a flush-at-boundary serial
+// run, not a plain one, so they must not replay into (or from) unsharded
+// entries.
 func runKeySuffix(opts RunOptions) string {
 	s := samplingKeySuffix(opts.Sampling)
 	if opts.Shards > 1 {
@@ -246,12 +245,7 @@ func sweepSpecs() []sweepSpec {
 	}
 }
 
-// sweepEntry is the checkpointed value of one sweep task.
-type sweepEntry struct {
-	Misses int64 `json:"misses"`
-}
-
-// sweepSides names the two halves of a sweep point in checkpoint keys and
+// sweepSides names the two halves of a sweep point in task names and
 // error reports.
 var sweepSides = [2]string{"orig", "xform"}
 
@@ -260,13 +254,13 @@ var sweepSides = [2]string{"orig", "xform"}
 // evaluated in a single pass over the shared immutable record slice by the
 // multi-config engine, so a full run touches each trace exactly twice (its
 // two sides) instead of once per size. Results land in pre-assigned slots,
-// so the output is byte-identical whatever the worker count. With a
-// checkpoint, sizes persisted by an earlier run — even one made by the
-// per-config engine, the keys are unchanged — are restored, and only the
-// missing sizes are simulated (configs are independent, so a subset pass
-// produces identical numbers). On error the partially-filled results are
-// returned alongside it: completed points are valid (and, when
-// checkpointed, already safe on disk).
+// so the output is byte-identical whatever the worker count. With a store,
+// each point is looked up once by its content key — trace hash, config,
+// result tier, engine version — and only the missing sizes are simulated
+// (configs are independent, so a subset pass produces identical numbers)
+// and stored. On error the partially-filled results are returned
+// alongside it: completed points are valid (and, with a store, already
+// safe on disk).
 func runSweeps(ctx context.Context, specs []sweepSpec, opts RunOptions) ([]*SweepResult, error) {
 	if opts.Shards > 1 && !opts.Sampling.Exact() {
 		return nil, fmt.Errorf("experiments: sharding and sampling cannot combine (interval windows depend on global record position)")
@@ -283,12 +277,10 @@ func runSweeps(ctx context.Context, specs []sweepSpec, opts RunOptions) ([]*Swee
 		tasks = append(tasks, task{si, 0}, task{si, 1})
 		out[si] = r
 	}
-	suffix := runKeySuffix(opts)
-	key := func(tk task, pi int) string {
-		sp := specs[tk.spec]
-		return fmt.Sprintf("sweep/%s/%d/%s%s", sp.id, sp.sizes[pi], sweepSides[tk.side], suffix)
-	}
-	store := func(tk task, pi int, m int64) {
+	// Keys carry the run's tier, so sampled, sharded and exact results
+	// never cross.
+	tier := runKeySuffix(opts)
+	set := func(tk task, pi int, m int64) {
 		if tk.side == 0 {
 			out[tk.spec].Points[pi].MissesOrig = m
 		} else {
@@ -299,28 +291,9 @@ func runSweeps(ctx context.Context, specs []sweepSpec, opts RunOptions) ([]*Swee
 		tk := tasks[ti]
 		return fmt.Sprintf("sweep/%s/%s", specs[tk.spec].id, sweepSides[tk.side])
 	}
-	ck := checkpointCounters()
 	err := forEachPolicy(ctx, opts.Policy, opts.workerCount(), len(tasks), name, func(ctx context.Context, ti int) error {
 		tk := tasks[ti]
 		sp := specs[tk.spec]
-		missing := make([]int, 0, len(sp.sizes))
-		for pi := range sp.sizes {
-			if opts.Checkpoint != nil {
-				var saved sweepEntry
-				if ok, err := opts.Checkpoint.Get(key(tk, pi), &saved); err != nil {
-					return err
-				} else if ok {
-					ck.hits.Inc()
-					store(tk, pi, saved.Misses)
-					continue
-				}
-				ck.misses.Inc()
-			}
-			missing = append(missing, pi)
-		}
-		if len(missing) == 0 {
-			return nil
-		}
 		recsOf := sp.orig
 		if tk.side == 1 {
 			recsOf = sp.xform
@@ -329,43 +302,34 @@ func runSweeps(ctx context.Context, specs []sweepSpec, opts RunOptions) ([]*Swee
 		if err != nil {
 			return err
 		}
-		// The result cache is consulted per missing config: hits restore
-		// the stored misses (and backfill the checkpoint), only the rest
-		// simulate. Keys carry the run's tier suffix, so sampled, sharded
-		// and exact results never cross.
-		cacheKey := func(pi int) simcache.Key { return simcache.Key{} }
-		if opts.SimCache != nil {
+		var key func(pi int) simcache.Key
+		if opts.Store != nil {
 			traceHash := simcache.HashRecords(recs)
-			cacheKey = func(pi int) simcache.Key {
+			key = func(pi int) simcache.Key {
 				return simcache.Key{
 					Trace:    traceHash,
 					Config:   simcache.ConfigSig(sp.config(sp.sizes[pi])),
-					Sampling: suffix,
+					Sampling: tier,
 					Engine:   simcache.EngineVersion,
 				}
 			}
-			still := missing[:0]
-			for _, pi := range missing {
-				e, ok, err := opts.SimCache.Get(cacheKey(pi))
+		}
+		missing := make([]int, 0, len(sp.sizes))
+		for pi := range sp.sizes {
+			if key != nil {
+				e, ok, err := opts.Store.Result(key(pi))
 				if err != nil {
 					return err
 				}
-				if !ok {
-					still = append(still, pi)
+				if ok {
+					set(tk, pi, e.Misses)
 					continue
 				}
-				store(tk, pi, e.Misses)
-				if opts.Checkpoint != nil {
-					ck.puts.Inc()
-					if err := opts.Checkpoint.Put(key(tk, pi), sweepEntry{Misses: e.Misses}); err != nil {
-						return err
-					}
-				}
 			}
-			missing = still
-			if len(missing) == 0 {
-				return nil
-			}
+			missing = append(missing, pi)
+		}
+		if len(missing) == 0 {
+			return nil
 		}
 		cfgs := make([]cache.Config, len(missing))
 		for i, pi := range missing {
@@ -381,15 +345,9 @@ func runSweeps(ctx context.Context, specs []sweepSpec, opts RunOptions) ([]*Swee
 			return err
 		}
 		for i, pi := range missing {
-			store(tk, pi, misses[i])
-			if opts.Checkpoint != nil {
-				ck.puts.Inc()
-				if err := opts.Checkpoint.Put(key(tk, pi), sweepEntry{Misses: misses[i]}); err != nil {
-					return err
-				}
-			}
-			if opts.SimCache != nil {
-				if err := opts.SimCache.Put(cacheKey(pi), simcache.Entry{
+			set(tk, pi, misses[i])
+			if key != nil {
+				if err := opts.Store.PutResult(key(pi), simcache.Entry{
 					Records: int64(len(recs)), Misses: misses[i],
 				}); err != nil {
 					return err
@@ -448,8 +406,8 @@ func SweepsParallel(workers int) ([]*SweepResult, error) {
 
 // SweepsOpts runs all layout sweeps under explicit run options: the
 // context cancels the run (SIGINT wiring lives in cmd/experiments), the
-// policy shapes per-task failure handling, and a non-nil checkpoint makes
-// the run crash-resumable. On error, the partial results computed (or
+// policy shapes per-task failure handling, and a non-nil store makes the
+// run crash-resumable. On error, the partial results computed (or
 // restored) so far are returned with it — in KeepGoing mode the error is a
 // TaskErrors listing every failed simulation while the rest completed.
 func SweepsOpts(ctx context.Context, opts RunOptions) ([]*SweepResult, error) {

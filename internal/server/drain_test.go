@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"tracedst/internal/cache"
-	"tracedst/internal/experiments"
+	"tracedst/internal/simcache"
 	"tracedst/internal/telemetry"
 )
 
@@ -83,9 +83,9 @@ func TestDrainRestartResume(t *testing.T) {
 	}
 }
 
-// TestDrainPersistsQueuedState: after Shutdown, the checkpoint on disk
-// holds every unfinished job as queued — nothing is lost, nothing is
-// left marked running.
+// TestDrainPersistsQueuedState: after Shutdown, the store on disk holds
+// every unfinished job as queued — nothing is lost, nothing is left
+// marked running.
 func TestDrainPersistsQueuedState(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := New(Config{
@@ -111,16 +111,16 @@ func TestDrainPersistsQueuedState(t *testing.T) {
 	}
 	ts.Close()
 
-	// Read the persisted state straight from the checkpoint store: a
-	// restarted server's worker may pick a resumed job up at once, so its
-	// in-memory state would race with this check.
-	ck, err := experiments.OpenCheckpoint(filepath.Join(dir, "jobs"))
+	// Read the persisted state straight from the store: a restarted
+	// server's worker may pick a resumed job up at once, so its in-memory
+	// state would race with this check.
+	store, err := simcache.Open(filepath.Join(dir, "store"), telemetry.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{a.ID, b.ID} {
-		var rec Job
-		if ok, err := ck.Get("job/"+id, &rec); err != nil || !ok {
+		rec, ok, err := simcache.Record[Job](store, jobNS, id)
+		if err != nil || !ok {
 			t.Fatalf("job %s lost across drain (ok=%v, err=%v)", id, ok, err)
 		}
 		if rec.State != StateQueued {
@@ -155,10 +155,10 @@ func TestDrainPersistsQueuedState(t *testing.T) {
 }
 
 // TestPersistKeepsLatestState: the upload handler and the worker both
-// checkpoint a job, and a snapshot the handler took before the worker ran
+// persist a job, and a snapshot the handler took before the worker ran
 // must not land after the worker's terminal write — a restart would then
 // re-run a finished job. Here one goroutine persists a job over and over
-// while another drives it to done; the checkpoint must end at done.
+// while another drives it to done; the record on disk must end at done.
 func TestPersistKeepsLatestState(t *testing.T) {
 	srv, err := New(Config{StateDir: t.TempDir(), Workers: 1, RatePerSec: -1, Reg: telemetry.NewRegistry()})
 	if err != nil {
@@ -189,12 +189,12 @@ func TestPersistKeepsLatestState(t *testing.T) {
 		}
 		close(stop)
 		wg.Wait()
-		var rec Job
-		if ok, err := srv.ck.Get("job/"+j.ID, &rec); err != nil || !ok {
-			t.Fatalf("round %d: checkpoint missing (ok=%v, err=%v)", round, ok, err)
+		rec, ok, err := simcache.Record[Job](srv.store, jobNS, j.ID)
+		if err != nil || !ok {
+			t.Fatalf("round %d: record missing (ok=%v, err=%v)", round, ok, err)
 		}
 		if rec.State != StateDone {
-			t.Fatalf("round %d: checkpoint holds %s after the job finished", round, rec.State)
+			t.Fatalf("round %d: record holds %s after the job finished", round, rec.State)
 		}
 	}
 }

@@ -46,9 +46,11 @@ func (st JobState) terminal() bool {
 }
 
 // Job is the persisted face of one managed trace-analysis run: both the
-// API resource (minus Report, which has its own endpoint) and the value
-// checkpointed under "job/<id>", so a restarted server reloads exactly
-// what the API was reporting.
+// API resource (minus Report, which has its own endpoint) and the record
+// stored under its ID in the store's job namespace, so a restarted server
+// reloads exactly what the API was reporting. The stored record leaves
+// Report out: a done job's report lives once, in the result its Result
+// key names.
 type Job struct {
 	ID    string   `json:"id"`
 	State JobState `json:"state"`
@@ -61,8 +63,7 @@ type Job struct {
 	// Bytes is the spooled upload size.
 	Bytes int64 `json:"bytes"`
 	// TraceHash is the hex SHA-256 of the upload's bytes, computed while
-	// spooling; the result cache keys the job by it. Jobs persisted by a
-	// server that did not hash uploads have none and run uncached.
+	// spooling; the job's result is keyed by it.
 	TraceHash string `json:"trace_hash,omitempty"`
 	// Records is the number of records simulated (0 until done).
 	Records int64 `json:"records"`
@@ -80,8 +81,12 @@ type Job struct {
 	Cached bool `json:"cached,omitempty"`
 	// Error is the failure/cancel reason for terminal non-done states.
 	Error string `json:"error,omitempty"`
-	// Report is the rendered simulator report (done jobs only).
+	// Report is the rendered simulator report (done jobs only). It is
+	// kept in memory and never written into the job's record.
 	Report string `json:"report,omitempty"`
+	// Result is the key of the stored result holding the report (done
+	// jobs only).
+	Result *simcache.Key `json:"result,omitempty"`
 	// TraceID is the job's distributed-tracing identity: taken from the
 	// upload's traceparent/X-Request-ID or freshly assigned, echoed in the
 	// X-Trace-ID response header, and stamped on every span the job emits.
@@ -127,7 +132,7 @@ type JobResources struct {
 // progress and the completion latch.
 type job struct {
 	mu sync.Mutex
-	// persistMu orders checkpoint writes of this job: the upload handler
+	// persistMu orders record writes of this job: the upload handler
 	// and the worker both persist it, and without it a snapshot taken
 	// before the worker ran could land after the worker's terminal write.
 	persistMu sync.Mutex
@@ -139,11 +144,13 @@ type job struct {
 }
 
 // jobView is what list/detail endpoints and SSE events serialize: the
-// persisted Job minus the (possibly large) report, plus live progress.
+// Job minus the (possibly large) report and the result key, plus live
+// progress.
 type jobView struct {
 	Job
-	Report   string `json:"report,omitempty"` // shadowed: never inline
-	Progress int64  `json:"progress"`
+	Report   string        `json:"report,omitempty"` // shadowed: never inline
+	Result   *simcache.Key `json:"result,omitempty"` // shadowed: kept for the record
+	Progress int64         `json:"progress"`
 }
 
 // view snapshots the job for serialization.
@@ -175,12 +182,12 @@ func (s *Server) runJob(j *job) {
 	}
 	jctx, cancel := context.WithCancel(s.baseCtx)
 	j.State = StateRunning
+	s.move(StateQueued, StateRunning)
 	j.cancel = cancel
 	traceID, parentSpan := j.TraceID, j.ParentSpan
 	format, bytes := j.Format, j.Bytes
 	j.mu.Unlock()
 	s.persist(j)
-	s.gauges()
 
 	// Root the job's span tree: every stage span started from runCtx
 	// inherits the job's trace ID, the "job" attr, and server.job as its
@@ -226,6 +233,7 @@ func (s *Server) runJob(j *job) {
 		j.State = StateQueued
 		j.Error = ""
 		j.Report = ""
+		j.Result = nil
 		j.Records = 0
 		j.Cached = false
 		j.Resources = nil
@@ -238,6 +246,7 @@ func (s *Server) runJob(j *job) {
 		j.Error = err.Error()
 		j.Finished = s.cfg.now()
 	}
+	s.move(StateRunning, j.State)
 	terminal := j.State.terminal()
 	state := j.State
 	if terminal {
@@ -261,7 +270,6 @@ func (s *Server) runJob(j *job) {
 			}
 		}
 	}
-	s.gauges()
 }
 
 // jobAccountingInterval is the resource-sampling cadence while a job
@@ -364,14 +372,15 @@ func max64(a, b int64) int64 {
 // execute is one attempt of the job's pipeline, streaming the spooled
 // upload in constant memory. It runs under the job context: client
 // cancellation, drain and the per-job timeout all surface here between
-// record batches. An upload whose (trace, config, rule) is already in the
-// result cache skips the pipeline entirely and finishes with the stored
-// report and cached:true.
+// record batches. An upload whose (trace, config, rule) already has a
+// stored result skips the pipeline entirely and finishes with the stored
+// report and cached:true; any other finished simulation is stored as the
+// job's result.
 func (s *Server) execute(ctx context.Context, j *job) error {
 	j.progress.Store(0)
 	path := s.spoolPath(j.ID)
 
-	// Resolve the config up front: it is part of the result-cache key.
+	// Resolve the config up front: it is part of the result key.
 	cfg := s.cfg.BaseConfig
 	var err error
 	if j.ConfigSpec != "" {
@@ -381,15 +390,17 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		}
 	}
 	shards := s.jobShards(j)
-	ckey, haveKey := s.cacheKey(j, cfg, shards)
-	if haveKey {
-		if e, ok, gerr := s.simc.Get(ckey); gerr == nil && ok {
+	key := resultKey(j, cfg, shards)
+	// Throttle holds jobs in flight; a hit would defeat it.
+	if s.cfg.Throttle == 0 {
+		if e, ok, gerr := s.store.Result(key); gerr == nil && ok {
 			j.progress.Store(e.Records)
 			j.mu.Lock()
 			j.Records = e.Records
 			j.BadLines = e.BadLines
 			j.Warnings = e.Warnings
 			j.Report = e.Report
+			j.Result = &key
 			j.Cached = true
 			j.mu.Unlock()
 			s.reg.Counter("server.jobs_cached").Inc()
@@ -437,7 +448,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		j.mu.Unlock()
 		s.reg.Counter("server.records_simulated").Add(sim.Records())
 		res.PublishShardTelemetry(s.reg)
-		s.cachePut(j, ckey, haveKey)
+		s.storeResult(j, key)
 		return nil
 	}
 
@@ -497,7 +508,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	j.mu.Unlock()
 	s.reg.Counter("server.records_simulated").Add(sim.Records())
 	sim.PublishTelemetry(s.reg)
-	s.cachePut(j, ckey, haveKey)
+	s.storeResult(j, key)
 	return nil
 }
 
@@ -535,15 +546,10 @@ func (s *Server) jobShards(j *job) int {
 	return 1
 }
 
-// cacheKey derives the job's result-cache key: the SHA-256 of the
-// upload's bytes (taken while spooling) × config × rule hash × shard tier
-// × engine version. It reports false — no lookup, no store — when the
-// cache is off, the server is throttled (Throttle holds jobs in flight; a
-// hit would defeat it), or the job predates upload hashing.
-func (s *Server) cacheKey(j *job, cfg cache.Config, shards int) (simcache.Key, bool) {
-	if s.simc == nil || s.cfg.Throttle != 0 || j.TraceHash == "" {
-		return simcache.Key{}, false
-	}
+// resultKey derives the job's result key: the SHA-256 of the upload's
+// bytes (taken while spooling) × config × rule hash × shard tier × engine
+// version.
+func resultKey(j *job, cfg cache.Config, shards int) simcache.Key {
 	k := simcache.Key{
 		Trace:  "raw:" + j.TraceHash,
 		Config: simcache.ConfigSig(cfg),
@@ -556,15 +562,13 @@ func (s *Server) cacheKey(j *job, cfg cache.Config, shards int) (simcache.Key, b
 		// runs.
 		k.Sampling = fmt.Sprintf("@jobshards%d", shards)
 	}
-	return k, true
+	return k
 }
 
-// cachePut stores a finished job's outcome under its key; failures are
-// logged, not fatal — the job already has its report.
-func (s *Server) cachePut(j *job, k simcache.Key, haveKey bool) {
-	if !haveKey {
-		return
-	}
+// storeResult stores a finished simulation as the job's result, which
+// the job's record then points at. A failed store is logged, not fatal:
+// the job already has its report, and a restart adopts it as failed.
+func (s *Server) storeResult(j *job, k simcache.Key) {
 	j.mu.Lock()
 	e := simcache.Entry{
 		Records:  j.Records,
@@ -572,9 +576,10 @@ func (s *Server) cachePut(j *job, k simcache.Key, haveKey bool) {
 		Warnings: j.Warnings,
 		Report:   j.Report,
 	}
+	j.Result = &k
 	j.mu.Unlock()
-	if err := s.simc.Put(k, e); err != nil {
-		s.log.Error("result cache store failed", "job", j.ID, "err", err.Error())
+	if err := s.store.PutResult(k, e); err != nil {
+		s.log.Error("result store failed", "job", j.ID, "err", err.Error())
 	}
 }
 

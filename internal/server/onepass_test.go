@@ -105,13 +105,13 @@ func TestOnePassMatchesValidate(t *testing.T) {
 	}
 }
 
-// TestPayloadFlipMissesCache: the cache keys an upload by its bytes, so a
-// copy with one payload bit flipped and the block's stored CRC intact
-// misses the entry of the clean trace and fails exactly as it does on a
-// server with no cache.
+// TestPayloadFlipMissesCache: the store keys an upload's result by its
+// bytes, so a copy with one payload bit flipped and the block's stored
+// CRC intact misses the entry of the clean trace and fails exactly as it
+// does on a fresh server that never saw the clean trace.
 func TestPayloadFlipMissesCache(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
-	_, plain, _ := newTestServer(t, func(c *Config) { c.DisableSimCache = true })
+	_, plain, _ := newTestServer(t, nil)
 	clean := encodeIndexedGLB(t, workloadRecords(2000), 64)
 	flipped := faultinject.GLBFlipPayloadBit(clean)
 
@@ -127,10 +127,10 @@ func TestPayloadFlipMissesCache(t *testing.T) {
 		t.Fatal("damaged upload answered from the clean trace's cache entry")
 	}
 	if want.State != StateFailed {
-		t.Fatalf("uncached server: damaged upload ended %s", want.State)
+		t.Fatalf("fresh server: damaged upload ended %s", want.State)
 	}
 	if got.State != want.State || got.Error != want.Error {
-		t.Errorf("damaged upload ended %s (%q), an uncached server says %s (%q)",
+		t.Errorf("damaged upload ended %s (%q), a fresh server says %s (%q)",
 			got.State, got.Error, want.State, want.Error)
 	}
 	if got.TraceHash == "" || got.TraceHash == getJob(t, ts.URL, "j000001").TraceHash {

@@ -3,7 +3,7 @@
 // job through the decode → validate → xform → dinero pipeline, and
 // defends itself with admission control (rate limiting, body caps,
 // bounded queueing), per-job timeouts/retries/panic isolation, and a
-// graceful drain that checkpoints in-flight jobs so a restarted server
+// graceful drain that persists in-flight jobs so a restarted server
 // resumes them to byte-identical reports.
 package server
 
@@ -39,9 +39,9 @@ import (
 // Config tunes a Server. The zero value is not usable: StateDir is
 // required; every other field has a production default.
 type Config struct {
-	// StateDir is where the server persists state: job records (a
-	// checkpoint directory under jobs/) and spooled uploads (spool/).
-	// Restarting a server on the same StateDir adopts its jobs.
+	// StateDir is where the server persists state: one store (store/)
+	// holding job records and simulation results, and spooled uploads
+	// (spool/). Restarting a server on the same StateDir adopts its jobs.
 	StateDir string
 	// Workers is the number of concurrent job executors (default 2).
 	Workers int
@@ -83,19 +83,15 @@ type Config struct {
 	// debugging/benchmark aid that makes job duration proportional to
 	// trace size, so drain behavior can be exercised deterministically
 	// (tests and the CI smoke rely on it). Zero, the default, disables.
-	// A throttled server also bypasses the result cache: its purpose is
-	// holding jobs in flight, which a cache hit would defeat.
+	// A throttled server also skips result lookups (it still stores
+	// results): its purpose is holding jobs in flight, which a hit would
+	// defeat.
 	Throttle time.Duration
 	// JobShards > 1 runs each indexed binary upload (no rule) through the
 	// sharded simulation engine with that many workers, so one big job
 	// uses all cores. Reports equal a serial run with a cache Flush at
 	// every shard boundary. 0/1 = serial.
 	JobShards int
-	// DisableSimCache turns off the content-addressed result store under
-	// StateDir/simcache. With the cache on (the default), a duplicate
-	// upload of an already-simulated (trace, config, rule) completes
-	// immediately with the stored report and cached:true.
-	DisableSimCache bool
 
 	// now is a test hook: a fake clock for the rate limiter.
 	now func() time.Time
@@ -137,14 +133,22 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// jobNS is the store namespace of job records, keyed by job ID.
+const jobNS = "job"
+
 // Server is a running tracedstd instance.
 type Server struct {
 	cfg     Config
 	reg     *telemetry.Registry
 	log     *slog.Logger
-	ck      *experiments.Checkpoint
-	simc    *simcache.Store // nil when DisableSimCache
+	store   *simcache.Store
 	limiter *rateLimiter
+
+	// queued and running count the jobs in those states (the
+	// server.queue_depth and server.jobs_running gauges). Whoever moves a
+	// job between states moves it between the counts too, under the
+	// job's lock (see move).
+	queued, running *telemetry.Gauge
 
 	baseCtx    context.Context // canceled when draining starts
 	baseCancel context.CancelFunc
@@ -160,85 +164,93 @@ type Server struct {
 }
 
 // New builds a Server on cfg.StateDir, adopting any jobs a previous
-// process left behind: terminal jobs are served read-only, queued and
-// formerly running jobs are re-enqueued (marked Resumed) and will re-run
+// process left behind: terminal jobs are served read-only — a done job's
+// report is read back from its stored result — and queued and formerly
+// running jobs are re-enqueued (marked Resumed) and will re-run
 // deterministically to the same reports. Workers start immediately.
 func New(cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	if cfg.StateDir == "" {
 		return nil, errors.New("server: Config.StateDir is required")
 	}
-	for _, d := range []string{cfg.StateDir, filepath.Join(cfg.StateDir, "spool"), filepath.Join(cfg.StateDir, "jobs")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, err
-		}
+	if err := os.MkdirAll(filepath.Join(cfg.StateDir, "spool"), 0o755); err != nil {
+		return nil, err
 	}
-	ck, err := experiments.OpenCheckpoint(filepath.Join(cfg.StateDir, "jobs"))
+	store, err := simcache.Open(filepath.Join(cfg.StateDir, "store"), cfg.Reg)
 	if err != nil {
 		return nil, err
 	}
-	var simc *simcache.Store
-	if !cfg.DisableSimCache {
-		simc, err = simcache.Open(filepath.Join(cfg.StateDir, "simcache"), cfg.Reg)
-		if err != nil {
-			return nil, err
-		}
+	recs, err := simcache.Records[Job](store, jobNS)
+	if err != nil {
+		return nil, err
 	}
-	baseCtx, baseCancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		reg:        cfg.Reg,
-		simc:       simc,
-		log:        cfg.Log,
-		ck:         ck,
-		limiter:    newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.now),
-		baseCtx:    baseCtx,
-		baseCancel: baseCancel,
-		jobs:       map[string]*job{},
+		cfg:     cfg,
+		reg:     cfg.Reg,
+		store:   store,
+		log:     cfg.Log,
+		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.now),
+		queued:  cfg.Reg.Gauge("server.queue_depth"),
+		running: cfg.Reg.Gauge("server.jobs_running"),
+		jobs:    map[string]*job{},
 	}
 
 	// Adopt persisted jobs before sizing the queue: resumed jobs must all
 	// fit regardless of QueueDepth, or a restart could shed its own
 	// backlog.
 	var resumable []*job
-	for _, key := range ck.Keys("job/") {
-		var rec Job
-		if ok, err := ck.Get(key, &rec); err != nil || !ok {
-			continue
-		}
+	for _, rec := range recs {
 		j := &job{Job: rec, done: make(chan struct{})}
 		if n := jobSeq(rec.ID); n > s.seq {
 			s.seq = n
 		}
-		if rec.State.terminal() {
-			close(j.done)
-		} else {
+		s.jobs[rec.ID] = j
+		s.order = append(s.order, rec.ID)
+		lost := ""
+		switch {
+		case rec.State == StateDone:
+			var e simcache.Entry
+			ok := false
+			if rec.Result != nil {
+				if e, ok, err = store.Result(*rec.Result); err != nil {
+					return nil, err
+				}
+			}
+			if !ok {
+				lost = "stored result lost across restart"
+			}
+			j.Report = e.Report
+		case rec.State.terminal():
+		default:
 			if _, err := os.Stat(s.spoolPath(rec.ID)); err != nil {
-				j.State = StateFailed
-				j.Error = "spooled upload lost across restart"
-				j.Finished = cfg.now()
-				close(j.done)
-				s.jobs[rec.ID] = j
-				s.order = append(s.order, rec.ID)
-				s.persist(j)
-				continue
+				lost = "spooled upload lost across restart"
+				break
 			}
 			j.State = StateQueued
 			j.Resumed = true
 			j.Error = ""
 			s.reg.Counter("server.jobs_resumed").Inc()
 			resumable = append(resumable, j)
+			continue
 		}
-		s.jobs[rec.ID] = j
-		s.order = append(s.order, rec.ID)
+		if lost != "" {
+			j.State = StateFailed
+			j.Error = lost
+			j.Result = nil
+			j.Finished = cfg.now()
+			s.persist(j)
+		}
+		close(j.done)
 	}
 	s.queue = make(chan *job, cfg.QueueDepth+len(resumable))
+	s.queued.Set(int64(len(resumable)))
+	s.running.Set(0)
 	for _, j := range resumable {
 		s.persist(j)
 		s.queue <- j
 	}
-	s.gauges()
 
+	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -279,7 +291,8 @@ func (s *Server) removeSpool(id string) {
 	}
 }
 
-// persist checkpoints the job's current Job record.
+// persist writes the job's current record to the store. The report is
+// left out: a done job's record points at its result, which holds it.
 func (s *Server) persist(j *job) {
 	// Snapshot under persistMu, so the last write always holds the latest
 	// state.
@@ -288,28 +301,28 @@ func (s *Server) persist(j *job) {
 	j.mu.Lock()
 	rec := j.Job
 	j.mu.Unlock()
-	if err := s.ck.Put("job/"+rec.ID, rec); err != nil {
-		s.log.Error("checkpoint write failed", "job", rec.ID, "err", err)
+	rec.Report = ""
+	if err := s.store.PutRecord(jobNS, rec.ID, rec); err != nil {
+		s.log.Error("job record write failed", "job", rec.ID, "err", err)
 	}
 }
 
-// gauges refreshes the queue/running gauges.
-func (s *Server) gauges() {
-	s.mu.Lock()
-	var queued, running int64
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		switch j.State {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
-		}
-		j.mu.Unlock()
+// move counts one job out of state from and into state to in the queued
+// and running gauges. The caller has just made that transition under the
+// job's lock, still held (or before the job is shared), so anyone who
+// sees the job's new state also sees it counted.
+func (s *Server) move(from, to JobState) {
+	s.count(from, -1)
+	s.count(to, 1)
+}
+
+func (s *Server) count(st JobState, n int64) {
+	switch st {
+	case StateQueued:
+		s.queued.Add(n)
+	case StateRunning:
+		s.running.Add(n)
 	}
-	s.mu.Unlock()
-	s.reg.Gauge("server.queue_depth").Set(queued)
-	s.reg.Gauge("server.jobs_running").Set(running)
 }
 
 // Handler returns the server's HTTP API.
@@ -509,9 +522,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "spool: %v", err)
 		return
 	}
+	// Counted before a worker can take it off the queue.
+	s.move("", StateQueued)
 	select {
 	case s.queue <- j:
 	default:
+		s.move(StateQueued, "")
 		s.seq--
 		s.mu.Unlock()
 		os.Remove(s.spoolPath(id))
@@ -524,7 +540,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.persist(j)
 	s.reg.Counter("server.uploads").Inc()
-	s.gauges()
 	s.log.Info("job accepted", "job", id, "bytes", n, "format", j.Format, "trace", j.TraceID)
 
 	w.Header().Set("X-Trace-ID", j.TraceID)
@@ -586,6 +601,7 @@ func (s *Server) cancelJob(j *job, reason string) bool {
 	if j.State == StateQueued {
 		// Never started: transition directly; the worker will skip it.
 		j.State = StateCanceled
+		s.move(StateQueued, StateCanceled)
 		j.Error = reason
 		j.Finished = s.cfg.now()
 		s.reg.Counter("server.jobs_canceled").Inc()
@@ -593,7 +609,6 @@ func (s *Server) cancelJob(j *job, reason string) bool {
 		s.persist(j)
 		s.removeSpool(j.ID)
 		close(j.done)
-		s.gauges()
 		return true
 	}
 	j.mu.Unlock()
@@ -698,7 +713,6 @@ func wantPrometheus(r *http.Request) bool {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.gauges()
 	if wantPrometheus(r) {
 		w.Header().Set("Content-Type", telemetry.PromContentType)
 		if err := s.reg.WritePrometheus(w, "tracedstd"); err != nil {
@@ -718,22 +732,8 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	s.mu.Lock()
-	var queued, running int
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		switch j.State {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
-		}
-		j.mu.Unlock()
-	}
-	workers := s.cfg.Workers
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]int{"queued": queued, "running": running, "workers": workers})
+	writeJSON(w, map[string]int64{"queued": s.queued.Value(), "running": s.running.Value(), "workers": int64(s.cfg.Workers)})
 }
 
 func (s *Server) isDraining() bool {

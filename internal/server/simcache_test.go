@@ -122,7 +122,7 @@ func TestForgedCollisionMisses(t *testing.T) {
 		}
 	}
 
-	entries, err := filepath.Glob(filepath.Join(srv.cfg.StateDir, "simcache", "*.json"))
+	entries, err := filepath.Glob(filepath.Join(srv.cfg.StateDir, "store", "sim", "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,9 @@ func TestForgedCollisionMisses(t *testing.T) {
 }
 
 // TestThrottledServerBypassesCache: Throttle exists to hold jobs in
-// flight (drain testing); answering from the cache would defeat it, so
-// duplicates re-run.
+// flight (drain testing); answering from the store would defeat it, so
+// duplicates re-run — and each run still stores its result, which the
+// job's record points at.
 func TestThrottledServerBypassesCache(t *testing.T) {
 	_, ts, reg := newTestServer(t, func(c *Config) { c.Throttle = time.Millisecond })
 	glb := encodeGLB(t, workloadRecords(300), 64)
@@ -173,6 +174,9 @@ func TestThrottledServerBypassesCache(t *testing.T) {
 	}
 	if got := reg.Counter("simcache.lookups").Value(); got != 0 {
 		t.Errorf("throttled server consulted the cache %d times", got)
+	}
+	if got := reg.Counter("simcache.puts").Value(); got != 2 {
+		t.Errorf("throttled server stored %d results, want 2", got)
 	}
 }
 

@@ -1,18 +1,25 @@
-// Package simcache is a content-addressed, on-disk store of finished
-// simulation results. Entries are keyed by what determines a result —
-// trace content hash, cache configuration, transformation rule, sampling
-// or sharding tier, and engine version — so any consumer that is about to
-// simulate a (trace, config, rule) it has seen before can return the
-// stored statistics and rendered report instead of walking the trace
-// again. The experiments sweeps consult it alongside checkpoints, and the
-// trace service uses it to answer duplicate uploads immediately.
+// Package simcache is the repository's one on-disk store. It holds two
+// kinds of entry:
 //
-// The store is a flat directory of JSON files named by the SHA-256 of the
-// key, written atomically (write-to-temp + rename, like checkpoints), so
-// concurrent writers and readers — including separate processes sharing
-// one cache directory — see either a complete entry or none. A stored
-// entry embeds its key; a digest collision or torn file therefore reads
-// as a miss, never as a wrong result.
+//   - results: finished simulations, keyed by what determines them —
+//     trace content hash, cache configuration, transformation rule,
+//     sampling or sharding tier, and engine version — so any consumer
+//     about to simulate a (trace, config, rule) it has seen before can
+//     return the stored statistics and rendered report instead of walking
+//     the trace again. The experiments sweeps store one per sweep point;
+//     the trace service stores one per simulated upload and answers
+//     duplicate uploads from it.
+//   - records: any other value a consumer keeps, under a string key in a
+//     namespace of its own — a regenerated figure, a service job.
+//
+// A store is a directory with one subdirectory per namespace; results
+// live in "sim". Each entry is one JSON file named by the SHA-256 of its
+// full key, holding {"key": …, "value": …}, written atomically
+// (write-to-temp + rename), so concurrent writers and readers — including
+// separate processes sharing one directory — see either a complete entry
+// or none. An absent file, a torn file, or a file whose embedded key
+// differs from the one asked for reads as a miss, never as a wrong value.
+// Entries are read from disk when asked for; nothing is loaded up front.
 //
 // Invalidation is by key, never in place: traces are content-hashed, and
 // any change to simulation semantics must bump EngineVersion, which
@@ -28,16 +35,22 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 
 	"tracedst/internal/cache"
 	"tracedst/internal/telemetry"
 	"tracedst/internal/trace"
 )
 
-// EngineVersion is part of every key. Bump it whenever simulation or
+// EngineVersion is part of every result key and of any record key that
+// stands for simulated output. Bump it whenever simulation or
 // report-rendering semantics change in any way that can alter stored
 // results — stale entries then simply stop matching.
 const EngineVersion = 1
+
+// resultNS is the namespace results live in.
+const resultNS = "sim"
 
 // Key identifies one simulation result. Equal keys mean equal results;
 // every field that can change the outcome must be represented.
@@ -64,9 +77,14 @@ func (k Key) digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// recordDigest is a record's file name: SHA-256 over its namespace and key.
+func recordDigest(ns, key string) string {
+	sum := sha256.Sum256([]byte(ns + "\x00" + key))
+	return hex.EncodeToString(sum[:])
+}
+
 // Entry is one stored result. Consumers populate what they have: sweeps
-// store miss totals, the service stores the full report; Stats carries
-// the merged raw counters when available.
+// store miss totals, the service stores the full report.
 type Entry struct {
 	// Records is how many records the simulation consumed.
 	Records int64 `json:"records"`
@@ -76,20 +94,19 @@ type Entry struct {
 	Warnings int `json:"warnings,omitempty"`
 	// Misses is the total miss count (demand misses, as Stats.Misses).
 	Misses int64 `json:"misses"`
-	// Stats holds the merged raw statistics, when the producer kept them.
-	Stats *cache.Stats `json:"stats,omitempty"`
 	// Report is the rendered text report, byte-for-byte.
 	Report string `json:"report,omitempty"`
 }
 
-// envelope is the on-disk form: the key rides along so a reader can
-// reject collisions and torn writes.
-type envelope struct {
-	Key   Key   `json:"key"`
-	Entry Entry `json:"entry"`
+// envelope is the on-disk form of every entry: the key rides along so a
+// reader can reject collisions and misplaced files, and decoding into the
+// typed envelope reads each file exactly once.
+type envelope[K comparable, V any] struct {
+	Key   K `json:"key"`
+	Value V `json:"value"`
 }
 
-// Store is a handle on one cache directory. All methods are safe for
+// Store is a handle on one store directory. All methods are safe for
 // concurrent use; distinct processes may share a directory.
 type Store struct {
 	dir string
@@ -100,10 +117,10 @@ type Store struct {
 	puts    *telemetry.Counter
 }
 
-// Open returns a Store over dir, creating it if needed. Telemetry
+// Open returns a Store over dir, creating it if needed. Result telemetry
 // (simcache.lookups/hits/misses/puts) registers on reg — nil means the
 // default registry — eagerly, so manifests show zeros rather than
-// omitting the counters on an idle cache.
+// omitting the counters on an idle store. Records are not counted.
 func Open(dir string, reg *telemetry.Registry) (*Store, error) {
 	if reg == nil {
 		reg = telemetry.Default()
@@ -120,43 +137,119 @@ func Open(dir string, reg *telemetry.Registry) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.digest()+".json") }
-
-// Get looks k up. A malformed or mismatching file counts as a miss — the
-// caller re-simulates and overwrites it. Every lookup is exactly one hit
-// or one miss (simcache.lookups == hits + misses).
-func (s *Store) Get(k Key) (Entry, bool, error) {
-	s.lookups.Inc()
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		s.misses.Inc()
-		if errors.Is(err, fs.ErrNotExist) {
-			return Entry{}, false, nil
-		}
-		return Entry{}, false, fmt.Errorf("simcache: %w", err)
-	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Key != k {
-		s.misses.Inc()
-		return Entry{}, false, nil
-	}
-	s.hits.Inc()
-	return env.Entry, true, nil
+func (s *Store) path(ns, digest string) string {
+	return filepath.Join(s.dir, ns, digest+".json")
 }
 
-// Put stores e under k, atomically replacing any previous entry.
-func (s *Store) Put(k Key, e Entry) error {
-	data, err := json.MarshalIndent(envelope{Key: k, Entry: e}, "", "  ")
+// Result looks k up. A malformed or mismatching file counts as a miss —
+// the caller re-simulates and overwrites it. Every lookup is exactly one
+// hit or one miss (simcache.lookups == hits + misses).
+func (s *Store) Result(k Key) (Entry, bool, error) {
+	s.lookups.Inc()
+	e, ok, err := load[Key, Entry](s.path(resultNS, k.digest()), k)
+	if ok {
+		s.hits.Inc()
+	} else {
+		s.misses.Inc()
+	}
+	return e, ok, err
+}
+
+// PutResult stores e under k, atomically replacing any previous entry.
+func (s *Store) PutResult(k Key, e Entry) error {
+	if err := s.write(resultNS, k.digest(), envelope[Key, Entry]{k, e}); err != nil {
+		return err
+	}
+	s.puts.Inc()
+	return nil
+}
+
+// Record reads the record stored under key in namespace ns.
+func Record[V any](s *Store, ns, key string) (V, bool, error) {
+	return load[string, V](s.path(ns, recordDigest(ns, key)), key)
+}
+
+// PutRecord stores v under key in namespace ns, atomically replacing any
+// previous record.
+func (s *Store) PutRecord(ns, key string, v any) error {
+	return s.write(ns, recordDigest(ns, key), envelope[string, any]{key, v})
+}
+
+// Records returns every intact record of namespace ns, in key order,
+// reading no other namespace. Torn, foreign and misplaced files are
+// skipped.
+func Records[V any](s *Store, ns string) ([]V, error) {
+	dir := filepath.Join(s.dir, ns)
+	ents, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("simcache: %w", err)
+	}
+	var found []envelope[string, V]
+	for _, de := range ents {
+		digest, ok := strings.CutSuffix(de.Name(), ".json")
+		if !ok || de.IsDir() {
+			continue // in-flight temp files end in .tmpNNN
+		}
+		data, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("simcache: %w", err)
+		}
+		var env envelope[string, V]
+		if json.Unmarshal(data, &env) != nil || recordDigest(ns, env.Key) != digest {
+			continue
+		}
+		found = append(found, env)
+	}
+	sort.Slice(found, func(a, b int) bool { return found[a].Key < found[b].Key })
+	out := make([]V, len(found))
+	for i := range found {
+		out[i] = found[i].Value
+	}
+	return out, nil
+}
+
+// load reads the entry at path: a hit only when the file is intact and
+// embeds the key k.
+func load[K comparable, V any](path string, k K) (V, bool, error) {
+	var env envelope[K, V]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return env.Value, false, nil
+		}
+		return env.Value, false, fmt.Errorf("simcache: %w", err)
+	}
+	if err := json.Unmarshal(data, &env); err != nil || env.Key != k {
+		var zero V
+		return zero, false, nil
+	}
+	return env.Value, true, nil
+}
+
+// write stores one envelope atomically. The first write to a namespace
+// finds no directory and creates it; every later one skips that work.
+func (s *Store) write(ns, digest string, env any) error {
+	data, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("simcache: %w", err)
 	}
-	if err := trace.WriteFileAtomic(s.path(k), append(data, '\n'), 0o644); err != nil {
+	data = append(data, '\n')
+	path := s.path(ns, digest)
+	err = trace.WriteFileAtomic(path, data, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
+			err = trace.WriteFileAtomic(path, data, 0o644)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("simcache: %w", err)
 	}
-	s.puts.Inc()
 	return nil
 }
 

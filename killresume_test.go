@@ -21,8 +21,8 @@ import (
 )
 
 // TestShardedSweepKillResume: SIGTERM `experiments -sweep -shards 2`
-// mid-run, then rerun with -resume — the resumed run's sweep tables must
-// be byte-identical to an uninterrupted run's.
+// mid-run, then rerun on the same -checkpoint directory — the resumed
+// run's sweep tables must be byte-identical to an uninterrupted run's.
 func TestShardedSweepKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -42,11 +42,13 @@ func TestShardedSweepKillResume(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill as soon as the first task lands on disk: mid-run by
-	// construction (a full sweep run has eight side-level tasks).
+	// Kill as soon as the first entry file lands on disk: mid-run by
+	// construction (a full sweep run has eight side-level tasks). A
+	// namespace directory may appear before any work is stored, so wait
+	// for a file, not a directory entry.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if ents, err := os.ReadDir(ckpt); err == nil && len(ents) > 0 {
+		if ents, err := filepath.Glob(filepath.Join(ckpt, "*", "*.json")); err == nil && len(ents) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -61,14 +63,14 @@ func TestShardedSweepKillResume(t *testing.T) {
 	err = cmd.Wait()
 	if err == nil {
 		// The run won the race and finished before the signal landed; the
-		// resume below then merely replays the full checkpoint, which must
+		// resume below then merely replays the full store, which must
 		// still be byte-identical.
 		t.Log("run finished before SIGTERM; resume degenerates to a replay")
 	} else if !strings.Contains(stderr.String(), "resume") {
 		t.Fatalf("interrupted run gave no resume hint; stderr:\n%s", stderr.String())
 	}
 
-	resumed, err := exec.Command(bin, append(args, "-resume", ckpt)...).Output()
+	resumed, err := exec.Command(bin, append(args, "-checkpoint", ckpt)...).Output()
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}

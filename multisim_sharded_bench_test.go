@@ -83,7 +83,7 @@ func BenchmarkSimCacheHitVsMiss(b *testing.B) {
 	}
 	warm.Process(f.recs)
 	want := warm.Report(0)
-	if err := sc.Put(mkKey(simcache.EngineVersion), simcache.Entry{Records: warm.Records(), Report: want}); err != nil {
+	if err := sc.PutResult(mkKey(simcache.EngineVersion), simcache.Entry{Records: warm.Records(), Report: want}); err != nil {
 		b.Fatal(err)
 	}
 	var missNS, hitNS time.Duration
@@ -94,7 +94,7 @@ func BenchmarkSimCacheHitVsMiss(b *testing.B) {
 		// engine version), simulate, render, store.
 		t0 := time.Now()
 		key := mkKey(simcache.EngineVersion + 1 + i)
-		if _, ok, err := sc.Get(key); err != nil || ok {
+		if _, ok, err := sc.Result(key); err != nil || ok {
 			b.Fatalf("cold lookup: ok=%v err=%v", ok, err)
 		}
 		ms, err := dinero.NewMulti(dinero.MultiOptions{Configs: []cache.Config{cfg}})
@@ -103,14 +103,14 @@ func BenchmarkSimCacheHitVsMiss(b *testing.B) {
 		}
 		ms.Process(f.recs)
 		rep := ms.Report(0)
-		if err := sc.Put(key, simcache.Entry{Records: ms.Records(), Report: rep}); err != nil {
+		if err := sc.PutResult(key, simcache.Entry{Records: ms.Records(), Report: rep}); err != nil {
 			b.Fatal(err)
 		}
 		missNS += time.Since(t0)
 
 		// Hit: hash and lookup only.
 		t0 = time.Now()
-		e, ok, err := sc.Get(mkKey(simcache.EngineVersion))
+		e, ok, err := sc.Result(mkKey(simcache.EngineVersion))
 		if err != nil || !ok {
 			b.Fatalf("warm lookup: ok=%v err=%v", ok, err)
 		}

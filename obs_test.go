@@ -99,8 +99,9 @@ func TestCLIMetricsLossless(t *testing.T) {
 }
 
 // TestCLIExperimentsMetricsResume checks the batch-runner metrics: a fresh
-// checkpointed sweep persists every task and simulates every record it
-// decodes; the resumed run reports checkpoint hits instead of re-simulating.
+// sweep with a store persists every task and simulates every record it
+// decodes; a rerun on the same -checkpoint directory answers every point
+// from the store instead of re-simulating.
 func TestCLIExperimentsMetricsResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -123,26 +124,25 @@ func TestCLIExperimentsMetricsResume(t *testing.T) {
 		t.Errorf("records_in = %d, records_simulated = %d; want equal and nonzero",
 			m1.Counters["experiments.records_in"], m1.Counters["dinero.records_simulated"])
 	}
-	// Sweep tasks are side-level but checkpoint one entry per cache size
-	// (so sampled/exact runs and old checkpoints stay resumable), so puts
-	// is at least one per task and strictly more for the sweep tasks.
-	if puts, tasks := m1.Counters["experiments.checkpoint.puts"], m1.Counters["experiments.tasks"]; puts < tasks || puts == 0 {
-		t.Errorf("checkpoint.puts = %d, want >= %d (at least one per task)", puts, tasks)
+	// Sweep tasks are side-level but store one result per cache size, so
+	// puts is at least one per task and strictly more for the sweep tasks.
+	if puts, tasks := m1.Counters["simcache.puts"], m1.Counters["experiments.tasks"]; puts < tasks || puts == 0 {
+		t.Errorf("simcache.puts = %d, want >= %d (at least one per task)", puts, tasks)
 	}
-	if m1.Counters["experiments.checkpoint.hits"] != 0 {
-		t.Errorf("fresh run checkpoint.hits = %d, want 0", m1.Counters["experiments.checkpoint.hits"])
+	if m1.Counters["simcache.hits"] != 0 {
+		t.Errorf("fresh run simcache.hits = %d, want 0", m1.Counters["simcache.hits"])
 	}
 	if m1.Gauges["experiments.workers"] < 1 {
 		t.Errorf("workers gauge = %d, want >= 1", m1.Gauges["experiments.workers"])
 	}
 
-	runTool(t, "experiments", "-sweep", "-resume", ck, "-metrics-out", m2Path)
+	runTool(t, "experiments", "-sweep", "-checkpoint", ck, "-metrics-out", m2Path)
 	m2 := readManifest(t, m2Path)
-	if m2.Counters["experiments.checkpoint.hits"] == 0 {
-		t.Errorf("resumed run checkpoint.hits = 0; counters: %v", m2.Counters)
+	if m2.Counters["simcache.hits"] == 0 {
+		t.Errorf("resumed run simcache.hits = 0; counters: %v", m2.Counters)
 	}
-	if m2.Counters["experiments.checkpoint.misses"] != 0 {
-		t.Errorf("resumed run checkpoint.misses = %d, want 0", m2.Counters["experiments.checkpoint.misses"])
+	if m2.Counters["simcache.misses"] != 0 {
+		t.Errorf("resumed run simcache.misses = %d, want 0", m2.Counters["simcache.misses"])
 	}
 	if m2.Counters["dinero.sims"] != 0 {
 		t.Errorf("resumed run re-simulated %d times, want 0", m2.Counters["dinero.sims"])

@@ -84,7 +84,7 @@ func fetch(t *testing.T, req *http.Request) []byte {
 // byte-identical to a direct run.
 func TestServerReportsAllWorkloads(t *testing.T) {
 	srv, err := server.New(server.Config{
-		StateDir: t.TempDir(), RatePerSec: -1, Reg: telemetry.NewRegistry(), DisableSimCache: true,
+		StateDir: t.TempDir(), RatePerSec: -1, Reg: telemetry.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
