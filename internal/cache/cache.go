@@ -161,7 +161,7 @@ func (c *Cache) BlockOf(addr uint64) uint64 { return addr >> c.blkShift }
 // Outcome per block touched is appended to out, which is returned; passing
 // a reused buffer (out[:0]) keeps the hot path allocation-free, passing nil
 // allocates as before.
-func (c *Cache) Access(kind Kind, addr uint64, size int64, owner OwnerID, out []Outcome) []Outcome {
+func (c *Cache) Access(kind Kind, addr uint64, size int32, owner OwnerID, out []Outcome) []Outcome {
 	if size <= 0 {
 		size = 1
 	}
@@ -180,9 +180,10 @@ func (c *Cache) Access(kind Kind, addr uint64, size int64, owner OwnerID, out []
 }
 
 // bubble sends one block of fill/writeback traffic to the next level,
-// reusing the scratch buffer so propagation does not allocate.
+// reusing the scratch buffer so propagation does not allocate. Validate
+// bounds the block size to an int32.
 func (c *Cache) bubble(kind Kind, addr uint64, owner OwnerID) {
-	c.scratch = c.next.Access(kind, addr, c.cfg.BlockSize, owner, c.scratch[:0])
+	c.scratch = c.next.Access(kind, addr, int32(c.cfg.BlockSize), owner, c.scratch[:0])
 }
 
 // prefetchBlock brings the next sequential block in without touching the

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -178,6 +179,9 @@ func (c Config) Validate() error {
 	}
 	if bits.OnesCount64(uint64(c.BlockSize)) != 1 {
 		return fmt.Errorf("cache: block size %d is not a power of two", c.BlockSize)
+	}
+	if c.BlockSize > math.MaxInt32 {
+		return fmt.Errorf("cache: block size %d exceeds %d bytes", c.BlockSize, math.MaxInt32)
 	}
 	if c.Assoc < 0 {
 		return fmt.Errorf("cache: negative associativity %d", c.Assoc)

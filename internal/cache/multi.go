@@ -197,7 +197,7 @@ func (m *MultiSim) SetScale(i int) float64 {
 // Access performs one possibly block-spanning access against every
 // configuration. visit, when non-nil, is called once per simulated block
 // per configuration (set-sampled blocks are skipped entirely).
-func (m *MultiSim) Access(kind Kind, addr uint64, size int64, owner OwnerID, visit MultiVisit) {
+func (m *MultiSim) Access(kind Kind, addr uint64, size int32, owner OwnerID, visit MultiVisit) {
 	if size <= 0 {
 		size = 1
 	}

@@ -9,7 +9,7 @@ import (
 type multiTrafficCase struct {
 	kind  Kind
 	addr  uint64
-	size  int64
+	size  int32
 	owner OwnerID
 }
 
@@ -42,7 +42,7 @@ func multiTraffic(n int) []multiTrafficCase {
 		default: // scattered
 			addr = 0x100000 + r%65536
 		}
-		size := int64(4)
+		size := int32(4)
 		if r%7 == 0 {
 			size = 48 // spans blocks
 		}

@@ -10,11 +10,11 @@ import (
 func sweepRecordCount(b *testing.B) int64 {
 	var total int64
 	for _, sp := range sweepSpecs() {
-		orig, err := sp.orig()
+		orig, err := sp.orig.get()
 		if err != nil {
 			b.Fatal(err)
 		}
-		xf, err := sp.xform()
+		xf, err := sp.xform.get()
 		if err != nil {
 			b.Fatal(err)
 		}

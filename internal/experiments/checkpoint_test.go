@@ -112,9 +112,9 @@ func TestSweepKeepGoingWithRunawayWorkload(t *testing.T) {
 	prevSteps := SetMaxSteps(50_000)
 	defer SetMaxSteps(prevSteps)
 
-	runawayTrace := func() ([]trace.Record, error) {
+	runawayTrace := &memoTrace{gen: func() ([]trace.Record, error) {
 		return runWorkload(workloads.Runaway, nil)
-	}
+	}}
 	specs := []sweepSpec{
 		{
 			id: "sweep-bad", title: "runaway workload", geometry: "32-byte blocks, 1-way",
@@ -124,7 +124,7 @@ func TestSweepKeepGoingWithRunawayWorkload(t *testing.T) {
 		{
 			id: "sweep-good", title: "healthy workload", geometry: "32-byte blocks, 1-way",
 			sizes: []int64{1024, 2048}, config: directMapped,
-			orig: traceT1, xform: transformT1,
+			orig: t1Trace, xform: t1Xform,
 		},
 	}
 	out, err := runSweeps(context.Background(), specs,

@@ -21,8 +21,8 @@ type engineSide struct {
 func loadEngineSides(tb testing.TB) []engineSide {
 	var out []engineSide
 	for _, sp := range sweepSpecs() {
-		for sd, recsOf := range []func() ([]trace.Record, error){sp.orig, sp.xform} {
-			recs, err := recsOf()
+		for sd, side := range []*memoTrace{sp.orig, sp.xform} {
+			recs, err := side.get()
 			if err != nil {
 				tb.Fatal(err)
 			}

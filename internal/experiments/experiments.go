@@ -68,16 +68,23 @@ func (r *Result) notef(format string, args ...interface{}) {
 // once however many figures share it, including when figures run
 // concurrently. Records are interned against sharedSyms on first
 // resolution; afterwards the slice is immutable and may be shared across
-// goroutines.
+// goroutines. The slice's content hash, which keys its results in a
+// store, is memoized the same way but computed only when first asked for,
+// so a run without a store hashes nothing.
 type memoTrace struct {
+	gen func() ([]trace.Record, error)
+
 	once sync.Once
 	recs []trace.Record
 	err  error
+
+	hashOnce sync.Once
+	hash     string
 }
 
-func (m *memoTrace) get(f func() ([]trace.Record, error)) ([]trace.Record, error) {
+func (m *memoTrace) get() ([]trace.Record, error) {
 	m.once.Do(func() {
-		m.recs, m.err = f()
+		m.recs, m.err = m.gen()
 		if m.err == nil {
 			trace.InternRecords(sharedSyms, m.recs)
 			m.err = validateRecords(m.recs)
@@ -85,6 +92,17 @@ func (m *memoTrace) get(f func() ([]trace.Record, error)) ([]trace.Record, error
 	})
 	return m.recs, m.err
 }
+
+// contentHash returns the simcache hash of the records get returned
+// without error.
+func (m *memoTrace) contentHash() string {
+	m.hashOnce.Do(func() { m.hash = hashRecords(m.recs) })
+	return m.hash
+}
+
+// hashRecords is simcache.HashRecords, behind a variable so tests can
+// count the calls.
+var hashRecords = simcache.HashRecords
 
 // validateMu guards the self-check toggle set by SetValidate.
 var (
@@ -116,11 +134,6 @@ func validateRecords(recs []trace.Record) error {
 	}
 	return nil
 }
-
-var (
-	t1Trace, t2Trace, t3Trace, t2HotTrace memoTrace
-	t1Xform, t2Xform, t3Xform, t2HotXform memoTrace
-)
 
 // maxSteps guards the execution budget applied to every workload traced by
 // this package; cmd/experiments wires its -max-steps flag here. Zero keeps
@@ -172,73 +185,41 @@ func applyRule(ruleSrc string, orig []trace.Record) ([]trace.Record, error) {
 	return eng.TransformAll(orig)
 }
 
-// traceT1 runs the SoA program (memoized).
-func traceT1() ([]trace.Record, error) {
-	return t1Trace.get(func() ([]trace.Record, error) {
-		return runWorkload(workloads.Trans1SoA, map[string]string{"LEN": fmt.Sprint(LenT1)})
-	})
-}
-
-// transformT1 applies the Listing 5 rule to the T1 trace (memoized).
-func transformT1() ([]trace.Record, error) {
-	return t1Xform.get(func() ([]trace.Record, error) {
-		orig, err := traceT1()
-		if err != nil {
-			return nil, err
-		}
-		return applyRule(workloads.RuleTrans1ForLen(LenT1), orig)
-	})
-}
-
-func traceT2() ([]trace.Record, error) {
-	return t2Trace.get(func() ([]trace.Record, error) {
-		return runWorkload(workloads.Trans2Inline, map[string]string{"LEN": fmt.Sprint(LenT2)})
-	})
-}
-
-func transformT2() ([]trace.Record, error) {
-	return t2Xform.get(func() ([]trace.Record, error) {
-		orig, err := traceT2()
-		if err != nil {
-			return nil, err
-		}
-		return applyRule(workloads.RuleTrans2ForLen(LenT2), orig)
-	})
-}
-
-func traceT3() ([]trace.Record, error) {
-	return t3Trace.get(func() ([]trace.Record, error) {
-		return runWorkload(workloads.Trans3Contiguous, map[string]string{"LEN": fmt.Sprint(LenT3)})
-	})
-}
-
-func transformT3() ([]trace.Record, error) {
-	return t3Xform.get(func() ([]trace.Record, error) {
-		orig, err := traceT3()
-		if err != nil {
-			return nil, err
-		}
-		return applyRule(workloads.RuleTrans3ForLen(LenT3, 16, 8), orig)
-	})
-}
-
 // hotLoopLen is the T2 hot-loop sweep's element count.
 const hotLoopLen = 128
 
-func traceT2Hot() ([]trace.Record, error) {
-	return t2HotTrace.get(func() ([]trace.Record, error) {
-		return runWorkload(workloads.Trans2HotLoop, map[string]string{"LEN": fmt.Sprint(hotLoopLen)})
-	})
+// The workload traces, each original next to its transformation.
+var (
+	// t1Trace is the SoA program; t1Xform applies the Listing 5 rule to it.
+	t1Trace = workloadTrace(workloads.Trans1SoA, LenT1)
+	t1Xform = transformedTrace(t1Trace, workloads.RuleTrans1ForLen(LenT1))
+
+	t2Trace = workloadTrace(workloads.Trans2Inline, LenT2)
+	t2Xform = transformedTrace(t2Trace, workloads.RuleTrans2ForLen(LenT2))
+
+	t3Trace = workloadTrace(workloads.Trans3Contiguous, LenT3)
+	t3Xform = transformedTrace(t3Trace, workloads.RuleTrans3ForLen(LenT3, 16, 8))
+
+	t2HotTrace = workloadTrace(workloads.Trans2HotLoop, hotLoopLen)
+	t2HotXform = transformedTrace(t2HotTrace, workloads.RuleTrans2ForLen(hotLoopLen))
+)
+
+// workloadTrace memoizes the trace of src run with LEN=n.
+func workloadTrace(src string, n int) *memoTrace {
+	return &memoTrace{gen: func() ([]trace.Record, error) {
+		return runWorkload(src, map[string]string{"LEN": fmt.Sprint(n)})
+	}}
 }
 
-func transformT2Hot() ([]trace.Record, error) {
-	return t2HotXform.get(func() ([]trace.Record, error) {
-		orig, err := traceT2Hot()
+// transformedTrace memoizes orig's trace rewritten by ruleSrc.
+func transformedTrace(orig *memoTrace, ruleSrc string) *memoTrace {
+	return &memoTrace{gen: func() ([]trace.Record, error) {
+		recs, err := orig.get()
 		if err != nil {
 			return nil, err
 		}
-		return applyRule(workloads.RuleTrans2ForLen(hotLoopLen), orig)
-	})
+		return applyRule(ruleSrc, recs)
+	}}
 }
 
 // figShards is the process-wide shard count for figure simulations, set
@@ -323,7 +304,7 @@ func assocName(cfg cache.Config) string {
 // Fig3 — per-set hits/misses of the SoA program on the 32 KB direct-mapped
 // cache (series lSoA and lI).
 func Fig3() (*Result, error) {
-	recs, err := traceT1()
+	recs, err := t1Trace.get()
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +318,7 @@ func Fig3() (*Result, error) {
 
 // Fig4 — the same trace after the SoA→AoS rule (series lAoS and lI).
 func Fig4() (*Result, error) {
-	recs, err := transformT1()
+	recs, err := t1Xform.get()
 	if err != nil {
 		return nil, err
 	}
@@ -354,11 +335,11 @@ func Fig4() (*Result, error) {
 
 // Fig5 — the side-by-side diff of the original and transformed T1 traces.
 func Fig5() (*Result, error) {
-	orig, err := traceT1()
+	orig, err := t1Trace.get()
 	if err != nil {
 		return nil, err
 	}
-	got, err := transformT1()
+	got, err := t1Xform.get()
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +359,7 @@ func Fig5() (*Result, error) {
 
 // Fig6 — per-set stats of the inline nested-structure program.
 func Fig6() (*Result, error) {
-	recs, err := traceT2()
+	recs, err := t2Trace.get()
 	if err != nil {
 		return nil, err
 	}
@@ -393,11 +374,11 @@ func Fig6() (*Result, error) {
 // Fig7 — per-set stats after outlining (series lS2, lStorageForRarelyUsed,
 // lI) with the extra pointer loads.
 func Fig7() (*Result, error) {
-	orig, err := traceT2()
+	orig, err := t2Trace.get()
 	if err != nil {
 		return nil, err
 	}
-	recs, err := transformT2()
+	recs, err := t2Xform.get()
 	if err != nil {
 		return nil, err
 	}
@@ -412,11 +393,11 @@ func Fig7() (*Result, error) {
 
 // Fig8 — the T2 trace diff with the inserted indirection loads.
 func Fig8() (*Result, error) {
-	orig, err := traceT2()
+	orig, err := t2Trace.get()
 	if err != nil {
 		return nil, err
 	}
-	got, err := transformT2()
+	got, err := t2Xform.get()
 	if err != nil {
 		return nil, err
 	}
@@ -431,11 +412,11 @@ func Fig8() (*Result, error) {
 
 // Fig9 — the T3 trace diff with injected stride-arithmetic loads.
 func Fig9() (*Result, error) {
-	orig, err := traceT3()
+	orig, err := t3Trace.get()
 	if err != nil {
 		return nil, err
 	}
-	got, err := transformT3()
+	got, err := t3Xform.get()
 	if err != nil {
 		return nil, err
 	}
@@ -450,7 +431,7 @@ func Fig9() (*Result, error) {
 
 // Fig10 — the contiguous sweep on the PowerPC 440 cache.
 func Fig10() (*Result, error) {
-	recs, err := traceT3()
+	recs, err := t3Trace.get()
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +445,7 @@ func Fig10() (*Result, error) {
 
 // Fig11 — the strided/pinned sweep on the PowerPC 440 cache.
 func Fig11() (*Result, error) {
-	recs, err := transformT3()
+	recs, err := t3Xform.get()
 	if err != nil {
 		return nil, err
 	}

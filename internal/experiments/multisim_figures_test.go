@@ -19,12 +19,12 @@ func TestFigureMultiSimParity(t *testing.T) {
 		trace func() ([]trace.Record, error)
 		cfg   cache.Config
 	}{
-		{"fig3", traceT1, cache.Paper32KDirect()},
-		{"fig4", transformT1, cache.Paper32KDirect()},
-		{"fig6", traceT2, cache.Paper32KDirect()},
-		{"fig7", transformT2, cache.Paper32KDirect()},
-		{"fig10", traceT3, cache.PowerPC440()},
-		{"fig11", transformT3, cache.PowerPC440()},
+		{"fig3", t1Trace.get, cache.Paper32KDirect()},
+		{"fig4", t1Xform.get, cache.Paper32KDirect()},
+		{"fig6", t2Trace.get, cache.Paper32KDirect()},
+		{"fig7", t2Xform.get, cache.Paper32KDirect()},
+		{"fig10", t3Trace.get, cache.PowerPC440()},
+		{"fig11", t3Xform.get, cache.PowerPC440()},
 	}
 	for _, c := range cases {
 		t.Run(c.id, func(t *testing.T) {

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"tracedst/internal/simcache"
 	"tracedst/internal/telemetry"
+	"tracedst/internal/trace"
 )
 
 // openStore opens a store handle on dir with a registry of its own, as a
@@ -83,5 +85,43 @@ func TestSweepSimCacheShardTierIsSeparate(t *testing.T) {
 	}
 	if m := reg2.Counter("simcache.misses").Value(); m == 0 {
 		t.Error("sharded run never consulted the cache")
+	}
+}
+
+// TestSweepsHashEachTraceOnce: store keys carry each trace's content hash,
+// and a process computes it at most once per memoized trace however many
+// runs share the trace, and only when a store asks for it.
+func TestSweepsHashEachTraceOnce(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[*trace.Record]int{} // keyed by the trace's backing array
+	prev := hashRecords
+	hashRecords = func(recs []trace.Record) string {
+		mu.Lock()
+		calls[&recs[0]]++
+		mu.Unlock()
+		return prev(recs)
+	}
+	defer func() { hashRecords = prev }()
+
+	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 0 {
+		t.Fatalf("a run without a store hashed %d traces", len(calls))
+	}
+	dir := t.TempDir()
+	for run := 0; run < 2; run++ {
+		sc, _ := openStore(t, dir)
+		if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Store: sc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range calls {
+		if n > 1 {
+			t.Errorf("a trace was hashed %d times across two runs, want at most once", n)
+		}
+	}
+	if want := 2 * len(sweepSpecs()); len(calls) > want {
+		t.Errorf("%d traces hashed, want at most %d", len(calls), want)
 	}
 }

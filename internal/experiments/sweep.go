@@ -204,8 +204,8 @@ type sweepSpec struct {
 	geometry string
 	sizes    []int64
 	config   func(size int64) cache.Config
-	orig     func() ([]trace.Record, error)
-	xform    func() ([]trace.Record, error)
+	orig     *memoTrace
+	xform    *memoTrace
 }
 
 func directMapped(size int64) cache.Config {
@@ -219,19 +219,19 @@ func sweepSpecs() []sweepSpec {
 			id: "sweep-t1", title: "SoA (orig) vs AoS (transformed)",
 			geometry: "32-byte blocks, 1-way, LRU",
 			sizes:    DefaultSweepSizes, config: directMapped,
-			orig: traceT1, xform: transformT1,
+			orig: t1Trace, xform: t1Xform,
 		},
 		{
 			id: "sweep-t2", title: "inline nested (orig) vs outlined (transformed)",
 			geometry: "32-byte blocks, 1-way, LRU",
 			sizes:    DefaultSweepSizes, config: directMapped,
-			orig: traceT2, xform: transformT2,
+			orig: t2Trace, xform: t2Xform,
 		},
 		{
 			id: "sweep-t2-hot", title: "hot-only loop: inline (orig) vs outlined (transformed)",
 			geometry: "32-byte blocks, 1-way, LRU",
 			sizes:    DefaultSweepSizes, config: directMapped,
-			orig: traceT2Hot, xform: transformT2Hot,
+			orig: t2HotTrace, xform: t2HotXform,
 		},
 		{
 			id: "sweep-t3", title: "contiguous (orig) vs set-pinned (transformed)",
@@ -240,7 +240,7 @@ func sweepSpecs() []sweepSpec {
 			config: func(size int64) cache.Config {
 				return cache.Config{Size: size, BlockSize: 32, Assoc: 64, Repl: cache.ReplRoundRobin}
 			},
-			orig: traceT3, xform: transformT3,
+			orig: t3Trace, xform: t3Xform,
 		},
 	}
 }
@@ -294,17 +294,17 @@ func runSweeps(ctx context.Context, specs []sweepSpec, opts RunOptions) ([]*Swee
 	err := forEachPolicy(ctx, opts.Policy, opts.workerCount(), len(tasks), name, func(ctx context.Context, ti int) error {
 		tk := tasks[ti]
 		sp := specs[tk.spec]
-		recsOf := sp.orig
+		side := sp.orig
 		if tk.side == 1 {
-			recsOf = sp.xform
+			side = sp.xform
 		}
-		recs, err := recsOf()
+		recs, err := side.get()
 		if err != nil {
 			return err
 		}
 		var key func(pi int) simcache.Key
 		if opts.Store != nil {
-			traceHash := simcache.HashRecords(recs)
+			traceHash := side.contentHash()
 			key = func(pi int) simcache.Key {
 				return simcache.Key{
 					Trace:    traceHash,

@@ -3,13 +3,14 @@
 // the footer or its end-of-file trailer and loses zero records, so
 // indexed open must degrade to a scan-built index, readers must keep
 // decoding every record, and glcheck must surface the damage as a warning
-// rather than an error. GLBFlipPayloadBit is the one class that damages a
-// data block.
+// rather than an error. GLBFlipPayloadBit and GLBForgeVarint are the
+// classes that damage a data block.
 package faultinject
 
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 
 	"tracedst/internal/trace"
 )
@@ -90,30 +91,73 @@ func GLBFooterClasses() []GLBCorruption {
 // decoders drop it (lenient) or fail on it (strict). Data that is not a
 // well-framed .glb with a data block passes through unchanged.
 func GLBFlipPayloadBit(data []byte) []byte {
-	if trace.DetectFormat(data) != trace.FormatBinary || len(data) < trace.BinaryMagicLen+1 {
+	blocks := glbDataBlocks(data, 1)
+	if len(blocks) == 0 {
 		return data
+	}
+	b := blocks[0]
+	out := append([]byte(nil), data...)
+	out[b.start+(b.end-b.start)/2] ^= 0x10
+	return out
+}
+
+// GLBForgeVarint replaces the first signed-varint encoding of from inside
+// a data block's payload with the encoding of to, and re-stamps that
+// block's CRC: the block passes its checksum but carries a value no
+// writer emits, such as a size or thread id past 32 bits. The two
+// encodings must be the same length. Data without such a block passes
+// through unchanged.
+func GLBForgeVarint(data []byte, from, to int64) []byte {
+	old, repl := binary.AppendVarint(nil, from), binary.AppendVarint(nil, to)
+	if len(old) != len(repl) {
+		panic("faultinject: GLBForgeVarint needs encodings of equal length")
+	}
+	for _, b := range glbDataBlocks(data, -1) {
+		i := bytes.Index(data[b.start:b.end], old)
+		if i < 0 {
+			continue
+		}
+		out := append([]byte(nil), data...)
+		copy(out[b.start+i:], repl)
+		binary.LittleEndian.PutUint32(out[b.start-4:], crc32.ChecksumIEEE(out[b.start:b.end]))
+		return out
+	}
+	return data
+}
+
+// glbBlock is the payload span of one framed .glb block; its CRC is the
+// four bytes before start.
+type glbBlock struct{ start, end int }
+
+// glbDataBlocks walks the frames of a .glb and returns up to n of its
+// data blocks (n < 0: all), in file order, stopping at the first frame
+// that does not parse.
+func glbDataBlocks(data []byte, n int) []glbBlock {
+	if trace.DetectFormat(data) != trace.FormatBinary || len(data) < trace.BinaryMagicLen+1 {
+		return nil
 	}
 	p := data[trace.BinaryMagicLen+1:] // magic, flags
-	_, n := binary.Varint(p)           // header PID
-	if n <= 0 {
-		return data
+	_, k := binary.Varint(p)           // header PID
+	if k <= 0 {
+		return nil
 	}
-	p = p[n:]
-	for {
+	var blocks []glbBlock
+	p = p[k:]
+	for len(blocks) != n {
 		payloadLen, n1 := binary.Uvarint(p)
 		if n1 <= 0 {
-			return data
+			break
 		}
 		recCount, n2 := binary.Uvarint(p[n1:])
 		start := n1 + n2 + 4 // frame header, then the CRC
 		if n2 <= 0 || payloadLen == 0 || uint64(len(p)-start) < payloadLen {
-			return data
+			break
 		}
 		if recCount > 0 {
-			out := append([]byte(nil), data...)
-			out[len(data)-len(p)+start+int(payloadLen)/2] ^= 0x10
-			return out
+			off := len(data) - len(p) + start
+			blocks = append(blocks, glbBlock{off, off + int(payloadLen)})
 		}
 		p = p[start+int(payloadLen):]
 	}
+	return blocks
 }

@@ -99,7 +99,7 @@ func (pr *Profiler) Add(r *trace.Record) {
 	case trace.Modify:
 		fp.Modifies++
 	}
-	fp.Bytes += r.Size
+	fp.Bytes += int64(r.Size)
 	for b := r.Addr / FootprintBlock; b <= (r.End()-1)/FootprintBlock; b++ {
 		fp.blocks[b] = true
 		p.blocks[b] = true
@@ -112,7 +112,7 @@ func (pr *Profiler) Add(r *trace.Record) {
 			p.Vars[r.Var.Root] = vp
 		}
 		vp.Accesses++
-		vp.Bytes += r.Size
+		vp.Bytes += int64(r.Size)
 		vp.funcs[r.Func] = true
 		for b := r.Addr / FootprintBlock; b <= (r.End()-1)/FootprintBlock; b++ {
 			vp.blocks[b] = true

@@ -202,7 +202,7 @@ func (wr *BinaryWriter) Write(r *Record) error {
 	}
 	b := append(wr.recBuf, tag)
 	b = binary.AppendVarint(b, int64(r.Addr-wr.prevAddr))
-	b = binary.AppendVarint(b, r.Size)
+	b = binary.AppendVarint(b, int64(r.Size))
 	wr.scratch = append(wr.scratch[:0], r.Func...)
 	b = binary.AppendUvarint(b, wr.internString(wr.scratch))
 	if r.HasSym {
@@ -573,11 +573,11 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 		r.Addr = prevAddr + uint64(delta)
 		prevAddr = r.Addr
 		size, n := binary.Varint(p)
-		if n <= 0 || size < 0 {
+		if n <= 0 || size < 0 || size > MaxSize {
 			return recs, fmt.Errorf("bad size in record %d", i)
 		}
 		p = p[n:]
-		r.Size = size
+		r.Size = int32(size)
 		fidx, n := binary.Uvarint(p)
 		if n <= 0 || fidx >= uint64(len(d.slots)) {
 			return recs, fmt.Errorf("bad function index in record %d", i)
@@ -595,16 +595,16 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 			if tag&tagLocal != 0 {
 				r.Vis = Local
 				frame, n := binary.Varint(p)
-				if n <= 0 {
+				if n <= 0 || frame != int64(int32(frame)) {
 					return recs, fmt.Errorf("bad frame in record %d", i)
 				}
 				p = p[n:]
 				thread, n := binary.Varint(p)
-				if n <= 0 {
+				if n <= 0 || thread != int64(int32(thread)) {
 					return recs, fmt.Errorf("bad thread in record %d", i)
 				}
 				p = p[n:]
-				r.Frame, r.Thread = int(frame), int(thread)
+				r.Frame, r.Thread = int32(frame), int32(thread)
 			}
 			vidx, n := binary.Uvarint(p)
 			if n <= 0 || vidx >= uint64(len(d.slots)) {

@@ -1,10 +1,13 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
 	"io"
 	"strings"
 	"testing"
+
+	"tracedst/internal/faultinject"
+	"tracedst/internal/trace"
 )
 
 // FuzzParseRecord asserts the record parser never panics and that every
@@ -28,11 +31,11 @@ func FuzzParseRecord(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		rec, err := ParseRecord(line)
+		rec, err := trace.ParseRecord(line)
 		if err != nil {
 			return
 		}
-		again, err2 := ParseRecord(rec.String())
+		again, err2 := trace.ParseRecord(rec.String())
 		if err2 != nil {
 			t.Fatalf("round trip rejected: %q -> %q: %v", line, rec.String(), err2)
 		}
@@ -49,11 +52,11 @@ func FuzzParseHeader(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		h, err := ParseHeader(line)
+		h, err := trace.ParseHeader(line)
 		if err != nil {
 			return
 		}
-		if _, err2 := ParseHeader(h.String()); err2 != nil {
+		if _, err2 := trace.ParseHeader(h.String()); err2 != nil {
 			t.Fatalf("round trip rejected: %q -> %q: %v", line, h.String(), err2)
 		}
 	})
@@ -67,14 +70,54 @@ func FuzzReader(f *testing.F) {
 	f.Add("\x00\xff\nS 000601040 4\n\n")
 	f.Add("START PID banana\nL 7ff0001b0 8 main\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		strictRecs, _ := NewReader(strings.NewReader(src)).ReadAll()
-		rd := NewReaderOptions(strings.NewReader(src), DecodeOptions{Mode: Lenient})
+		strictRecs, _ := trace.NewReader(strings.NewReader(src)).ReadAll()
+		rd := trace.NewReaderOptions(strings.NewReader(src), trace.DecodeOptions{Mode: trace.Lenient})
 		lenRecs, err := rd.ReadAll()
 		if err != nil {
 			t.Fatalf("lenient decode with unlimited budget failed: %v", err)
 		}
 		if len(lenRecs) < len(strictRecs) {
 			t.Fatalf("lenient recovered %d records, strict %d", len(lenRecs), len(strictRecs))
+		}
+	})
+}
+
+// FuzzBinaryReader streams arbitrary bytes through both .glb reader
+// modes: neither may panic, strict never returns more records than
+// lenient, and every record either returns holds a size a Record can
+// carry and survives a BinaryWriter → BinaryReader round trip Equal.
+func FuzzBinaryReader(f *testing.F) {
+	f.Add(glbOf(f, "START PID 1\nS 000601040 4 main GV glScalar\nL 7ff0001b0 8 main LV 0 1 i\n"))
+	for _, e := range fieldEdges {
+		edge := glbOf(f, e.text(e.edge))
+		f.Add(edge)
+		f.Add(faultinject.GLBForgeVarint(edge, e.edge, e.past))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		strict, _ := trace.NewBinaryReader(bytes.NewReader(data)).ReadAll()
+		lenient, _ := trace.NewBinaryReaderOptions(bytes.NewReader(data), trace.DecodeOptions{Mode: trace.Lenient}).ReadAll()
+		if len(strict) > len(lenient) {
+			t.Fatalf("strict read %d records, lenient %d", len(strict), len(lenient))
+		}
+		for _, recs := range [][]trace.Record{strict, lenient} {
+			for i := range recs {
+				if recs[i].Size < 0 {
+					t.Fatalf("record %d has size %d", i, recs[i].Size)
+				}
+			}
+			var buf bytes.Buffer
+			if err := writeTrace(&buf, trace.Header{}, false, recs, trace.FormatBinary); err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			again, err := trace.NewBinaryReader(&buf).ReadAll()
+			if err != nil || len(again) != len(recs) {
+				t.Fatalf("round trip: %d of %d records, err %v", len(again), len(recs), err)
+			}
+			for i := range recs {
+				if !again[i].Equal(&recs[i]) {
+					t.Fatalf("record %d changed: %q -> %q", i, recs[i].String(), again[i].String())
+				}
+			}
 		}
 	})
 }
@@ -93,8 +136,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// Differential check: the zero-alloc byte parser and the string
 		// parser must accept the same lines and produce equal records.
 		for _, line := range strings.Split(src, "\n") {
-			rs, errS := ParseRecord(line)
-			rb, errB := ParseRecordBytes([]byte(line))
+			rs, errS := trace.ParseRecord(line)
+			rb, errB := trace.ParseRecordBytes([]byte(line))
 			if (errS == nil) != (errB == nil) {
 				t.Fatalf("parser disagreement on %q: string err=%v bytes err=%v", line, errS, errB)
 			}
@@ -105,7 +148,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 		// Round trip: decode leniently, re-render as canonical text, then
 		// push through the binary codec and back.
-		rd := NewReaderOptions(strings.NewReader(src), DecodeOptions{Mode: Lenient})
+		rd := trace.NewReaderOptions(strings.NewReader(src), trace.DecodeOptions{Mode: trace.Lenient})
 		recs, err := rd.ReadAll()
 		if err != nil {
 			t.Fatalf("lenient decode: %v", err)
@@ -117,15 +160,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		hasHdr := rd.HasHeader()
 
 		var canon bytes.Buffer
-		if err := writeTrace(&canon, h, hasHdr, recs, FormatText); err != nil {
+		if err := writeTrace(&canon, h, hasHdr, recs, trace.FormatText); err != nil {
 			t.Fatalf("render text: %v", err)
 		}
 
 		var bin bytes.Buffer
-		if err := writeTrace(&bin, h, hasHdr, recs, FormatBinary); err != nil {
+		if err := writeTrace(&bin, h, hasHdr, recs, trace.FormatBinary); err != nil {
 			t.Fatalf("encode binary: %v", err)
 		}
-		br := NewBinaryReader(bytes.NewReader(bin.Bytes()))
+		br := trace.NewBinaryReader(bytes.NewReader(bin.Bytes()))
 		recs2, err := br.ReadAll()
 		if err != nil {
 			t.Fatalf("decode binary: %v", err)
@@ -138,7 +181,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("header changed: %v/%v -> %v/%v", h, hasHdr, h2, br.HasHeader())
 		}
 		var canon2 bytes.Buffer
-		if err := writeTrace(&canon2, h2, br.HasHeader(), recs2, FormatText); err != nil {
+		if err := writeTrace(&canon2, h2, br.HasHeader(), recs2, trace.FormatText); err != nil {
 			t.Fatalf("re-render text: %v", err)
 		}
 		if !bytes.Equal(canon.Bytes(), canon2.Bytes()) {
@@ -149,8 +192,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // writeTrace renders records in the given container format.
-func writeTrace(w io.Writer, h Header, hasHdr bool, recs []Record, f FileFormat) error {
-	tw := NewWriterFormat(w, f)
+func writeTrace(w io.Writer, h trace.Header, hasHdr bool, recs []trace.Record, f trace.FileFormat) error {
+	tw := trace.NewWriterFormat(w, f)
 	if hasHdr {
 		if err := tw.WriteHeader(h); err != nil {
 			return err

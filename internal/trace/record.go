@@ -21,6 +21,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"tracedst/internal/ctype"
@@ -60,9 +61,12 @@ const (
 
 // Record is a single trace line.
 //
-// The one-byte fields and FuncID lead the struct so they share one word:
-// records are the unit every pipeline stage copies, and the packing keeps
-// a Record at 104 bytes instead of 112.
+// The one-byte fields and the 32-bit fields lead the struct so they pack
+// into one 24-byte header ahead of the address and the two string-bearing
+// fields: records are the unit every pipeline stage copies, and the packing
+// keeps a Record at 88 bytes. Frame, Thread and Size are 32-bit in every
+// trace format this package reads; the decoders reject a value that does
+// not fit (see MaxSize) instead of truncating it.
 type Record struct {
 	Op Op
 	// HasSym reports whether the debug parser could associate the access
@@ -80,22 +84,26 @@ type Record struct {
 	// always zero when HasSym is false. They are derived metadata: String,
 	// Equal and the parsers ignore them.
 	FuncID SymID
-
-	Addr uint64
-	Size int64
-	// Func is the function executing the access (always present).
-	Func string
-
+	VarID  SymID
 	// Frame is the stack-frame distance for locals: 0 is the executing
 	// function's own frame, 1 its caller's, and so on. Unused for globals.
-	Frame int
+	Frame int32
 	// Thread is the id of the thread that executed the access (locals only;
 	// Gleipnir numbers threads from 1).
-	Thread int
+	Thread int32
+	// Size is the number of bytes accessed, in [0, MaxSize].
+	Size int32
+
+	Addr uint64
+	// Func is the function executing the access (always present).
+	Func string
 	// Var is the accessed variable: root name plus access path.
-	Var   ctype.AccessExpr
-	VarID SymID
+	Var ctype.AccessExpr
 }
+
+// MaxSize is the largest access size a Record holds. Decoders reject a
+// larger size instead of truncating it.
+const MaxSize = math.MaxInt32
 
 // ScopeCode returns the two-letter scope tag (GV, GS, LV, LS) or "" when the
 // record carries no symbol information.

@@ -8,12 +8,13 @@ import (
 	"tracedst/internal/ctype"
 )
 
-// TestRecordSize pins the packed field order: Op, HasSym, Vis, Aggregate
-// and FuncID share one word. Every pipeline stage copies records, so a
-// reorder that reopens the padding costs every stage.
+// TestRecordSize pins the packed field order: the four one-byte fields,
+// then FuncID, VarID, Frame, Thread and Size at 32 bits each, fill one
+// 24-byte header. Every pipeline stage copies records, so a reorder or a
+// widened field that reopens padding costs every stage.
 func TestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Record{}); got != 104 {
-		t.Errorf("sizeof(Record) = %d, want 104", got)
+	if got := unsafe.Sizeof(Record{}); got != 88 {
+		t.Errorf("sizeof(Record) = %d, want 88", got)
 	}
 }
 
@@ -202,14 +203,14 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		r := Record{
 			Op:   ops[int(opPick)%len(ops)],
 			Addr: uint64(addr),
-			Size: int64(size%16) + 1,
+			Size: int32(size%16) + 1,
 			Func: "main",
 		}
 		r.HasSym = true
 		r.Aggregate = agg
 		if local {
 			r.Vis = Local
-			r.Frame = int(frame % 4)
+			r.Frame = int32(frame % 4)
 			r.Thread = 1
 		} else {
 			r.Vis = Global

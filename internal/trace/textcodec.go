@@ -26,7 +26,7 @@ func (r *Record) AppendText(dst []byte) []byte {
 	dst = append(dst, byte(r.Op), ' ')
 	dst = appendHex9(dst, r.Addr)
 	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, r.Size, 10)
+	dst = strconv.AppendInt(dst, int64(r.Size), 10)
 	dst = append(dst, ' ')
 	dst = append(dst, r.Func...)
 	if !r.HasSym {
@@ -124,7 +124,7 @@ func parseRecordBytes(line []byte, in *Interner) (Record, error) {
 		return r, fmt.Errorf("trace: bad address %q in %q", fields[1], line)
 	}
 	r.Addr = addr
-	size, ok := parseInt(fields[2])
+	size, ok := parseInt32(fields[2])
 	if !ok || size < 0 {
 		return r, fmt.Errorf("trace: bad size %q in %q", fields[2], line)
 	}
@@ -149,15 +149,15 @@ func parseRecordBytes(line []byte, in *Interner) (Record, error) {
 		if nf != 8 {
 			return r, fmt.Errorf("trace: local record needs frame, thread, var: %q", line)
 		}
-		frame, ok := parseInt(fields[5])
+		frame, ok := parseInt32(fields[5])
 		if !ok {
 			return r, fmt.Errorf("trace: bad frame %q in %q", fields[5], line)
 		}
-		thread, ok := parseInt(fields[6])
+		thread, ok := parseInt32(fields[6])
 		if !ok {
 			return r, fmt.Errorf("trace: bad thread %q in %q", fields[6], line)
 		}
-		r.Frame, r.Thread = int(frame), int(thread)
+		r.Frame, r.Thread = frame, thread
 		varIdx = 7
 	} else if nf != 6 {
 		return r, fmt.Errorf("trace: expected variable name at end of %q", line)
@@ -199,10 +199,11 @@ func parseHex(b []byte) (uint64, bool) {
 	return v, true
 }
 
-// parseInt parses a decimal integer field with an optional leading minus
+// parseInt32 parses a decimal integer field with an optional leading minus
 // (frame/thread fields historically admitted negative values; semantic
-// checks flag them downstream).
-func parseInt(b []byte) (int64, bool) {
+// checks flag them downstream). A value outside the int32 range is
+// rejected, never truncated.
+func parseInt32(b []byte) (int32, bool) {
 	if len(b) == 0 {
 		return 0, false
 	}
@@ -230,5 +231,8 @@ func parseInt(b []byte) (int64, bool) {
 	if neg {
 		v = -v
 	}
-	return v, true
+	if v != int64(int32(v)) {
+		return 0, false
+	}
+	return int32(v), true
 }

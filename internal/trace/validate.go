@@ -457,7 +457,7 @@ type symInfo struct {
 type recordChecker struct {
 	rep       *Report
 	syms      map[string]*symInfo
-	maxThread int
+	maxThread int64
 }
 
 func newRecordChecker(rep *Report) *recordChecker {
@@ -528,15 +528,15 @@ func (v *recordChecker) checkOrder(line int, r *Record) {
 	if r.Frame < 0 {
 		v.rep.add(line, SevError, CodeOrder, "negative frame distance %d for %s", r.Frame, r.Var.Root)
 	}
-	switch {
-	case r.Thread < 1:
-		v.rep.add(line, SevError, CodeOrder, "thread id %d below 1 for %s", r.Thread, r.Var.Root)
-	case r.Thread > v.maxThread+1:
+	switch t := int64(r.Thread); {
+	case t < 1:
+		v.rep.add(line, SevError, CodeOrder, "thread id %d below 1 for %s", t, r.Var.Root)
+	case t > v.maxThread+1:
 		v.rep.add(line, SevError, CodeOrder,
-			"thread %d introduced out of order (highest so far %d)", r.Thread, v.maxThread)
-		v.maxThread = r.Thread
-	case r.Thread == v.maxThread+1:
-		v.maxThread = r.Thread
+			"thread %d introduced out of order (highest so far %d)", t, v.maxThread)
+		v.maxThread = t
+	case t == v.maxThread+1:
+		v.maxThread = t
 	}
 }
 

@@ -24,7 +24,7 @@ type Options struct {
 	PID int
 	// Thread is the thread id recorded on local accesses. Gleipnir numbers
 	// threads from 1. Zero means 1.
-	Thread int
+	Thread int32
 	// TraceAll starts with instrumentation enabled, for programs that do
 	// not use the GLEIPNIR_*_INSTRUMENTATION markers.
 	TraceAll bool
@@ -89,10 +89,12 @@ func (t *Tracer) Access(op minic.AccessOp, addr uint64, size int64, fn string, d
 		t.Dropped++
 		return
 	}
+	// The memory model bounds every object the interpreter can address,
+	// and so the access size and the call depth, far below 2^31.
 	rec := trace.Record{
 		Op:   trace.Op(op),
 		Addr: addr,
-		Size: size,
+		Size: int32(size),
 		Func: fn,
 	}
 	if t.interp != nil {
@@ -103,7 +105,7 @@ func (t *Tracer) Access(op minic.AccessOp, addr uint64, size int64, fn string, d
 			switch ref.Sym.Kind {
 			case symtab.KindLocal:
 				rec.Vis = trace.Local
-				rec.Frame = ref.FrameDistance
+				rec.Frame = int32(ref.FrameDistance)
 				rec.Thread = t.opts.Thread
 			default:
 				// Globals and heap blocks are globally visible: no frame or

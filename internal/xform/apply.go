@@ -1,6 +1,8 @@
 package xform
 
 import (
+	"fmt"
+
 	"tracedst/internal/ctype"
 	"tracedst/internal/rules"
 	"tracedst/internal/trace"
@@ -25,19 +27,28 @@ func (e *Engine) applyRemap(dst []trace.Record, st *ruleState, r *rules.StructRe
 	if err != nil {
 		return dst, false, nil // out of range for the out shape: ignore
 	}
-	out := e.rewritten(rec, r.OutVar, outPath, st.bases[r.OutVar]+uint64(off), elem.Size())
+	out, err := e.rewritten(rec, r.OutVar, outPath, st.bases[r.OutVar]+uint64(off), elem.Size())
+	if err != nil {
+		return dst, false, err
+	}
 	return append(e.appendInjects(dst, &out, r.Inject()), out), true, nil
 }
 
 // rewritten returns rec relocated to addr as an aggregate access of size
-// bytes to root+path, the path carved from the engine's slab.
-func (e *Engine) rewritten(rec *trace.Record, root string, path ctype.Path, addr uint64, size int64) trace.Record {
+// bytes to root+path, the path carved from the engine's slab. The new root
+// drops rec's VarID, which names the old one. A size the record cannot
+// hold is an error: rule types, not the trace, decide it.
+func (e *Engine) rewritten(rec *trace.Record, root string, path ctype.Path, addr uint64, size int64) (trace.Record, error) {
+	if size > trace.MaxSize {
+		return trace.Record{}, fmt.Errorf("xform: %d-byte access to %s exceeds the %d-byte record limit", size, root, trace.MaxSize)
+	}
 	out := *rec
 	out.Addr = addr
-	out.Size = size
+	out.Size = int32(size)
 	out.Var = ctype.AccessExpr{Root: root, Path: e.carve(path)}
+	out.VarID = 0
 	out.Aggregate = true
-	return out
+	return out, nil
 }
 
 // splitAccess decomposes a conforming access path into (member name, flat
@@ -147,9 +158,15 @@ func (e *Engine) applyOutline(dst []trace.Record, st *ruleState, r *rules.Outlin
 		return dst, false, nil
 	}
 	ptrField, _ := r.OutType.Elem.(*ctype.Struct).FieldByName(r.NestedField)
-	load := e.rewritten(rec, r.OutVar, ptrPath, st.bases[r.OutVar]+uint64(ptrOff), ptrField.Type.Size())
+	load, err := e.rewritten(rec, r.OutVar, ptrPath, st.bases[r.OutVar]+uint64(ptrOff), ptrField.Type.Size())
+	if err != nil {
+		return dst, false, err
+	}
 	load.Op = trace.Load
-	out := e.rewritten(rec, r.PoolVar, poolPath, st.bases[r.PoolVar]+uint64(poolOff), elem.Size())
+	out, err := e.rewritten(rec, r.PoolVar, poolPath, st.bases[r.PoolVar]+uint64(poolOff), elem.Size())
+	if err != nil {
+		return dst, false, err
+	}
 	return append(dst, load, out), true, nil
 }
 
@@ -161,7 +178,11 @@ func (e *Engine) appendMoved(dst []trace.Record, st *ruleState, t ctype.Type, ou
 	if err != nil {
 		return dst, false, nil
 	}
-	return append(dst, e.rewritten(rec, outVar, rec.Var.Path, st.bases[outVar]+uint64(off), elem.Size())), true, nil
+	out, err := e.rewritten(rec, outVar, rec.Var.Path, st.bases[outVar]+uint64(off), elem.Size())
+	if err != nil {
+		return dst, false, err
+	}
+	return append(dst, out), true, nil
 }
 
 // applyStride rewrites one array access through the index formula and
@@ -183,7 +204,10 @@ func (e *Engine) applyStride(dst []trace.Record, st *ruleState, r *rules.StrideR
 		return dst, false, err
 	}
 	e.path = append(e.path[:0], ctype.PathElem{Index: j})
-	out := e.rewritten(rec, r.OutVar, e.path, st.bases[r.OutVar]+uint64(j*r.Elem.Size()), r.Elem.Size())
+	out, err := e.rewritten(rec, r.OutVar, e.path, st.bases[r.OutVar]+uint64(j*r.Elem.Size()), r.Elem.Size())
+	if err != nil {
+		return dst, false, err
+	}
 	return append(e.appendInjects(dst, &out, r.Inject()), out), true, nil
 }
 
@@ -209,13 +233,15 @@ func (e *Engine) applyPeel(dst []trace.Record, st *ruleState, r *rules.PeelRule,
 // appendInjects appends the rule's inject list to dst as records placed
 // before the transformed access model. Variables seen in the trace reuse
 // their real addresses; unseen ones (stride temporaries like ITEMSPERLINE)
-// get stable synthetic stack slots.
+// get stable synthetic stack slots. Every inject runs in the model's
+// function, so it takes the model's Func and FuncID together; New has
+// range-checked its size.
 func (e *Engine) appendInjects(dst []trace.Record, model *trace.Record, injs []rules.InjectAccess) []trace.Record {
 	for _, inj := range injs {
 		var rec trace.Record
 		if prev, ok := e.lastScalar[inj.Var]; ok {
 			rec = prev
-			rec.Func = model.Func
+			rec.Func, rec.FuncID = model.Func, model.FuncID
 		} else {
 			addr, ok := e.synthAddr[inj.Var]
 			if !ok {
@@ -225,6 +251,7 @@ func (e *Engine) appendInjects(dst []trace.Record, model *trace.Record, injs []r
 			}
 			rec = trace.Record{
 				Func:   model.Func,
+				FuncID: model.FuncID,
 				HasSym: true,
 				Vis:    trace.Local,
 				Frame:  0,
@@ -237,7 +264,7 @@ func (e *Engine) appendInjects(dst []trace.Record, model *trace.Record, injs []r
 			rec.Addr = addr
 		}
 		rec.Op = trace.Op(inj.Op)
-		rec.Size = inj.Size
+		rec.Size = int32(inj.Size)
 		dst = append(dst, rec)
 	}
 	return dst

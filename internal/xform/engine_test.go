@@ -4,9 +4,12 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
+	"tracedst/internal/cache"
 	"tracedst/internal/ctype"
+	"tracedst/internal/dinero"
 	"tracedst/internal/rules"
 	"tracedst/internal/trace"
 	"tracedst/internal/workloads"
@@ -92,6 +95,51 @@ func TestBatchPathsAgree(t *testing.T) {
 	}
 }
 
+// TestRewrittenRecordsCarryNoStaleIDs: a trace interned before the
+// transform and simulated by an engine that trusts record ids must report
+// exactly what a run resolving every name reports. A record whose root
+// or function xform changes must not keep the old name's id.
+func TestRewrittenRecordsCarryNoStaleIDs(t *testing.T) {
+	cases := []struct {
+		name, src, rule string
+		defs            map[string]string
+	}{
+		{"remap", workloads.Trans1SoA, workloads.RuleTrans1ForLen(64), map[string]string{"LEN": "64"}},
+		{"outline", workloads.Trans2Inline, workloads.RuleTrans2, map[string]string{"LEN": "16"}},
+		{"stride", workloads.Trans3Contiguous, workloads.RuleTrans3, map[string]string{"LEN": "1024"}},
+		{"peel", peelProgram, peelRule, nil},
+	}
+	report := func(t *testing.T, syms *trace.SymTab, recs []trace.Record) string {
+		t.Helper()
+		ms, err := dinero.NewMulti(dinero.MultiOptions{Configs: []cache.Config{cache.Paper32KDirect()}, Syms: syms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms.Process(recs)
+		return ms.Report(0)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			orig := traceOf(t, c.src, c.defs)
+			syms := trace.NewSymTab()
+			trace.InternRecords(syms, orig)
+			for _, p := range []struct {
+				name string
+				run  func(*Engine, []trace.Record) ([]trace.Record, error)
+			}{{"TransformAll", (*Engine).TransformAll}, {"Source", viaSource}} {
+				out, err := p.run(mustEngine(t, mustRule(t, c.rule)), orig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if trusted, fresh := report(t, syms, out), report(t, nil, out); trusted != fresh {
+					t.Errorf("%s: report trusting ids differs from one resolving names:\n--- ids ---\n%s\n--- names ---\n%s",
+						p.name, trusted, fresh)
+				}
+			}
+		})
+	}
+}
+
 // TestBatchPathsDivisionByZero: a stride formula that divides by zero at
 // one index stops every path at that record with the formula's error.
 func TestBatchPathsDivisionByZero(t *testing.T) {
@@ -125,6 +173,36 @@ func TestBatchPathsDivisionByZero(t *testing.T) {
 		if errs[k].Error() != errs[0].Error() || stats[k] != want {
 			t.Errorf("path %d: err=%v stats=%+v, want %v and %+v", k, errs[k], stats[k], errs[0], want)
 		}
+	}
+}
+
+// TestOversizedAccessIsAnError: a record holds sizes up to 2 GiB - 1, so
+// a stride rule whose element is larger stops the transform with an error
+// instead of emitting a truncated size, and an inject that large is
+// refused when the engine is built.
+func TestOversizedAccessIsAnError(t *testing.T) {
+	f, err := rules.ParseFormula("i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := ctype.NewArray(ctype.Char, trace.MaxSize+1)
+	rule := &rules.StrideRule{InVar: "lA", Elem: big, InLen: 2, OutVar: "lB", OutLen: 2, Formula: f}
+	rec := trace.Record{
+		Op: trace.Load, Addr: 0x7ff000300, Size: 1, Func: "main",
+		HasSym: true, Vis: trace.Local, Aggregate: true, Thread: 1,
+		Var: ctype.AccessExpr{Root: "lA", Path: ctype.Path{{Index: 0}}},
+	}
+	for k, run := range []func(*Engine, []trace.Record) ([]trace.Record, error){
+		(*Engine).TransformAll, viaSource, viaTransform,
+	} {
+		if out, err := run(mustEngine(t, rule), []trace.Record{rec}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("path %d: %d records, err %v; want a size error", k, len(out), err)
+		}
+	}
+
+	inject := mustRule(t, strings.Replace(workloads.RuleTrans3, "L lI;", "L lI 2147483648;", 1))
+	if _, err := New(Options{}, inject); err == nil || !strings.Contains(err.Error(), "2147483648-byte") {
+		t.Errorf("New with a 2 GiB inject: err %v, want a size error", err)
 	}
 }
 

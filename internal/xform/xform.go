@@ -131,6 +131,12 @@ func New(opts Options, rs ...rules.Rule) (*Engine, error) {
 		if _, dup := e.byRoot[r.InRoot()]; dup {
 			return nil, fmt.Errorf("xform: two rules for root %q", r.InRoot())
 		}
+		for _, inj := range r.Inject() {
+			if inj.Size < 0 || inj.Size > trace.MaxSize {
+				return nil, fmt.Errorf("xform: rule for %q injects a %d-byte access to %s, outside [0, %d]",
+					r.InRoot(), inj.Size, inj.Var, trace.MaxSize)
+			}
+		}
 		st := newRuleState(r)
 		e.states = append(e.states, st)
 		e.byRoot[r.InRoot()] = st

@@ -12,7 +12,10 @@
 package tracedst_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -245,6 +248,63 @@ func TestGlcheckCLIT1(t *testing.T) {
 	// Missing file is an I/O problem: exit 2.
 	if code, _ := runGlcheck(t, filepath.Join(dir, "nope.out")); code != 2 {
 		t.Errorf("missing file: exit %d, want 2", code)
+	}
+}
+
+// TestGlcheckRejectsOutOfRangeFields: glcheck exits 1 and names the
+// field when a size, frame or thread lies one step past the 32-bit range
+// a record holds, in a text trace and in a .glb block whose checksum
+// still holds.
+func TestGlcheckRejectsOutOfRangeFields(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		field      string
+		line       string // a local load, the field's value left to fill in
+		edge, past int64
+	}{
+		{"size", "L 7ff0001b0 %d main LV 0 1 i", math.MaxInt32, math.MaxInt32 + 1},
+		{"frame", "L 7ff0001b0 8 main LV %d 1 i", math.MaxInt32, math.MaxInt32 + 1},
+		{"frame", "L 7ff0001b0 8 main LV %d 1 i", math.MinInt32, math.MinInt32 - 1},
+		{"thread", "L 7ff0001b0 8 main LV 0 %d i", math.MaxInt32, math.MaxInt32 + 1},
+		{"thread", "L 7ff0001b0 8 main LV 0 %d i", math.MinInt32, math.MinInt32 - 1},
+	} {
+		h, recs, err := trace.ParseAll("START PID 7\n" + fmt.Sprintf(c.line, c.edge) + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var glb bytes.Buffer
+		w := trace.NewBinaryWriter(&glb)
+		if err := w.WriteHeader(h); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(&recs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		forged := faultinject.GLBForgeVarint(glb.Bytes(), c.edge, c.past)
+		if bytes.Equal(forged, glb.Bytes()) {
+			t.Fatalf("%s=%d: no block holds the value", c.field, c.edge)
+		}
+		for _, f := range []struct {
+			ext  string
+			data []byte
+		}{
+			{".out", []byte("START PID 7\n" + fmt.Sprintf(c.line, c.past) + "\n")},
+			{".glb", forged},
+		} {
+			p := filepath.Join(dir, fmt.Sprintf("%s%d%s", c.field, c.past, f.ext))
+			if err := os.WriteFile(p, f.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if code, out := runGlcheck(t, "-no-region-checks", p); code != 1 || !strings.Contains(out, "bad "+c.field) {
+				t.Errorf("%s: exit %d, want 1 naming bad %s\n%s", filepath.Base(p), code, c.field, out)
+			}
+		}
 	}
 }
 
