@@ -456,7 +456,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	// optional transformation and the simulator batch by batch. Every
 	// stage is built before the file is opened, so once it is, the pass
 	// runs to its end.
-	sim, err := dinero.New(dinero.Options{L1: cfg})
+	sim, err := dinero.NewMulti(dinero.MultiOptions{Configs: []cache.Config{cfg}})
 	if err != nil {
 		return err
 	}
@@ -504,7 +504,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	j.mu.Lock()
 	j.Records = sim.Records()
 	j.BadLines = ts.BadLines()
-	j.Report = sim.Report()
+	j.Report = sim.Report(0)
 	j.mu.Unlock()
 	s.reg.Counter("server.records_simulated").Add(sim.Records())
 	sim.PublishTelemetry(s.reg)

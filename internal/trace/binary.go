@@ -322,11 +322,9 @@ type BinaryReader struct {
 	err    error
 	auxErr error // first damage seen in a record-free auxiliary block
 
-	recs    []Record // decoded current block
-	next    int
-	dec     blockDecoder
-	payload []byte
-	crcBuf  [4]byte // a field, not a local: io.ReadFull would move a local to the heap
+	st     *decodeState // from the first block to the stream's end; see decodeState
+	next   int          // the first record of st.recs not yet handed out
+	crcBuf [4]byte      // a field, not a local: io.ReadFull would move a local to the heap
 }
 
 // NewBinaryReader returns a strict BinaryReader over r.
@@ -340,7 +338,24 @@ func NewBinaryReaderOptions(r io.Reader, opts DecodeOptions) *BinaryReader {
 	if !ok {
 		br = bufio.NewReaderSize(r, 256*1024)
 	}
-	return &BinaryReader{br: br, opts: opts, dec: blockDecoder{intern: NewInterner()}}
+	return &BinaryReader{br: br, opts: opts}
+}
+
+// pending returns the current block's records not yet handed out.
+func (rd *BinaryReader) pending() []Record {
+	if rd.st == nil {
+		return nil
+	}
+	return rd.st.recs[rd.next:]
+}
+
+// end makes err the stream's sticky result and gives the decode state
+// back.
+func (rd *BinaryReader) end(err error) error {
+	rd.err = err
+	rd.st.release()
+	rd.st = nil
+	return err
 }
 
 // ensurePre consumes and checks the preamble.
@@ -430,8 +445,8 @@ func eofish(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// loadBlock reads and decodes the next block into rd.recs. io.EOF means a
-// clean end of stream.
+// loadBlock reads and decodes the next block into rd.st.recs, taking a
+// decode state at the first block. io.EOF means a clean end of stream.
 func (rd *BinaryReader) loadBlock() error {
 	for {
 		payloadLen, err := binary.ReadUvarint(rd.br)
@@ -462,10 +477,14 @@ func (rd *BinaryReader) loadBlock() error {
 			}
 			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
 		}
+		if rd.st == nil {
+			rd.st = getDecodeState()
+		}
 		// Grow geometrically: block payloads creep upward through a trace,
 		// and an exact-fit buffer would be replaced at nearly every block.
-		rd.payload = slices.Grow(rd.payload[:0], int(payloadLen))[:payloadLen]
-		if _, err := io.ReadFull(rd.br, rd.payload); err != nil {
+		payload := slices.Grow(rd.st.payload[:0], int(payloadLen))[:payloadLen]
+		rd.st.payload = payload
+		if _, err := io.ReadFull(rd.br, payload); err != nil {
 			if recCount == 0 && eofish(err) {
 				rd.noteAux(fmt.Errorf("trace: block %d: truncated record-free block: %w", rd.block, err))
 				return io.EOF
@@ -474,7 +493,7 @@ func (rd *BinaryReader) loadBlock() error {
 		}
 		// Framing is intact from here on, so damage is skippable: the next
 		// block starts right after the payload we already consumed.
-		if crc32.ChecksumIEEE(rd.payload) != binary.LittleEndian.Uint32(crcBuf) {
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf) {
 			if recCount == 0 {
 				// Record-free blocks carry auxiliary payloads (the
 				// block-index footer); damage there loses no records.
@@ -491,7 +510,7 @@ func (rd *BinaryReader) loadBlock() error {
 			// CRC-valid auxiliary payload; nothing to decode.
 			continue
 		}
-		if derr := rd.decodeBlock(rd.payload, int(recCount)); derr != nil {
+		if derr := rd.decodeBlock(payload, int(recCount)); derr != nil {
 			if ok, lerr := rd.badBlock(derr); ok {
 				continue
 			} else {
@@ -502,16 +521,17 @@ func (rd *BinaryReader) loadBlock() error {
 	}
 }
 
-// decodeBlock decodes a CRC-valid payload into rd.recs.
+// decodeBlock decodes a CRC-valid payload into rd.st.recs.
 func (rd *BinaryReader) decodeBlock(p []byte, recCount int) error {
-	recs, err := rd.dec.decode(p, recCount, rd.recs[:0])
-	rd.recs = recs
+	recs, err := rd.st.dec.decode(p, recCount, rd.st.recs[:0])
+	rd.st.recs = recs
 	rd.next = 0
 	return err
 }
 
 // blockDecoder decodes block payloads. It is the per-goroutine state of the
-// parallel decoder and the block-decoding half of BinaryReader.
+// parallel decoder and, inside a decodeState, the block-decoding half of
+// BinaryReader and IndexedTrace.Source.
 type blockDecoder struct {
 	intern *Interner
 	slots  []strSlot // the current block's string table
@@ -639,13 +659,12 @@ func (rd *BinaryReader) Read() (Record, error) {
 	if err := rd.ensurePre(); err != nil {
 		return Record{}, err
 	}
-	for rd.next >= len(rd.recs) {
+	for len(rd.pending()) == 0 {
 		if err := rd.loadBlock(); err != nil {
-			rd.err = err
-			return Record{}, err
+			return Record{}, rd.end(err)
 		}
 	}
-	r := rd.recs[rd.next]
+	r := rd.st.recs[rd.next]
 	rd.next++
 	return r, nil
 }
@@ -653,8 +672,9 @@ func (rd *BinaryReader) Read() (Record, error) {
 // NextBlock returns the records remaining in the current decoded block,
 // loading the next block when it is exhausted — the zero-copy batch path
 // behind NewSource. The returned slice aliases the reader's block buffer
-// and is only valid until the next NextBlock/Read/ReadBatch call. io.EOF
-// signals a clean end of stream.
+// and is only valid until the next NextBlock/Read/ReadBatch call; once the
+// stream has ended, with io.EOF or a decoding error, the memory behind its
+// batches serves other streams. io.EOF signals a clean end of stream.
 func (rd *BinaryReader) NextBlock() ([]Record, error) {
 	if rd.err != nil {
 		return nil, rd.err
@@ -662,14 +682,13 @@ func (rd *BinaryReader) NextBlock() ([]Record, error) {
 	if err := rd.ensurePre(); err != nil {
 		return nil, err
 	}
-	for rd.next >= len(rd.recs) {
+	for len(rd.pending()) == 0 {
 		if err := rd.loadBlock(); err != nil {
-			rd.err = err
-			return nil, err
+			return nil, rd.end(err)
 		}
 	}
-	recs := rd.recs[rd.next:]
-	rd.next = len(rd.recs)
+	recs := rd.pending()
+	rd.next = len(rd.st.recs)
 	return recs, nil
 }
 
@@ -685,21 +704,15 @@ func (rd *BinaryReader) ReadBatch(dst []Record) (int, error) {
 	}
 	n := 0
 	for n < len(dst) {
-		if rd.next >= len(rd.recs) {
-			err := rd.loadBlock()
-			if err == io.EOF {
-				if n > 0 {
+		if len(rd.pending()) == 0 {
+			if err := rd.loadBlock(); err != nil {
+				if rd.end(err) == io.EOF && n > 0 {
 					return n, nil
 				}
-				rd.err = io.EOF
-				return 0, io.EOF
-			}
-			if err != nil {
-				rd.err = err
 				return n, err
 			}
 		}
-		c := copy(dst[n:], rd.recs[rd.next:])
+		c := copy(dst[n:], rd.pending())
 		rd.next += c
 		n += c
 	}
@@ -710,9 +723,9 @@ func (rd *BinaryReader) ReadBatch(dst []Record) (int, error) {
 func (rd *BinaryReader) ReadAll() ([]Record, error) {
 	var recs []Record
 	for {
-		if rd.next < len(rd.recs) {
-			recs = append(recs, rd.recs[rd.next:]...)
-			rd.next = len(rd.recs)
+		if p := rd.pending(); len(p) > 0 {
+			recs = append(recs, p...)
+			rd.next += len(p)
 		}
 		if rd.err != nil {
 			if rd.err == io.EOF {
@@ -727,8 +740,7 @@ func (rd *BinaryReader) ReadAll() ([]Record, error) {
 			return recs, err
 		}
 		if err := rd.loadBlock(); err != nil {
-			rd.err = err
-			if err == io.EOF {
+			if rd.end(err) == io.EOF {
 				return recs, nil
 			}
 			return recs, err

@@ -218,13 +218,7 @@ func (t *IndexedTrace) Source(lo, hi int, opts DecodeOptions) RecordSource {
 	if hi > t.NumBlocks() {
 		hi = t.NumBlocks()
 	}
-	return &blockRangeSource{
-		t:    t,
-		opts: opts,
-		cur:  lo,
-		hi:   hi,
-		dec:  blockDecoder{intern: NewInterner()},
-	}
+	return &blockRangeSource{t: t, opts: opts, cur: lo, hi: hi}
 }
 
 // ShardRanges splits the data blocks into up to n contiguous ranges of
@@ -266,8 +260,7 @@ type blockRangeSource struct {
 	opts DecodeOptions
 	cur  int
 	hi   int
-	dec  blockDecoder
-	recs []Record
+	st   *decodeState // from the first block to the stream's end; see decodeState
 	bad  int
 	err  error
 }
@@ -301,36 +294,46 @@ func (s *blockRangeSource) NextBatch() ([]Record, error) {
 		s.cur++
 		payload, recCount, err := s.t.frameAt(i)
 		if err != nil {
-			s.err = err
-			return nil, err
+			return nil, s.end(err)
 		}
 		if derr := s.checkAndDecode(payload, recCount); derr != nil {
 			if ok, lerr := s.badBlock(i, derr); ok {
 				continue
 			} else {
-				s.err = lerr
-				return nil, lerr
+				return nil, s.end(lerr)
 			}
 		}
-		if len(s.recs) == 0 {
+		if len(s.st.recs) == 0 {
 			continue
 		}
-		return s.recs, nil
+		return s.st.recs, nil
 	}
-	s.err = io.EOF
-	return nil, io.EOF
+	return nil, s.end(io.EOF)
+}
+
+// end makes err the stream's sticky result and gives the decode state
+// back.
+func (s *blockRangeSource) end(err error) error {
+	s.err = err
+	s.st.release()
+	s.st = nil
+	return err
 }
 
 // checkAndDecode CRC-checks a payload (whose expected CRC the frame
-// carries just before it) and decodes it into s.recs.
+// carries just before it) and decodes it into s.st.recs, taking a decode
+// state at the first block.
 func (s *blockRangeSource) checkAndDecode(framed []byte, recCount int) error {
 	crc := binary.LittleEndian.Uint32(framed[:4])
 	payload := framed[4:]
 	if crc32.ChecksumIEEE(payload) != crc {
 		return ErrBlockChecksum
 	}
-	recs, err := s.dec.decode(payload, recCount, s.recs[:0])
-	s.recs = recs
+	if s.st == nil {
+		s.st = getDecodeState()
+	}
+	recs, err := s.st.dec.decode(payload, recCount, s.st.recs[:0])
+	s.st.recs = recs
 	return err
 }
 

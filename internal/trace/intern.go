@@ -89,6 +89,16 @@ func (in *Interner) internVar(b []byte) (ctype.AccessExpr, error) {
 	return v, nil
 }
 
+// reset empties the Interner for the next stream of a recycled decode
+// state. The tables keep their index and entry chunks; the key strings and
+// the path slab are dropped, never reused, because records decoded before
+// the reset still reference them.
+func (in *Interner) reset() {
+	in.funcs.reset()
+	in.vars.reset()
+	in.slab = nil
+}
+
 // carve copies p into the path slab and returns the copy, capped at its
 // length; an empty path stays nil, as ParseAccess returns it. Slabs start
 // small and double up to slabElems, so a decoder of a short trace does not
@@ -116,8 +126,11 @@ type internTable[V any] struct {
 	seed maphash.Seed
 	// slots holds entry locations, (chunk+1)<<chunkShift | offset, and 0
 	// where empty; its length is a power of two at least twice n.
-	slots  []uint32
+	slots []uint32
+	// chunks[:used] hold the entries; the rest are empty chunks a reset
+	// kept for reuse.
 	chunks [][]internEntry[V]
+	used   int
 	n      int
 }
 
@@ -160,18 +173,35 @@ func (t *internTable[V]) insert(key string, val V) {
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
 	}
-	last := len(t.chunks) - 1
+	last := t.used - 1
 	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
-		size := firstChunkEntries
-		if last >= 0 {
-			size = min(2*cap(t.chunks[last]), maxChunkEntries)
+		// Past the chunks a reset kept, which come back in the order
+		// they were made, the next chunk doubles the last.
+		if t.used == len(t.chunks) {
+			size := firstChunkEntries
+			if last >= 0 {
+				size = min(2*cap(t.chunks[last]), maxChunkEntries)
+			}
+			t.chunks = append(t.chunks, make([]internEntry[V], 0, size))
 		}
-		t.chunks = append(t.chunks, make([]internEntry[V], 0, size))
+		t.used++
 		last++
 	}
 	t.chunks[last] = append(t.chunks[last], internEntry[V]{key, val})
 	t.place(uint32(last+1)<<chunkShift | uint32(len(t.chunks[last])-1))
 	t.n++
+}
+
+// reset empties the table in place: the index is cleared and the entries
+// in use are zeroed, so the table holds no key or value, while the index
+// and the entry chunks stay allocated for the next keys.
+func (t *internTable[V]) reset() {
+	clear(t.slots)
+	for i, c := range t.chunks[:t.used] {
+		clear(c)
+		t.chunks[i] = c[:0]
+	}
+	t.used, t.n = 0, 0
 }
 
 // room reports whether k more keys fit under maxInternedStrings.

@@ -13,7 +13,8 @@ import (
 
 // TestInternTable: every inserted key is found from its bytes across index
 // growth and entry-chunk boundaries (past the largest chunk size), absent
-// keys are not, and ref updates a value in place.
+// keys are not, ref updates a value in place, and a reset table reuses its
+// index and chunks.
 func TestInternTable(t *testing.T) {
 	tab := internTable[int]{seed: maphash.MakeSeed()}
 	const n = 3*maxChunkEntries + 7
@@ -44,6 +45,33 @@ func TestInternTable(t *testing.T) {
 	}
 	if len(tab.slots) < 2*tab.n {
 		t.Errorf("index of %d slots for %d entries: load above one half", len(tab.slots), tab.n)
+	}
+
+	// A reset empties the table but keeps its index and chunks: the same
+	// number of new keys fills them again in the same order, allocating
+	// no chunk, and no old key or value survives.
+	slots, chunks := len(tab.slots), len(tab.chunks)
+	tab.reset()
+	for _, c := range tab.chunks {
+		for _, e := range c[:cap(c)] {
+			if e != (internEntry[int]{}) {
+				t.Fatalf("entry %+v survived the reset", e)
+			}
+		}
+	}
+	for i := 0; i <= n; i++ {
+		tab.insert(fmt.Sprint("r", i), -i)
+	}
+	if len(tab.slots) != slots || len(tab.chunks) != chunks {
+		t.Errorf("after a reset and %d inserts: %d slots, %d chunks; want the %d and %d kept", n+1, len(tab.slots), len(tab.chunks), slots, chunks)
+	}
+	for i := 0; i < n; i++ {
+		if tab.ref(key(i)) != nil {
+			t.Fatalf("key %q found after the reset", key(i))
+		}
+		if v := tab.ref([]byte(fmt.Sprint("r", i))); v == nil || *v != -i {
+			t.Fatalf("ref(r%d) = %v after the reset, want %d", i, v, -i)
+		}
 	}
 }
 
@@ -287,18 +315,24 @@ func TestBinaryWriterSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBinaryDecode decodes 64K records of two populations: bounded
-// (a 16x16 matrix swept repeatedly) and walk (an array of structures
-// walked once, so nearly every spelling is new).
+// BenchmarkBinaryDecode decodes 64K records of two populations, each
+// operation through a new reader: bounded (a 16x16 matrix swept
+// repeatedly) and walk (an array of structures walked once, so nearly
+// every spelling is new). reopen decodes one block of the bounded
+// population per operation, so what a stream costs to set up, which a
+// service pays per upload, is most of its cost.
 func BenchmarkBinaryDecode(b *testing.B) {
-	const n = 1 << 16
+	bounded := func(i int) ctype.Path { return ctype.Path{{Index: int64(i % 16)}, {Index: int64(i / 16 % 16)}} }
 	for _, pop := range []struct {
 		name string
+		n    int
 		path func(i int) ctype.Path
 	}{
-		{"bounded", func(i int) ctype.Path { return ctype.Path{{Index: int64(i % 16)}, {Index: int64(i / 16 % 16)}} }},
-		{"walk", func(i int) ctype.Path { return ctype.Path{{Index: int64(i / 2)}, {Field: [2]string{"x", "y"}[i%2]}} }},
+		{"bounded", 1 << 16, bounded},
+		{"walk", 1 << 16, func(i int) ctype.Path { return ctype.Path{{Index: int64(i / 2)}, {Field: [2]string{"x", "y"}[i%2]}} }},
+		{"reopen", DefaultBlockRecords, bounded},
 	} {
+		n := pop.n
 		b.Run(pop.name, func(b *testing.B) {
 			var buf bytes.Buffer
 			wr := NewBinaryWriter(&buf)

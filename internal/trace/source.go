@@ -21,7 +21,8 @@ const DefaultBatchRecords = DefaultBlockRecords
 // with io.EOF at a clean end of stream, or a nil batch with the decoding
 // error that stopped the stream (sticky: subsequent calls return it
 // again). The returned slice is only valid until the next NextBatch call —
-// consumers that need records to outlive the call must copy them.
+// consumers that need records to outlive the call must copy them. Once a
+// stream has ended, the memory behind its batches serves other streams.
 type RecordSource interface {
 	// Header returns the trace header (zero when the source had none).
 	Header() (Header, error)
