@@ -211,7 +211,7 @@ func simulate(path string, opts dinero.MultiOptions, shards int, tf *cliutil.Tra
 		tr.Close()
 		obs.Fatal(err)
 	}
-	cliutil.PublishIndexedDecode(tr, res.Sim.Records())
+	cliutil.PublishDecode(trace.FormatBinary, tr.Bytes(), res.Sim.Records())
 	if err := tr.Close(); err != nil {
 		obs.Fatal(err)
 	}

@@ -239,8 +239,8 @@ func LoadTraceOpts(path string, opts trace.DecodeOptions) (h trace.Header, hasHd
 
 // LoadTraceFormat is LoadTraceOpts plus the sniffed container format, for
 // tools that mirror the input format on output. The trace format (text or
-// binary) is detected from the file's magic, and decoding fans out across
-// GOMAXPROCS workers with serial-identical results.
+// binary) is detected from the file's magic; a binary trace decodes across
+// GOMAXPROCS workers with serial-identical results (trace.DecodeBytes).
 func LoadTraceFormat(path string, opts trace.DecodeOptions) (h trace.Header, hasHdr bool, recs []trace.Record, format trace.FileFormat, err error) {
 	in, err := OpenTrace(path)
 	if err != nil {
@@ -253,11 +253,7 @@ func LoadTraceFormat(path string, opts trace.DecodeOptions) (h trace.Header, has
 	}
 	format = trace.DetectFormat(data)
 	h, hasHdr, recs, err = trace.DecodeBytes(data, opts, 0)
-	reg := telemetry.Default()
-	reg.Counter("trace.decode.files").Inc()
-	reg.Counter("trace.decode.bytes").Add(int64(len(data)))
-	reg.Counter("trace.decode.records").Add(int64(len(recs)))
-	reg.Counter("trace.decode.records." + format.String()).Add(int64(len(recs)))
+	PublishDecode(format, int64(len(data)), int64(len(recs)))
 	return h, hasHdr, recs, format, err
 }
 

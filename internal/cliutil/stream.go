@@ -50,7 +50,7 @@ type TraceStream struct {
 // binary traces stream block-at-a-time with zero copying.
 func OpenTraceSource(path string, opts trace.DecodeOptions) (*TraceStream, error) {
 	return openTraceStream(path, func(r io.Reader) (trace.RecordSource, trace.FileFormat, error) {
-		return trace.OpenSource(r, opts, 0)
+		return trace.OpenReader(r, opts)
 	})
 }
 
@@ -144,12 +144,8 @@ func (ts *TraceStream) Close() error {
 		return nil
 	}
 	ts.closed = true
-	reg := telemetry.Default()
-	reg.Counter("trace.decode.files").Inc()
-	reg.Counter("trace.decode.bytes").Add(ts.cr.n)
-	reg.Counter("trace.decode.records").Add(ts.records)
-	reg.Counter("trace.decode.records." + ts.format.String()).Add(ts.records)
-	reg.Counter("trace.stream.batches").Add(ts.batches)
+	PublishDecode(ts.format, ts.cr.n, ts.records)
+	telemetry.Default().Counter("trace.stream.batches").Add(ts.batches)
 	if ts.span != nil {
 		ts.span.SetAttr("records", strconv.FormatInt(ts.records, 10))
 		ts.span.SetAttr("bytes", strconv.FormatInt(ts.cr.n, 10))
@@ -159,16 +155,16 @@ func (ts *TraceStream) Close() error {
 	return ts.in.Close()
 }
 
-// PublishIndexedDecode publishes the trace.decode counters for a pass over
-// an mmap-backed indexed trace (always binary), so sharded runs report the
-// same decode telemetry as the reader-based paths. records is how many
-// records the pass actually decoded.
-func PublishIndexedDecode(tr *trace.IndexedTrace, records int64) {
+// PublishDecode adds one decoded trace — its bytes and the records
+// decoded, by container format — to the trace.decode counters. Every
+// decode path publishes through it (LoadTraceFormat, TraceStream.Close,
+// sharded runs over an IndexedTrace), so they all report alike.
+func PublishDecode(format trace.FileFormat, bytes, records int64) {
 	reg := telemetry.Default()
 	reg.Counter("trace.decode.files").Inc()
-	reg.Counter("trace.decode.bytes").Add(tr.Bytes())
+	reg.Counter("trace.decode.bytes").Add(bytes)
 	reg.Counter("trace.decode.records").Add(records)
-	reg.Counter("trace.decode.records.binary").Add(records)
+	reg.Counter("trace.decode.records." + format.String()).Add(records)
 }
 
 // StreamInfo summarizes a finished StreamTrace pass.

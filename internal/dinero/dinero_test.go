@@ -180,7 +180,7 @@ S 000601040 4 main GV g
 L 000601040 4 main GV g
 `
 	s := sim(t, Options{L1: cache.Paper32KDirect()})
-	if err := s.ProcessSource(trace.NewSource(trace.NewReader(strings.NewReader(src)), 0)); err != nil {
+	if err := s.ProcessSource(trace.NewReader(strings.NewReader(src))); err != nil {
 		t.Fatal(err)
 	}
 	if s.Records() != 2 {
@@ -190,7 +190,7 @@ L 000601040 4 main GV g
 
 func TestProcessReaderPropagatesError(t *testing.T) {
 	s := sim(t, Options{L1: cache.Paper32KDirect()})
-	err := s.ProcessSource(trace.NewSource(trace.NewReader(strings.NewReader("START PID 1\ngarbage zz yy\n")), 0))
+	err := s.ProcessSource(trace.NewReader(strings.NewReader("START PID 1\ngarbage zz yy\n")))
 	if err == nil {
 		t.Error("malformed trace accepted")
 	}

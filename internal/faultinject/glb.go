@@ -4,7 +4,8 @@
 // indexed open must degrade to a scan-built index, readers must keep
 // decoding every record, and glcheck must surface the damage as a warning
 // rather than an error. GLBFlipPayloadBit and GLBForgeVarint are the
-// classes that damage a data block.
+// classes that damage a data block, and GLBForgeIndexGap forges a footer
+// that passes its checksum but leaves a data block out.
 package faultinject
 
 import (
@@ -19,7 +20,10 @@ import (
 // footerLen:u32le followed by the "GLIXEND\n" end magic.
 const glbTrailerLen = 4 + 8
 
-var glbTrailerMagic = []byte("GLIXEND\n")
+var (
+	glbFooterMagic  = []byte("GLIX1")
+	glbTrailerMagic = []byte("GLIXEND\n")
+)
 
 // hasGLBTrailer reports whether data ends with an intact footer trailer.
 func hasGLBTrailer(data []byte) bool {
@@ -125,9 +129,48 @@ func GLBForgeVarint(data []byte, from, to int64) []byte {
 	return data
 }
 
-// glbBlock is the payload span of one framed .glb block; its CRC is the
-// four bytes before start.
-type glbBlock struct{ start, end int }
+// GLBForgeIndexGap re-stamps the block-index footer of an indexed .glb
+// without the entry of data block i (0-based), leaving every block in
+// place: every CRC holds, but the index skips a block the file still
+// holds, so a reader that trusted it would drop that block's records.
+// Data without a footer trailer or without block i passes through
+// unchanged.
+func GLBForgeIndexGap(data []byte, i int) []byte {
+	blocks := glbDataBlocks(data, -1)
+	if !hasGLBTrailer(data) || i < 0 || i >= len(blocks) {
+		return data
+	}
+	last := blocks[len(blocks)-1]
+	blocks = append(blocks[:i:i], blocks[i+1:]...)
+	body := append([]byte(nil), glbFooterMagic...)
+	body = binary.AppendUvarint(body, uint64(len(blocks)))
+	prev, total := 0, uint64(0)
+	for _, b := range blocks {
+		body = binary.AppendUvarint(body, uint64(b.frame-prev))
+		body = binary.AppendUvarint(body, b.recs)
+		prev, total = b.frame, total+b.recs
+	}
+	body = binary.AppendUvarint(body, total)
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(body)))
+	body = append(body, glbTrailerMagic...)
+	// The footer travels as a record-free block of one string-table entry.
+	payload := binary.AppendUvarint([]byte{1}, uint64(len(body)))
+	payload = append(payload, body...)
+	out := append([]byte(nil), data[:last.end]...)
+	out = binary.AppendUvarint(out, uint64(len(payload)))
+	out = binary.AppendUvarint(out, 0)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// glbBlock is one framed .glb data block: the file offset of its frame,
+// its payload span (its CRC is the four bytes before start) and its
+// record count.
+type glbBlock struct {
+	frame, start, end int
+	recs              uint64
+}
 
 // glbDataBlocks walks the frames of a .glb and returns up to n of its
 // data blocks (n < 0: all), in file order, stopping at the first frame
@@ -154,8 +197,8 @@ func glbDataBlocks(data []byte, n int) []glbBlock {
 			break
 		}
 		if recCount > 0 {
-			off := len(data) - len(p) + start
-			blocks = append(blocks, glbBlock{off, off + int(payloadLen)})
+			frame := len(data) - len(p)
+			blocks = append(blocks, glbBlock{frame, frame + start, frame + start + int(payloadLen), recCount})
 		}
 		p = p[start+int(payloadLen):]
 	}

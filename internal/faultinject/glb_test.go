@@ -3,6 +3,7 @@ package faultinject
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"tracedst/internal/trace"
@@ -181,7 +182,7 @@ func TestGLBFlipPayloadBit(t *testing.T) {
 		t.Fatalf("flipped byte %d outside the first block [%d, %d)", diff, off[0], off[1])
 	}
 
-	_, err = trace.ReadSource(trace.NewSource(trace.NewBinaryReader(bytes.NewReader(data)), 0))
+	_, err = trace.ReadSource(trace.NewBinaryReader(bytes.NewReader(data)))
 	if !errors.Is(err, trace.ErrBlockChecksum) {
 		t.Fatalf("strict decode: err %v, want a checksum failure", err)
 	}
@@ -197,5 +198,49 @@ func TestGLBFlipPayloadBit(t *testing.T) {
 	text := []byte("START PID 1\nL 000601040 4 main\n")
 	if out := GLBFlipPayloadBit(text); !bytes.Equal(out, text) {
 		t.Fatal("text trace modified")
+	}
+}
+
+// TestGLBForgeIndexGap: a footer re-stamped without the second data
+// block's entry passes every checksum, so an indexed open trusts it; the
+// block chain then breaks at the block before the gap, and
+// IndexedTrace.Source fails naming the index instead of dropping the
+// block. DecodeBytes falls back to BinaryReader, which reads every block.
+func TestGLBForgeIndexGap(t *testing.T) {
+	clean, recs := encodeIndexedGLB(t)
+	data := GLBForgeIndexGap(clean, 1)
+	if bytes.Equal(data, clean) {
+		t.Fatal("trace unchanged")
+	}
+	tr, err := trace.NewIndexedBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.HasFooter() || tr.FooterErr() != nil || tr.NumBlocks() != 2 {
+		t.Fatalf("forged footer not taken: footer %t (%v), %d blocks", tr.HasFooter(), tr.FooterErr(), tr.NumBlocks())
+	}
+	got, err := trace.ReadSource(tr.Source(0, tr.NumBlocks(), trace.DecodeOptions{Mode: trace.Lenient}))
+	if err == nil || !strings.Contains(err.Error(), "block-index footer") {
+		t.Fatalf("IndexedTrace.Source: %d records, err %v; want an error naming the index", len(got), err)
+	}
+
+	want, err := trace.NewBinaryReader(bytes.NewReader(data)).ReadAll()
+	if err != nil || len(want) != len(recs) {
+		t.Fatalf("BinaryReader: %d of %d records, err %v", len(want), len(recs), err)
+	}
+	for _, workers := range []int{1, 3} {
+		_, _, got, err := trace.DecodeBytes(data, trace.DecodeOptions{}, workers)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("DecodeBytes(%d workers): %d of %d records, err %v", workers, len(got), len(want), err)
+		}
+		for i := range got {
+			if !got[i].Equal(&want[i]) {
+				t.Fatalf("DecodeBytes(%d workers): record %d = %v, want %v", workers, i, &got[i], &want[i])
+			}
+		}
+	}
+
+	if out := GLBForgeIndexGap(clean, 3); !bytes.Equal(out, clean) {
+		t.Fatal("a gap past the last block changed the trace")
 	}
 }

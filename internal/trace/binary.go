@@ -41,6 +41,48 @@ const DefaultBlockRecords = 4096
 // field cannot drive a giant allocation.
 const maxBlockPayload = 1 << 30
 
+// maxFrameHeader is the longest frame header: two uvarints.
+const maxFrameHeader = 2 * binary.MaxVarintLen64
+
+// errVarintOverflow is binary.ReadUvarint's error for a varint longer than
+// 64 bits.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// parseFrame decodes the frame header at the start of p — the payload
+// length and record count of block ord (1-based) — and returns them with
+// the header's length. It is the one check of a frame's fields, shared by
+// BinaryReader and IndexedTrace; p must hold maxFrameHeader bytes or run
+// to the end of the trace.
+func parseFrame(p []byte, ord int) (payloadLen, recCount uint64, n int, err error) {
+	payloadLen, n1 := binary.Uvarint(p)
+	if n1 <= 0 {
+		return 0, 0, 0, fmt.Errorf("trace: block %d: bad frame: %w", ord, uvarintErr(p, n1))
+	}
+	if payloadLen > maxBlockPayload {
+		return 0, 0, 0, fmt.Errorf("trace: block %d: payload length %d exceeds limit", ord, payloadLen)
+	}
+	recCount, n2 := binary.Uvarint(p[n1:])
+	if n2 <= 0 {
+		return 0, 0, 0, fmt.Errorf("trace: block %d: bad frame: %w", ord, uvarintErr(p[n1:], n2))
+	}
+	if recCount > payloadLen {
+		return 0, 0, 0, fmt.Errorf("trace: block %d: record count %d exceeds payload %d", ord, recCount, payloadLen)
+	}
+	return payloadLen, recCount, n1 + n2, nil
+}
+
+// uvarintErr is the error binary.ReadUvarint would give reading the bytes
+// of p where binary.Uvarint returned n <= 0.
+func uvarintErr(p []byte, n int) error {
+	switch {
+	case n < 0 || len(p) >= binary.MaxVarintLen64:
+		return errVarintOverflow
+	case len(p) == 0:
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
+}
+
 // ErrBlockChecksum marks a binary block whose payload fails its CRC32. It
 // is reported wrapped in a *BadLineError whose Line is the 1-based block
 // ordinal.
@@ -323,7 +365,6 @@ type BinaryReader struct {
 	auxErr error // first damage seen in a record-free auxiliary block
 
 	st     *decodeState // from the first block to the stream's end; see decodeState
-	next   int          // the first record of st.recs not yet handed out
 	crcBuf [4]byte      // a field, not a local: io.ReadFull would move a local to the heap
 }
 
@@ -335,18 +376,10 @@ func NewBinaryReader(r io.Reader) *BinaryReader {
 // NewBinaryReaderOptions returns a BinaryReader with explicit options.
 func NewBinaryReaderOptions(r io.Reader, opts DecodeOptions) *BinaryReader {
 	br, ok := r.(*bufio.Reader)
-	if !ok {
+	if !ok || br.Size() < maxFrameHeader {
 		br = bufio.NewReaderSize(r, 256*1024)
 	}
 	return &BinaryReader{br: br, opts: opts}
-}
-
-// pending returns the current block's records not yet handed out.
-func (rd *BinaryReader) pending() []Record {
-	if rd.st == nil {
-		return nil
-	}
-	return rd.st.recs[rd.next:]
 }
 
 // end makes err the stream's sticky result and gives the decode state
@@ -407,9 +440,6 @@ func (rd *BinaryReader) HasHeader() bool { return rd.hasHdr }
 // BadLines returns the number of damaged blocks skipped in lenient mode.
 func (rd *BinaryReader) BadLines() int { return rd.bad }
 
-// Blocks returns the number of blocks consumed so far.
-func (rd *BinaryReader) Blocks() int { return rd.block }
-
 // AuxDamage returns the first damage found in a record-free auxiliary
 // block (e.g. a torn or checksum-failed block-index footer), nil when
 // none was seen. Auxiliary blocks carry no records, so their damage
@@ -424,22 +454,6 @@ func (rd *BinaryReader) noteAux(err error) {
 	}
 }
 
-// badBlock mirrors the text reader's skipBad for a damaged block.
-func (rd *BinaryReader) badBlock(err error) (bool, error) {
-	ble := &BadLineError{Line: rd.block, Err: err}
-	if rd.opts.OnError != nil {
-		rd.opts.OnError(ble.Line, "", ble.Err)
-	}
-	if rd.opts.Mode != Lenient {
-		return false, ble
-	}
-	rd.bad++
-	if rd.opts.MaxBadLines > 0 && rd.bad > rd.opts.MaxBadLines {
-		return false, fmt.Errorf("%w (bad-line budget %d exhausted)", ble, rd.opts.MaxBadLines)
-	}
-	return true, nil
-}
-
 // eofish reports whether err marks the end of the stream (clean or short).
 func eofish(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
@@ -449,24 +463,20 @@ func eofish(err error) bool {
 // decode state at the first block. io.EOF means a clean end of stream.
 func (rd *BinaryReader) loadBlock() error {
 	for {
-		payloadLen, err := binary.ReadUvarint(rd.br)
-		if err == io.EOF {
+		hdr, perr := rd.br.Peek(maxFrameHeader)
+		if len(hdr) == 0 && perr == io.EOF {
 			return io.EOF
 		}
+		payloadLen, recCount, n, err := parseFrame(hdr, rd.block+1)
 		if err != nil {
-			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block+1, err)
+			if perr != nil && perr != io.EOF && eofish(err) {
+				// The header was cut short by a read error, not the end.
+				err = fmt.Errorf("trace: block %d: bad frame: %w", rd.block+1, perr)
+			}
+			return err
 		}
+		rd.br.Discard(n) // cannot fail: Peek returned the n bytes
 		rd.block++
-		if payloadLen > maxBlockPayload {
-			return fmt.Errorf("trace: block %d: payload length %d exceeds limit", rd.block, payloadLen)
-		}
-		recCount, err := binary.ReadUvarint(rd.br)
-		if err != nil {
-			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
-		}
-		if recCount > payloadLen {
-			return fmt.Errorf("trace: block %d: record count %d exceeds payload %d", rd.block, recCount, payloadLen)
-		}
 		crcBuf := rd.crcBuf[:]
 		if _, err := io.ReadFull(rd.br, crcBuf); err != nil {
 			if recCount == 0 && eofish(err) {
@@ -500,22 +510,20 @@ func (rd *BinaryReader) loadBlock() error {
 				rd.noteAux(fmt.Errorf("trace: block %d: record-free block: %w", rd.block, ErrBlockChecksum))
 				continue
 			}
-			if ok, lerr := rd.badBlock(ErrBlockChecksum); ok {
-				continue
-			} else {
-				return lerr
+			if err := rd.opts.skip(&BadLineError{Line: rd.block, Err: ErrBlockChecksum}, &rd.bad); err != nil {
+				return err
 			}
+			continue
 		}
 		if recCount == 0 {
 			// CRC-valid auxiliary payload; nothing to decode.
 			continue
 		}
 		if derr := rd.decodeBlock(payload, int(recCount)); derr != nil {
-			if ok, lerr := rd.badBlock(derr); ok {
-				continue
-			} else {
-				return lerr
+			if err := rd.opts.skip(&BadLineError{Line: rd.block, Err: derr}, &rd.bad); err != nil {
+				return err
 			}
+			continue
 		}
 		return nil
 	}
@@ -525,13 +533,12 @@ func (rd *BinaryReader) loadBlock() error {
 func (rd *BinaryReader) decodeBlock(p []byte, recCount int) error {
 	recs, err := rd.st.dec.decode(p, recCount, rd.st.recs[:0])
 	rd.st.recs = recs
-	rd.next = 0
 	return err
 }
 
-// blockDecoder decodes block payloads. It is the per-goroutine state of the
-// parallel decoder and, inside a decodeState, the block-decoding half of
-// BinaryReader and IndexedTrace.Source.
+// blockDecoder decodes block payloads: inside a decodeState, the
+// block-decoding half of BinaryReader and of IndexedTrace's sources and
+// DecodeBytes workers.
 type blockDecoder struct {
 	intern *Interner
 	slots  []strSlot // the current block's string table
@@ -651,99 +658,21 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 	return recs, nil
 }
 
-// Read returns the next record, or io.EOF at end of stream.
-func (rd *BinaryReader) Read() (Record, error) {
-	if rd.err != nil {
-		return Record{}, rd.err
-	}
-	if err := rd.ensurePre(); err != nil {
-		return Record{}, err
-	}
-	for len(rd.pending()) == 0 {
-		if err := rd.loadBlock(); err != nil {
-			return Record{}, rd.end(err)
-		}
-	}
-	r := rd.st.recs[rd.next]
-	rd.next++
-	return r, nil
-}
-
-// NextBlock returns the records remaining in the current decoded block,
-// loading the next block when it is exhausted — the zero-copy batch path
-// behind NewSource. The returned slice aliases the reader's block buffer
-// and is only valid until the next NextBlock/Read/ReadBatch call; once the
-// stream has ended, with io.EOF or a decoding error, the memory behind its
-// batches serves other streams. io.EOF signals a clean end of stream.
-func (rd *BinaryReader) NextBlock() ([]Record, error) {
+// NextBatch returns the records of the next decoded block (see
+// RecordSource): batches are the decoded blocks themselves, handed out
+// with no copying. io.EOF signals a clean end of stream.
+func (rd *BinaryReader) NextBatch() ([]Record, error) {
 	if rd.err != nil {
 		return nil, rd.err
 	}
 	if err := rd.ensurePre(); err != nil {
 		return nil, err
 	}
-	for len(rd.pending()) == 0 {
-		if err := rd.loadBlock(); err != nil {
-			return nil, rd.end(err)
-		}
+	if err := rd.loadBlock(); err != nil {
+		return nil, rd.end(err)
 	}
-	recs := rd.pending()
-	rd.next = len(rd.st.recs)
-	return recs, nil
-}
-
-// ReadBatch fills dst with up to len(dst) records and returns how many were
-// read; (0, io.EOF) signals end of stream. Whole decoded blocks are copied
-// at once, so large batches decode with no per-record overhead.
-func (rd *BinaryReader) ReadBatch(dst []Record) (int, error) {
-	if rd.err != nil {
-		return 0, rd.err
-	}
-	if err := rd.ensurePre(); err != nil {
-		return 0, err
-	}
-	n := 0
-	for n < len(dst) {
-		if len(rd.pending()) == 0 {
-			if err := rd.loadBlock(); err != nil {
-				if rd.end(err) == io.EOF && n > 0 {
-					return n, nil
-				}
-				return n, err
-			}
-		}
-		c := copy(dst[n:], rd.pending())
-		rd.next += c
-		n += c
-	}
-	return n, nil
+	return rd.st.recs, nil
 }
 
 // ReadAll reads the remaining records into a slice.
-func (rd *BinaryReader) ReadAll() ([]Record, error) {
-	var recs []Record
-	for {
-		if p := rd.pending(); len(p) > 0 {
-			recs = append(recs, p...)
-			rd.next += len(p)
-		}
-		if rd.err != nil {
-			if rd.err == io.EOF {
-				return recs, nil
-			}
-			return recs, rd.err
-		}
-		if err := rd.ensurePre(); err != nil {
-			if err == io.EOF {
-				return recs, nil
-			}
-			return recs, err
-		}
-		if err := rd.loadBlock(); err != nil {
-			if rd.end(err) == io.EOF {
-				return recs, nil
-			}
-			return recs, err
-		}
-	}
-}
+func (rd *BinaryReader) ReadAll() ([]Record, error) { return ReadSource(rd) }

@@ -104,8 +104,8 @@ func TestBinaryEmpty(t *testing.T) {
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("recs=%d err=%v", len(recs), err)
 	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("Read after end = %v, want EOF", err)
+	if b, err := rd.NextBatch(); b != nil || err != io.EOF {
+		t.Fatalf("NextBatch after end = (%v, %v), want (nil, EOF)", b, err)
 	}
 }
 
@@ -188,21 +188,24 @@ func TestBinaryTruncation(t *testing.T) {
 	}
 }
 
+// TestBinaryReadBatch: NextBatch hands out the decoded blocks themselves.
 func TestBinaryReadBatch(t *testing.T) {
 	h, recs := sampleRecords(t)
 	data := encodeBinary(t, &h, recs, 2)
 	rd := NewBinaryReader(bytes.NewReader(data))
 	var got []Record
-	buf := make([]Record, 4)
 	for {
-		n, err := rd.ReadBatch(buf)
-		got = append(got, buf[:n]...)
+		b, err := rd.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want := min(2, len(recs)-len(got)); len(b) != want {
+			t.Fatalf("batch of %d records, want the %d of a block", len(b), want)
+		}
+		got = append(got, b...)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("batched decode got %d records, want %d", len(got), len(recs))

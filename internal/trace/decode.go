@@ -66,6 +66,24 @@ func (o *DecodeOptions) maxLine() int {
 	return DefaultMaxLineBytes
 }
 
+// skip is the one damage budget of every decoder: it reports a damaged
+// unit (a line, or a block of a binary trace) through OnError, then, in
+// lenient mode within MaxBadLines, counts it in *bad and returns nil to
+// keep going. Otherwise it returns the error that ends the stream.
+func (o *DecodeOptions) skip(ble *BadLineError, bad *int) error {
+	if o.OnError != nil {
+		o.OnError(ble.Line, ble.Text, ble.Err)
+	}
+	if o.Mode != Lenient {
+		return ble
+	}
+	*bad++
+	if o.MaxBadLines > 0 && *bad > o.MaxBadLines {
+		return fmt.Errorf("%w (bad-line budget %d exhausted)", ble, o.MaxBadLines)
+	}
+	return nil
+}
+
 // BadLineError is a malformed line: a record or START header that failed to
 // parse, or a line over the length limit. Line is 1-based; Text is the
 // offending line (truncated to its first ~128 bytes when the line was

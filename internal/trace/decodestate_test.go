@@ -56,7 +56,7 @@ func decoders(t *testing.T, data []byte) []decoder {
 		t.Fatal(err)
 	}
 	return []decoder{
-		{"BinaryReader", func() RecordSource { return NewSource(NewBinaryReader(bytes.NewReader(data)), 0) }},
+		{"BinaryReader", func() RecordSource { return NewBinaryReader(bytes.NewReader(data)) }},
 		{"IndexedTrace.Source", func() RecordSource { return tr.Source(0, tr.NumBlocks(), DecodeOptions{}) }},
 	}
 }

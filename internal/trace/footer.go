@@ -99,6 +99,10 @@ func parseFooter(data []byte) (*BlockIndex, error) {
 		Offsets: make([]int64, 0, nblocks),
 		Counts:  make([]int64, 0, nblocks),
 	}
+	// Every record takes at least minRecordBytes of some payload, which
+	// bounds what the counts may claim before any block is read.
+	maxRecords := uint64(len(data) / minRecordBytes)
+	var claimed uint64
 	prev := int64(0)
 	for i := uint64(0); i < nblocks; i++ {
 		delta, n := binary.Uvarint(p)
@@ -107,9 +111,10 @@ func parseFooter(data []byte) (*BlockIndex, error) {
 		}
 		p = p[n:]
 		count, n := binary.Uvarint(p)
-		if n <= 0 {
+		if n <= 0 || count > maxRecords-claimed {
 			return nil, fmt.Errorf("trace: block-index footer: bad count in entry %d", i)
 		}
+		claimed += count
 		p = p[n:]
 		off := prev + int64(delta)
 		if off < 0 || off >= int64(len(data)) {

@@ -35,7 +35,7 @@ func encodeIndexed(t *testing.T, h *Header, recs []Record, blockRecs int) []byte
 }
 
 // TestFooterBackwardCompatible: a footer-bearing trace decodes to the same
-// records through the pre-footer serial reader and the parallel decoder —
+// records through the pre-footer serial reader and DecodeBytes —
 // the footer rides as a record-free block old readers skip.
 func TestFooterBackwardCompatible(t *testing.T) {
 	h, recs := sampleRecords(t)

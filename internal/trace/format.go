@@ -1,8 +1,8 @@
 // Trace container formats. The package supports two encodings of the same
 // record stream: the Gleipnir line-oriented text format (io.go) and a
-// block-framed binary format (binary.go). Format sniffing plus the
-// RecordReader/RecordWriter interfaces let every tool accept either
-// transparently.
+// block-framed binary format (binary.go), each with one decoder. Format
+// sniffing (OpenReader) plus the RecordReader/RecordWriter interfaces let
+// every tool accept either transparently.
 package trace
 
 import (
@@ -58,23 +58,11 @@ func DetectFormat(prefix []byte) FileFormat {
 }
 
 // RecordReader is the decoding half shared by the text Reader and the
-// BinaryReader, so pipelines can consume either format behind one type.
+// BinaryReader: a RecordSource that can also materialize what is left.
 type RecordReader interface {
-	// Header returns the trace header (zero when absent).
-	Header() (Header, error)
-	// HasHeader reports whether the input carried a header; meaningful
-	// after Header or the first Read.
-	HasHeader() bool
-	// Read returns the next record, or io.EOF at end of stream.
-	Read() (Record, error)
-	// ReadBatch fills dst and returns how many records were read; (0,
-	// io.EOF) signals end of stream.
-	ReadBatch(dst []Record) (int, error)
-	// ReadAll reads the remaining records.
+	RecordSource
+	// ReadAll reads the remaining records (ReadSource).
 	ReadAll() ([]Record, error)
-	// BadLines returns how many damaged units (lines or blocks) were
-	// skipped in lenient mode.
-	BadLines() int
 }
 
 // RecordWriter is the encoding half shared by the text Writer and the

@@ -89,7 +89,7 @@ func TestOpenReaderBinary(t *testing.T) {
 	if err != nil || len(got) != len(recs) {
 		t.Fatalf("recs=%d err=%v", len(got), err)
 	}
-	if _, err := rd.Read(); err != io.EOF {
-		t.Fatalf("Read after end = %v, want EOF", err)
+	if b, err := rd.NextBatch(); b != nil || err != io.EOF {
+		t.Fatalf("NextBatch after end = (%v, %v), want (nil, EOF)", b, err)
 	}
 }

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -85,17 +86,29 @@ func FuzzReader(f *testing.F) {
 // FuzzBinaryReader streams arbitrary bytes through both .glb reader
 // modes: neither may panic, strict never returns more records than
 // lenient, and every record either returns holds a size a Record can
-// carry and survives a BinaryWriter → BinaryReader round trip Equal.
+// carry and survives a BinaryWriter → BinaryReader round trip Equal. It is
+// also the differential check of the decoders built on the block index:
+// DecodeBytes on 1 and on 3 workers returns exactly BinaryReader's header,
+// records and error, strict and lenient, and an IndexedTrace.Source that
+// drains every block without error returns strict BinaryReader's records.
 func FuzzBinaryReader(f *testing.F) {
+	three := glbOf(f, "START PID 1\nS 000601040 4 main GV glScalar\nL 7ff0001b0 8 main LV 0 1 i\nM 000601040 4 main GV glScalar\n")
 	f.Add(glbOf(f, "START PID 1\nS 000601040 4 main GV glScalar\nL 7ff0001b0 8 main LV 0 1 i\n"))
+	f.Add(three)
+	f.Add(faultinject.GLBForgeIndexGap(three, 0))
+	f.Add(faultinject.GLBForgeIndexGap(three, 1))
+	f.Add(faultinject.GLBFlipPayloadBit(three))
 	for _, e := range fieldEdges {
 		edge := glbOf(f, e.text(e.edge))
 		f.Add(edge)
 		f.Add(faultinject.GLBForgeVarint(edge, e.edge, e.past))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strict, _ := trace.NewBinaryReader(bytes.NewReader(data)).ReadAll()
-		lenient, _ := trace.NewBinaryReaderOptions(bytes.NewReader(data), trace.DecodeOptions{Mode: trace.Lenient}).ReadAll()
+		lenientOpts := trace.DecodeOptions{Mode: trace.Lenient}
+		srd := trace.NewBinaryReader(bytes.NewReader(data))
+		strict, serr := srd.ReadAll()
+		lrd := trace.NewBinaryReaderOptions(bytes.NewReader(data), lenientOpts)
+		lenient, lerr := lrd.ReadAll()
 		if len(strict) > len(lenient) {
 			t.Fatalf("strict read %d records, lenient %d", len(strict), len(lenient))
 		}
@@ -113,13 +126,50 @@ func FuzzBinaryReader(f *testing.F) {
 			if err != nil || len(again) != len(recs) {
 				t.Fatalf("round trip: %d of %d records, err %v", len(again), len(recs), err)
 			}
-			for i := range recs {
-				if !again[i].Equal(&recs[i]) {
-					t.Fatalf("record %d changed: %q -> %q", i, recs[i].String(), again[i].String())
+			sameRecords(t, "round trip", again, recs)
+		}
+		if trace.DetectFormat(data) != trace.FormatBinary {
+			return
+		}
+		for _, want := range []struct {
+			opts trace.DecodeOptions
+			rd   *trace.BinaryReader
+			recs []trace.Record
+			err  error
+		}{{trace.DecodeOptions{}, srd, strict, serr}, {lenientOpts, lrd, lenient, lerr}} {
+			wh, _ := want.rd.Header()
+			for _, workers := range []int{1, 3} {
+				h, hasHdr, got, err := trace.DecodeBytes(data, want.opts, workers)
+				if fmt.Sprint(err) != fmt.Sprint(want.err) || h != wh || hasHdr != want.rd.HasHeader() {
+					t.Fatalf("DecodeBytes(%v, %d workers) = header %v/%t, err %v; BinaryReader %v/%t, err %v",
+						want.opts.Mode, workers, h, hasHdr, err, wh, want.rd.HasHeader(), want.err)
 				}
+				sameRecords(t, fmt.Sprintf("DecodeBytes(%v, %d workers)", want.opts.Mode, workers), got, want.recs)
+			}
+		}
+		if tr, err := trace.NewIndexedBytes(data); err == nil {
+			got, err := trace.ReadSource(tr.Source(0, tr.NumBlocks(), trace.DecodeOptions{}))
+			if err == nil {
+				if serr != nil {
+					t.Fatalf("IndexedTrace.Source read cleanly; strict BinaryReader failed: %v", serr)
+				}
+				sameRecords(t, "IndexedTrace.Source", got, strict)
 			}
 		}
 	})
+}
+
+// sameRecords fails t unless got and want hold Equal records.
+func sameRecords(t *testing.T, what string, got, want []trace.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(&want[i]) {
+			t.Fatalf("%s: record %d = %q, want %q", what, i, got[i].String(), want[i].String())
+		}
+	}
 }
 
 // FuzzCodecRoundTrip is the differential fuzzer for the two container

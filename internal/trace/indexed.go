@@ -92,12 +92,16 @@ func NewIndexedBytes(data []byte) (*IndexedTrace, error) {
 		ix = nil
 	}
 	if ix != nil {
-		for i, off := range ix.Offsets {
-			if off < int64(len(data)-len(body)) {
-				t.footerErr = fmt.Errorf("trace: block-index footer: offset %d inside preamble in entry %d", off, i)
-				ix = nil
-				break
-			}
+		// A footer's blocks must chain from the preamble to the footer
+		// block: the first link is checked here, the rest by chained.
+		start := int64(len(data) - len(body))
+		switch {
+		case len(ix.Offsets) > 0 && ix.Offsets[0] != start:
+			t.footerErr = fmt.Errorf("trace: block-index footer: entry 0 at offset %d, but the first block starts at %d", ix.Offsets[0], start)
+			ix = nil
+		case len(ix.Offsets) == 0 && !t.recordFreeFrom(start):
+			t.footerErr = fmt.Errorf("trace: block-index footer: no entries, but the frame at offset %d is not the footer's", start)
+			ix = nil
 		}
 	}
 	if ix != nil {
@@ -118,24 +122,12 @@ func (t *IndexedTrace) scanIndex(p []byte, off int64) error {
 	for len(p) > 0 {
 		ord++
 		start := off
-		payloadLen, n := binary.Uvarint(p)
-		if n <= 0 {
-			return fmt.Errorf("trace: block %d: bad frame: %w", ord, io.ErrUnexpectedEOF)
+		payloadLen, recCount, n, err := parseFrame(p, ord)
+		if err != nil {
+			return err
 		}
 		p = p[n:]
 		off += int64(n)
-		if payloadLen > maxBlockPayload {
-			return fmt.Errorf("trace: block %d: payload length %d exceeds limit", ord, payloadLen)
-		}
-		recCount, n := binary.Uvarint(p)
-		if n <= 0 {
-			return fmt.Errorf("trace: block %d: bad frame: %w", ord, io.ErrUnexpectedEOF)
-		}
-		p = p[n:]
-		off += int64(n)
-		if recCount > payloadLen {
-			return fmt.Errorf("trace: block %d: record count %d exceeds payload %d", ord, recCount, payloadLen)
-		}
 		if len(p) < 4+int(payloadLen) {
 			if recCount == 0 {
 				// A record-free auxiliary block (e.g. the block-index
@@ -209,8 +201,9 @@ func (t *IndexedTrace) Index() BlockIndex {
 // Source returns a RecordSource over blocks [lo, hi) decoding straight
 // from the mapping. Damage semantics follow opts exactly as in the serial
 // reader, with BadLineError.Line carrying the 1-based position among the
-// trace's data blocks. Sources over disjoint ranges are independent and
-// safe to drive from different goroutines.
+// trace's data blocks; a block that breaks a footer index's chain ends the
+// stream with an error in either mode. Sources over disjoint ranges are
+// independent and safe to drive from different goroutines.
 func (t *IndexedTrace) Source(lo, hi int, opts DecodeOptions) RecordSource {
 	if lo < 0 {
 		lo = 0
@@ -269,22 +262,6 @@ func (s *blockRangeSource) Header() (Header, error) { return s.t.header, nil }
 func (s *blockRangeSource) HasHeader() bool         { return s.t.hasHdr }
 func (s *blockRangeSource) BadLines() int           { return s.bad }
 
-// badBlock mirrors BinaryReader.badBlock for a damaged block at index i.
-func (s *blockRangeSource) badBlock(i int, err error) (bool, error) {
-	ble := &BadLineError{Line: i + 1, Err: err}
-	if s.opts.OnError != nil {
-		s.opts.OnError(ble.Line, "", ble.Err)
-	}
-	if s.opts.Mode != Lenient {
-		return false, ble
-	}
-	s.bad++
-	if s.opts.MaxBadLines > 0 && s.bad > s.opts.MaxBadLines {
-		return false, fmt.Errorf("%w (bad-line budget %d exhausted)", ble, s.opts.MaxBadLines)
-	}
-	return true, nil
-}
-
 func (s *blockRangeSource) NextBatch() ([]Record, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -292,21 +269,28 @@ func (s *blockRangeSource) NextBatch() ([]Record, error) {
 	for s.cur < s.hi {
 		i := s.cur
 		s.cur++
-		payload, recCount, err := s.t.frameAt(i)
+		framed, recCount, end, err := s.t.frameAt(i)
 		if err != nil {
 			return nil, s.end(err)
 		}
-		if derr := s.checkAndDecode(payload, recCount); derr != nil {
-			if ok, lerr := s.badBlock(i, derr); ok {
-				continue
-			} else {
-				return nil, s.end(lerr)
-			}
+		if s.st == nil {
+			s.st = getDecodeState()
 		}
-		if len(s.st.recs) == 0 {
+		recs, derr := s.st.dec.checkAndDecode(framed, recCount, s.st.recs[:0])
+		s.st.recs = recs
+		if derr != nil {
+			if err := s.opts.skip(&BadLineError{Line: i + 1, Err: derr}, &s.bad); err != nil {
+				return nil, s.end(err)
+			}
 			continue
 		}
-		return s.st.recs, nil
+		if err := s.t.chained(i, end); err != nil {
+			return nil, s.end(err)
+		}
+		if len(recs) == 0 {
+			continue
+		}
+		return recs, nil
 	}
 	return nil, s.end(io.EOF)
 }
@@ -320,52 +304,72 @@ func (s *blockRangeSource) end(err error) error {
 	return err
 }
 
-// checkAndDecode CRC-checks a payload (whose expected CRC the frame
-// carries just before it) and decodes it into s.st.recs, taking a decode
-// state at the first block.
-func (s *blockRangeSource) checkAndDecode(framed []byte, recCount int) error {
-	crc := binary.LittleEndian.Uint32(framed[:4])
+// checkAndDecode CRC-checks a framed payload (the CRC the frame carries
+// in its first 4 bytes, then the payload) and appends its records to recs.
+func (d *blockDecoder) checkAndDecode(framed []byte, recCount int, recs []Record) ([]Record, error) {
 	payload := framed[4:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return ErrBlockChecksum
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(framed) {
+		return recs, ErrBlockChecksum
 	}
-	if s.st == nil {
-		s.st = getDecodeState()
-	}
-	recs, err := s.st.dec.decode(payload, recCount, s.st.recs[:0])
-	s.st.recs = recs
-	return err
+	return d.decode(payload, recCount, recs)
 }
 
 // frameAt parses the frame of data block i and returns its crc+payload
-// bytes (crc in the first 4 bytes) and record count.
-func (t *IndexedTrace) frameAt(i int) ([]byte, int, error) {
+// bytes (crc in the first 4 bytes), its record count and the offset where
+// it ends.
+func (t *IndexedTrace) frameAt(i int) ([]byte, int, int64, error) {
 	off := t.index.Offsets[i]
 	if off < 0 || off >= int64(len(t.data)) {
-		return nil, 0, fmt.Errorf("trace: block %d: index offset %d out of range", i+1, off)
+		return nil, 0, 0, fmt.Errorf("trace: block %d: index offset %d out of range", i+1, off)
 	}
 	p := t.data[off:]
-	payloadLen, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("trace: block %d: bad frame: %w", i+1, io.ErrUnexpectedEOF)
+	payloadLen, recCount, n, err := parseFrame(p, i+1)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	p = p[n:]
-	if payloadLen > maxBlockPayload {
-		return nil, 0, fmt.Errorf("trace: block %d: payload length %d exceeds limit", i+1, payloadLen)
-	}
-	recCount, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("trace: block %d: bad frame: %w", i+1, io.ErrUnexpectedEOF)
-	}
-	p = p[n:]
-	if recCount > payloadLen {
-		return nil, 0, fmt.Errorf("trace: block %d: record count %d exceeds payload %d", i+1, recCount, payloadLen)
-	}
 	if int64(recCount) != t.index.Counts[i] {
-		return nil, 0, fmt.Errorf("trace: block %d: frame says %d records, index says %d", i+1, recCount, t.index.Counts[i])
+		return nil, 0, 0, fmt.Errorf("trace: block %d: frame says %d records, index says %d", i+1, recCount, t.index.Counts[i])
 	}
 	if len(p) < 4+int(payloadLen) {
-		return nil, 0, fmt.Errorf("trace: block %d: truncated payload: %w", i+1, io.ErrUnexpectedEOF)
+		return nil, 0, 0, fmt.Errorf("trace: block %d: truncated payload: %w", i+1, io.ErrUnexpectedEOF)
 	}
-	return p[:4+payloadLen], int(recCount), nil
+	return p[:4+payloadLen], int(recCount), off + int64(n) + 4 + int64(payloadLen), nil
+}
+
+// chained checks a footer's index at data block i, which decoded cleanly
+// and ends at end: the next entry must start there, and after the last
+// entry no data block may follow, or the index has left a block out and
+// its records would be dropped unnoticed. A block that fails to decode is
+// not checked: its frame may be what is damaged.
+func (t *IndexedTrace) chained(i int, end int64) error {
+	switch {
+	case !t.footer:
+		return nil
+	case i+1 < len(t.index.Offsets):
+		if next := t.index.Offsets[i+1]; next != end {
+			return fmt.Errorf("trace: block %d: ends at offset %d, but the block-index footer lists the next block at %d", i+1, end, next)
+		}
+	case !t.recordFreeFrom(end):
+		return fmt.Errorf("trace: block %d: the block-index footer lists no later block, but the frame at offset %d is not the footer's", i+1, end)
+	}
+	return nil
+}
+
+// recordFreeFrom reports whether, as the serial reader sees it, no data
+// block starts at or after off: the frames from off on are record-free
+// (the footer's block), the last possibly cut short by the end of the
+// trace.
+func (t *IndexedTrace) recordFreeFrom(off int64) bool {
+	for p := t.data[off:]; len(p) > 0; {
+		payloadLen, recCount, n, err := parseFrame(p, 0)
+		if err != nil || recCount != 0 {
+			return false
+		}
+		if uint64(len(p)-n) < 4+payloadLen {
+			return true
+		}
+		p = p[n+4+int(payloadLen):]
+	}
+	return true
 }

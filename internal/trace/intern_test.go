@@ -151,7 +151,7 @@ func TestDecodePathsAgree(t *testing.T) {
 	check("ReadAll", recs)
 
 	var streamed []Record
-	src := NewSource(NewBinaryReader(bytes.NewReader(data)), 0)
+	src := NewBinaryReader(bytes.NewReader(data))
 	for {
 		batch, err := src.NextBatch()
 		if err == io.EOF {
@@ -162,7 +162,7 @@ func TestDecodePathsAgree(t *testing.T) {
 		}
 		streamed = append(streamed, batch...)
 	}
-	check("NextBlock", streamed)
+	check("NextBatch", streamed)
 
 	_, _, par, err := DecodeBytes(data, DecodeOptions{}, 3)
 	if err != nil {
@@ -246,17 +246,17 @@ func TestBinaryReaderSteadyStateAllocs(t *testing.T) {
 	}
 	rd := NewBinaryReader(bytes.NewReader(encodeBinary(t, nil, recs, 256)))
 	for i := 0; i < 4; i++ { // the population cycles every two blocks
-		if _, err := rd.NextBlock(); err != nil {
+		if _, err := rd.NextBatch(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := rd.NextBlock(); err != nil {
+		if _, err := rd.NextBatch(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("NextBlock steady state: %.2f allocations per block, want 0", allocs)
+		t.Errorf("NextBatch steady state: %.2f allocations per block, want 0", allocs)
 	}
 }
 
@@ -274,10 +274,10 @@ func TestBlockDecodeDistinctAllocs(t *testing.T) {
 	data := encodeBinary(t, nil, recs, 0)
 	allocs := testing.AllocsPerRun(5, func() {
 		rd := NewBinaryReader(bytes.NewReader(data))
-		if _, err := rd.NextBlock(); err != nil {
+		if _, err := rd.NextBatch(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rd.NextBlock(); err != nil {
+		if _, err := rd.NextBatch(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -350,7 +350,7 @@ func BenchmarkBinaryDecode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				src := NewSource(NewBinaryReader(bytes.NewReader(data)), 0)
+				src := NewBinaryReader(bytes.NewReader(data))
 				for {
 					if _, err := src.NextBatch(); err == io.EOF {
 						break

@@ -24,6 +24,7 @@ type Reader struct {
 	buf        []byte
 	pending    []byte // non-header first line peeked while looking for START
 	hasPending bool
+	batch      []Record // NextBatch's buffer, grown up to DefaultBatchRecords
 	line       int
 	bad        int
 	err        error
@@ -119,24 +120,6 @@ func (rd *Reader) oversizeErr(prefix []byte) *BadLineError {
 	return &BadLineError{Line: rd.line, Text: string(prefix), Err: ErrLineTooLong}
 }
 
-// skipBad decides what to do with a malformed line: in lenient mode within
-// budget it reports the line through OnError and returns ok=true ("keep
-// going"); otherwise it returns the error to latch. OnError fires in both
-// modes.
-func (rd *Reader) skipBad(ble *BadLineError) (bool, error) {
-	if rd.opts.OnError != nil {
-		rd.opts.OnError(ble.Line, ble.Text, ble.Err)
-	}
-	if rd.opts.Mode != Lenient {
-		return false, ble
-	}
-	rd.bad++
-	if rd.opts.MaxBadLines > 0 && rd.bad > rd.opts.MaxBadLines {
-		return false, fmt.Errorf("%w (bad-line budget %d exhausted)", ble, rd.opts.MaxBadLines)
-	}
-	return true, nil
-}
-
 // ensureHeader consumes the optional START line. A malformed header or an
 // unreadable first line latches rd.err so later Reads fail loudly instead
 // of silently treating the trace as headerless.
@@ -155,11 +138,8 @@ func (rd *Reader) ensureHeader() error {
 		}
 		if err != nil {
 			if ble, ok := err.(*BadLineError); ok {
-				if ok2, lerr := rd.skipBad(ble); ok2 {
+				if err = rd.opts.skip(ble, &rd.bad); err == nil {
 					continue
-				} else {
-					rd.err = lerr
-					return rd.err
 				}
 			}
 			rd.err = err
@@ -173,14 +153,12 @@ func (rd *Reader) ensureHeader() error {
 			h, herr := ParseHeader(string(text))
 			if herr != nil {
 				ble := &BadLineError{Line: rd.line, Text: string(text), Err: herr}
-				if ok, lerr := rd.skipBad(ble); ok {
-					// Lenient: drop the corrupt header line and treat the
-					// trace as headerless.
-					return nil
-				} else {
-					rd.err = lerr
+				if rd.err = rd.opts.skip(ble, &rd.bad); rd.err != nil {
 					return rd.err
 				}
+				// Lenient: drop the corrupt header line and treat the
+				// trace as headerless.
+				return nil
 			}
 			rd.header = h
 			rd.hasHdr = true
@@ -215,11 +193,8 @@ func (rd *Reader) Read() (Record, error) {
 			}
 			if err != nil {
 				if ble, ok := err.(*BadLineError); ok {
-					if ok2, lerr := rd.skipBad(ble); ok2 {
+					if err = rd.opts.skip(ble, &rd.bad); err == nil {
 						continue
-					} else {
-						rd.err = lerr
-						return Record{}, rd.err
 					}
 				}
 				rd.err = err
@@ -233,53 +208,36 @@ func (rd *Reader) Read() (Record, error) {
 		rec, perr := rd.intern.ParseRecord(text)
 		if perr != nil {
 			ble := &BadLineError{Line: rd.line, Text: string(text), Err: perr}
-			if ok, lerr := rd.skipBad(ble); ok {
-				continue
-			} else {
-				rd.err = lerr
+			if rd.err = rd.opts.skip(ble, &rd.bad); rd.err != nil {
 				return Record{}, rd.err
 			}
+			continue
 		}
 		return rec, nil
 	}
 }
 
-// ReadBatch fills dst with up to len(dst) records and returns how many were
-// read. It returns io.EOF only when no records were read and the stream is
-// exhausted, so callers can loop until (0, io.EOF).
-func (rd *Reader) ReadBatch(dst []Record) (int, error) {
-	n := 0
-	for n < len(dst) {
+// NextBatch returns the next records, up to DefaultBatchRecords of them
+// (see RecordSource). The records decoded before an error come first, as
+// one batch; the sticky error follows on the next call.
+func (rd *Reader) NextBatch() ([]Record, error) {
+	b := rd.batch[:0]
+	for len(b) < DefaultBatchRecords {
 		rec, err := rd.Read()
-		if err == io.EOF {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
-		}
 		if err != nil {
-			return n, err
+			if len(b) > 0 {
+				break
+			}
+			return nil, err
 		}
-		dst[n] = rec
-		n++
+		b = append(b, rec)
 	}
-	return n, nil
+	rd.batch = b
+	return b, nil
 }
 
 // ReadAll reads the remaining records into a slice.
-func (rd *Reader) ReadAll() ([]Record, error) {
-	var recs []Record
-	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
-}
+func (rd *Reader) ReadAll() ([]Record, error) { return ReadSource(rd) }
 
 // Writer streams records to a trace file in Gleipnir format.
 type Writer struct {

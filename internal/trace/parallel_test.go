@@ -2,14 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
 
-// bigTextTrace builds a synthetic trace large enough to split into several
-// parallel chunks (> a few hundred KB).
+// bigTextTrace builds a synthetic trace of 3n records (hundreds of KB for
+// the n used here), spanning several batches and blocks.
 func bigTextTrace(n int) string {
 	var b strings.Builder
 	b.WriteString("START PID 42\n")
@@ -21,9 +25,20 @@ func bigTextTrace(n int) string {
 	return b.String()
 }
 
+// decodeSerial is the serial reference DecodeBytes must match: one pass of
+// the format's reader.
 func decodeSerial(t *testing.T, data []byte, opts DecodeOptions) (Header, bool, []Record, error) {
 	t.Helper()
-	return serialDecode(data, opts)
+	rd, _, err := OpenReader(bytes.NewReader(data), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := rd.Header()
+	if err != nil && err != io.EOF {
+		return h, rd.HasHeader(), nil, err
+	}
+	recs, err := rd.ReadAll()
+	return h, rd.HasHeader(), recs, err
 }
 
 func sameDecode(t *testing.T, data []byte, opts DecodeOptions, workers int) {
@@ -83,9 +98,9 @@ func TestDecodeBytesTextSmallInput(t *testing.T) {
 
 func TestDecodeBytesTextBadLineFallsBack(t *testing.T) {
 	data := []byte(bigTextTrace(20000))
-	// Poison a line deep in the body; the parallel path must fall back to
-	// the serial decoder and reproduce its exact lenient semantics
-	// (ordered OnError with true line numbers) and strict error text.
+	// Poison a line deep in the body; DecodeBytes must reproduce the
+	// serial decoder's exact lenient semantics (ordered OnError with true
+	// line numbers) and strict error text.
 	idx := bytes.Index(data, []byte("\nM"))
 	data[idx+1] = '?'
 
@@ -203,16 +218,27 @@ func TestDecodeParallelDeterministic(t *testing.T) {
 	}
 }
 
-func TestDecodeParallelReader(t *testing.T) {
-	src := bigTextTrace(2000)
-	h, hasHdr, recs, err := DecodeParallel(strings.NewReader(src), DecodeOptions{}, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestDecodeBytesForgedCountAllocs: a frame that claims as many records as
+// its payload has bytes cannot decode (a record takes at least
+// minRecordBytes), so DecodeBytes must not size its result by that claim:
+// a 1 MiB block claiming 2^20 records would ask for 88 MiB.
+func TestDecodeBytesForgedCountAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 1 << 20
+	data := append(append([]byte(nil), binaryMagic[:]...), 1)
+	data = binary.AppendVarint(data, 7)
+	data = binary.AppendUvarint(data, n)
+	data = binary.AppendUvarint(data, n)
+	data = binary.LittleEndian.AppendUint32(data, 0)
+	data = append(data, make([]byte, n)...)
+	before := heapAllocBytes()
+	_, _, recs, err := DecodeBytes(data, DecodeOptions{}, 2)
+	allocated := heapAllocBytes() - before
+	if !errors.Is(err, ErrBlockChecksum) || len(recs) != 0 {
+		t.Fatalf("DecodeBytes = %d records, err %v; want a checksum failure", len(recs), err)
 	}
-	if h.PID != 42 || !hasHdr {
-		t.Fatalf("header = %+v hasHdr=%v", h, hasHdr)
-	}
-	if len(recs) != 6000 {
-		t.Fatalf("decoded %d records", len(recs))
+	if allocated > 8*uint64(len(data)) {
+		t.Errorf("DecodeBytes allocated %d bytes for a %d-byte trace", allocated, len(data))
 	}
 }

@@ -1,14 +1,18 @@
-// Batch-streaming trace consumption. RecordSource is the iterator contract
-// the streaming pipeline (xform, dinero, the CLI front ends) consumes:
-// records arrive in batches whose backing storage is reused between calls,
-// so a pipeline stage holds O(batch) records live no matter how large the
-// trace is. Sources wrap the serial readers (NewSource), in-memory slices
-// (SliceSource) and mmap-backed block ranges (IndexedTrace.Source), all
-// with the same strict/lenient BadLineError semantics as the readers they
-// are built from.
+// Batch-streaming trace consumption. RecordSource is the package's one
+// decode contract, and every pipeline stage (xform, dinero, the validator,
+// the CLI front ends) consumes it: records arrive in batches whose backing
+// storage is reused between calls, so a stage holds O(batch) records live
+// no matter how large the trace is. The serial readers (Reader,
+// BinaryReader), mmap-backed block ranges (IndexedTrace.Source) and the
+// Validator are sources with the same strict/lenient BadLineError
+// semantics; SliceSource bridges in-memory slices, and ReadSource
+// materializes any source.
 package trace
 
-import "io"
+import (
+	"io"
+	"slices"
+)
 
 // DefaultBatchRecords is the batch size streaming consumers use when the
 // caller does not specify one. It matches DefaultBlockRecords so binary
@@ -36,67 +40,6 @@ type RecordSource interface {
 	// skipped so far in lenient mode.
 	BadLines() int
 }
-
-// NewSource adapts a serial reader into a RecordSource. batch <= 0 selects
-// DefaultBatchRecords. A *BinaryReader streams zero-copy: NextBatch hands
-// out each decoded block directly (the batch parameter is ignored and
-// batches are block-sized), so no per-record copying happens between the
-// decoder and the consumer.
-func NewSource(rd RecordReader, batch int) RecordSource {
-	if br, ok := rd.(*BinaryReader); ok {
-		return &blockSource{rd: br}
-	}
-	if batch <= 0 {
-		batch = DefaultBatchRecords
-	}
-	return &readerSource{rd: rd, buf: make([]Record, batch)}
-}
-
-// OpenSource sniffs r's container format (like OpenReader) and returns a
-// streaming source over it: block-at-a-time for binary traces, batch-sized
-// line chunks for text. batch <= 0 selects DefaultBatchRecords.
-func OpenSource(r io.Reader, opts DecodeOptions, batch int) (RecordSource, FileFormat, error) {
-	rd, format, err := OpenReader(r, opts)
-	if err != nil {
-		return nil, format, err
-	}
-	return NewSource(rd, batch), format, nil
-}
-
-// readerSource batches any RecordReader through a reusable buffer.
-type readerSource struct {
-	rd  RecordReader
-	buf []Record
-}
-
-func (s *readerSource) Header() (Header, error) { return s.rd.Header() }
-func (s *readerSource) HasHeader() bool         { return s.rd.HasHeader() }
-func (s *readerSource) BadLines() int           { return s.rd.BadLines() }
-
-func (s *readerSource) NextBatch() ([]Record, error) {
-	n, err := s.rd.ReadBatch(s.buf)
-	if n > 0 {
-		// A partial batch before an error is still good data; the reader's
-		// sticky error resurfaces on the next call.
-		return s.buf[:n], nil
-	}
-	if err == nil {
-		err = io.EOF
-	}
-	return nil, err
-}
-
-// blockSource is the zero-copy binary fast path: batches are the decoded
-// blocks themselves.
-type blockSource struct {
-	rd *BinaryReader
-}
-
-func (s *blockSource) Header() (Header, error) { return s.rd.Header() }
-func (s *blockSource) HasHeader() bool         { return s.rd.HasHeader() }
-func (s *blockSource) BadLines() int           { return s.rd.BadLines() }
-
-func (s *blockSource) NextBatch() ([]Record, error) { return s.rd.NextBlock() }
 
 // SliceSource adapts an in-memory record slice into a RecordSource, for
 // callers bridging materialized traces into streaming consumers.
@@ -142,17 +85,37 @@ func (s *SliceSource) NextBatch() ([]Record, error) {
 
 // ReadSource drains src into a slice — the bridge back from streaming to
 // materialized consumers (reuse-distance analysis, miss timelines) that
-// genuinely need the whole trace.
+// genuinely need the whole trace. It is every ReadAll. Each batch is
+// copied out once as it arrives and the copies are joined once at the
+// end, so a drain allocates twice the result whatever its length, where a
+// growing slice would copy its prefix over and over.
 func ReadSource(src RecordSource) ([]Record, error) {
-	var recs []Record
+	var parts [][]Record
+	n := 0
 	for {
 		batch, err := src.NextBatch()
-		if err == io.EOF {
-			return recs, nil
-		}
 		if err != nil {
-			return recs, err
+			if err == io.EOF {
+				err = nil
+			}
+			return join(parts, n), err
 		}
-		recs = append(recs, batch...)
+		parts = append(parts, slices.Clone(batch))
+		n += len(batch)
 	}
+}
+
+// join concatenates parts, n records in all, reusing a lone part.
+func join(parts [][]Record, n int) []Record {
+	switch len(parts) {
+	case 0:
+		return nil
+	case 1:
+		return parts[0]
+	}
+	recs := make([]Record, 0, n)
+	for _, p := range parts {
+		recs = append(recs, p...)
+	}
+	return recs
 }

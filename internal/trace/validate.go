@@ -351,7 +351,7 @@ func (v *Validator) step() []Record {
 // checked as soon as it is read, so findings keep their input order.
 func (v *Validator) read() ([]Record, error) {
 	if v.bin != nil {
-		recs, err := v.bin.NextBlock()
+		recs, err := v.bin.NextBatch()
 		if err != nil {
 			return nil, err
 		}

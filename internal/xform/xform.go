@@ -304,16 +304,11 @@ func (s *source) NextBatch() ([]trace.Record, error) {
 	return out, nil
 }
 
-// Run streams records from rd to wr, transforming as it goes — the paper's
-// trace-file → transformed_trace.out pipeline.
-func (e *Engine) Run(rd *trace.Reader, wr *trace.Writer) error {
-	return e.RunSource(trace.NewSource(rd, 0), wr)
-}
-
 // RunSource streams record batches from src to wr, transforming as it
-// goes, holding only one batch live at a time — the constant-memory
-// transform stage, format-agnostic on both ends. Like TransformAll it
-// publishes its stat deltas to the default telemetry registry.
+// goes, holding only one batch live at a time — the paper's trace-file →
+// transformed_trace.out pipeline as the constant-memory transform stage,
+// format-agnostic on both ends. Like TransformAll it publishes its stat
+// deltas to the default telemetry registry.
 func (e *Engine) RunSource(src trace.RecordSource, wr trace.RecordWriter) error {
 	before := e.stats
 	defer e.publish(before)

@@ -436,7 +436,7 @@ func TestRunStreaming(t *testing.T) {
 
 	eng := mustEngine(t, mustRule(t, workloads.RuleTrans1ForLen(4)))
 	var out bytes.Buffer
-	if err := eng.Run(trace.NewReader(&in), trace.NewWriter(&out)); err != nil {
+	if err := eng.RunSource(trace.NewReader(&in), trace.NewWriter(&out)); err != nil {
 		t.Fatal(err)
 	}
 	h, recs, err := trace.ParseAll(out.String())
@@ -532,7 +532,7 @@ func TestRunHeaderlessStaysHeaderless(t *testing.T) {
 	in := strings.NewReader("S 7ff000393 4 main LS 0 1 lSoA.mX[0]\nL 7ff000393 4 main LS 0 1 lSoA.mX[0]\n")
 	eng := mustEngine(t, mustRule(t, workloads.RuleTrans1ForLen(4)))
 	var out bytes.Buffer
-	if err := eng.Run(trace.NewReader(in), trace.NewWriter(&out)); err != nil {
+	if err := eng.RunSource(trace.NewReader(in), trace.NewWriter(&out)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.HasPrefix(out.String(), "START") {

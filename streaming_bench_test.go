@@ -45,7 +45,7 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 		matNS += time.Since(t0)
 
 		t0 = time.Now()
-		src, _, err := trace.OpenSource(bytes.NewReader(f.binary), trace.DecodeOptions{}, 0)
+		src, _, err := trace.OpenReader(bytes.NewReader(f.binary), trace.DecodeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func BenchmarkShardedSimulate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		src, _, err := trace.OpenSource(bytes.NewReader(data), trace.DecodeOptions{}, 0)
+		src, _, err := trace.OpenReader(bytes.NewReader(data), trace.DecodeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestStreamingGoldenAllWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				src, gotFmt, err := trace.OpenSource(bytes.NewReader(data), trace.DecodeOptions{}, 0)
+				src, gotFmt, err := trace.OpenReader(bytes.NewReader(data), trace.DecodeOptions{})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, fm.name, err)
 				}
