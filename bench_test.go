@@ -6,6 +6,7 @@
 package tracedst_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -71,11 +72,11 @@ func runFigure(b *testing.B, id string) {
 	b.Helper()
 	var recs int
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Run(id)
+		rs, err := experiments.Figures(context.Background(), experiments.RunOptions{}, id)
 		if err != nil {
 			b.Fatal(err)
 		}
-		recs = r.Records
+		recs = rs[0].Records
 	}
 	b.ReportMetric(float64(recs), "trace-records")
 }

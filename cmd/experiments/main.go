@@ -49,7 +49,7 @@ func main() {
 	showDiff := fs.Bool("diff", false, "print full side-by-side diffs for diff figures")
 	diffWidth := fs.Int("diff-width", 52, "diff column width")
 	outdir := fs.String("outdir", "", "also write per-figure CSV/gnuplot/diff files to this directory")
-	par := fs.Int("parallel", runtime.NumCPU(), "worker count for sweeps and -all figure regeneration (1 = serial)")
+	par := fs.Int("parallel", runtime.NumCPU(), "worker count for sweeps and figure regeneration (1 = serial)")
 	validate := fs.Bool("validate", false, "run every generated trace through the strict validator before use")
 	ckptDir := fs.String("checkpoint", "", "store each finished sweep point and figure in this directory, and reuse what it already holds (resumes an interrupted run)")
 	keepGoing := fs.Bool("keep-going", false, "run every task even after failures, then report the full failure list")
@@ -72,7 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	experiments.SetParallelism(*par)
 	experiments.SetValidate(*validate)
 	experiments.SetMaxSteps(*maxSteps)
 
@@ -83,7 +82,7 @@ func main() {
 	defer stop()
 
 	opts := experiments.RunOptions{
-		Workers: *par,
+		Workers: max(*par, 1), // -parallel 0 or below runs serially
 		Policy: experiments.RunPolicy{
 			TaskTimeout:  *taskTimeout,
 			Retries:      *retries,
@@ -104,7 +103,6 @@ func main() {
 	if opts.Shards > 1 {
 		obs.Log.Info("sweeps and figures run sharded: results equal a flush-at-boundary serial run",
 			"shards", opts.Shards)
-		experiments.SetFigureShards(opts.Shards)
 	}
 	if *ckptDir != "" {
 		store, err := simcache.Open(*ckptDir, obs.Reg)
@@ -118,7 +116,7 @@ func main() {
 	exit := 0
 	if *sweeps {
 		sp := obs.Reg.StartSpan("phase/sweeps")
-		ss, err := experiments.SweepsOpts(ctx, opts)
+		ss, err := experiments.Sweeps(ctx, opts)
 		sp.End()
 		if err != nil {
 			exit = reportRunError("sweeps", err, *ckptDir)
@@ -136,30 +134,23 @@ func main() {
 			return
 		}
 	}
-	var results []*experiments.Result
+	var ids []string // none: every figure
 	switch {
 	case *all:
-		sp := obs.Reg.StartSpan("phase/figures")
-		rs, err := experiments.AllOpts(ctx, opts)
-		sp.End()
-		if err != nil {
-			exit = reportRunError("figures", err, *ckptDir)
-			if !isKeepGoing(err) {
-				obs.Exit(exit)
-			}
-		}
-		results = rs
 	case *fig != 0:
-		sp := obs.Reg.StartSpan("phase/figures")
-		r, err := experiments.Run(fmt.Sprintf("fig%d", *fig))
-		sp.End()
-		if err != nil {
-			obs.Fatal(err)
-		}
-		results = append(results, r)
+		ids = []string{fmt.Sprintf("fig%d", *fig)}
 	default:
 		obs.Log.Error("need -all, -fig N or -sweep")
 		obs.Exit(2)
+	}
+	sp := obs.Reg.StartSpan("phase/figures")
+	results, err := experiments.Figures(ctx, opts, ids...)
+	sp.End()
+	if err != nil {
+		exit = reportRunError("figures", err, *ckptDir)
+		if !isKeepGoing(err) {
+			obs.Exit(exit)
+		}
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {

@@ -49,7 +49,7 @@ func main() {
 	materialize := *reuse || *timeline
 	sp := obs.Reg.StartSpan("glprof/profile")
 	pr := profile.NewProfiler()
-	_, err = cliutil.StreamTrace(fs.Arg(0), tf.Options(), func(batch []trace.Record) error {
+	err = cliutil.StreamTrace(fs.Arg(0), tf.Options(), func(batch []trace.Record) error {
 		pr.AddBatch(batch)
 		if materialize {
 			recs = append(recs, batch...)

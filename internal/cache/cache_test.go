@@ -339,6 +339,25 @@ func TestParseRepl(t *testing.T) {
 	}
 }
 
+func TestParseWriteAlloc(t *testing.T) {
+	for s, want := range map[string]WritePolicy{"wb": WriteBack, "wt": WriteThrough} {
+		if got, err := ParseWrite(s); err != nil || got != want {
+			t.Errorf("ParseWrite(%q) = %v, %v", s, got, err)
+		}
+	}
+	for s, want := range map[string]AllocPolicy{"wa": WriteAllocate, "wn": NoWriteAllocate} {
+		if got, err := ParseAlloc(s); err != nil || got != want {
+			t.Errorf("ParseAlloc(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseWrite("xx"); err == nil || err.Error() != `bad write policy "xx"` {
+		t.Errorf(`ParseWrite("xx") err = %v`, err)
+	}
+	if _, err := ParseAlloc("xx"); err == nil || err.Error() != `bad alloc policy "xx"` {
+		t.Errorf(`ParseAlloc("xx") err = %v`, err)
+	}
+}
+
 func TestPolicyStrings(t *testing.T) {
 	if ReplLRU.String() != "LRU" || ReplRoundRobin.String() != "round-robin" {
 		t.Error("ReplPolicy strings")

@@ -77,6 +77,18 @@ func (p WritePolicy) String() string {
 	return "write-back"
 }
 
+// ParseWrite parses a write policy flag value: wb (write-back) or wt
+// (write-through).
+func ParseWrite(s string) (WritePolicy, error) {
+	switch s {
+	case "wb":
+		return WriteBack, nil
+	case "wt":
+		return WriteThrough, nil
+	}
+	return 0, fmt.Errorf("bad write policy %q", s)
+}
+
 // AllocPolicy selects write-miss behaviour.
 type AllocPolicy int
 
@@ -94,6 +106,18 @@ func (p AllocPolicy) String() string {
 		return "no-write-allocate"
 	}
 	return "write-allocate"
+}
+
+// ParseAlloc parses a write-miss policy flag value: wa (allocate) or wn
+// (no allocate).
+func ParseAlloc(s string) (AllocPolicy, error) {
+	switch s {
+	case "wa":
+		return WriteAllocate, nil
+	case "wn":
+		return NoWriteAllocate, nil
+	}
+	return 0, fmt.Errorf("bad alloc policy %q", s)
 }
 
 // PrefetchPolicy selects hardware prefetching, after DineroIV's options.

@@ -62,30 +62,24 @@ func (cf *CacheFlags) Build() (cache.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
+	write, err := cache.ParseWrite(*cf.write)
+	if err != nil {
+		return cfg, err
+	}
+	alloc, err := cache.ParseAlloc(*cf.alloc)
+	if err != nil {
+		return cfg, err
+	}
 	cfg = cache.Config{
 		Name:           cf.name,
 		Size:           size,
 		BlockSize:      *cf.bsize,
 		Assoc:          *cf.assoc,
 		Repl:           repl,
+		Write:          write,
+		Alloc:          alloc,
 		Prefetch:       pf,
 		ClassifyMisses: *cf.class,
-	}
-	switch *cf.write {
-	case "wb":
-		cfg.Write = cache.WriteBack
-	case "wt":
-		cfg.Write = cache.WriteThrough
-	default:
-		return cfg, fmt.Errorf("bad write policy %q", *cf.write)
-	}
-	switch *cf.alloc {
-	case "wa":
-		cfg.Alloc = cache.WriteAllocate
-	case "wn":
-		cfg.Alloc = cache.NoWriteAllocate
-	default:
-		return cfg, fmt.Errorf("bad alloc policy %q", *cf.alloc)
 	}
 	return cfg, cfg.Validate()
 }
@@ -271,31 +265,10 @@ func WriteTraceOpts(path string, h trace.Header, hasHdr bool, recs []trace.Recor
 	return WriteTraceFormat(path, h, hasHdr, recs, trace.FormatUnknown)
 }
 
-// countingWriter tallies bytes written, for the trace.encode.bytes counter.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // WriteTraceFormat is WriteTraceOpts with an explicit container format.
 // FormatUnknown picks by destination: ".glb" paths get binary, others text.
 func WriteTraceFormat(path string, h trace.Header, hasHdr bool, recs []trace.Record, format trace.FileFormat) error {
-	if format == trace.FormatUnknown {
-		format = trace.FormatText
-		if strings.HasSuffix(path, ".glb") {
-			format = trace.FormatBinary
-		}
-	}
-	var written int64
-	emit := func(out io.Writer) error {
-		cw := &countingWriter{w: out}
-		w := trace.NewWriterFormat(cw, format)
+	return WriteTraceStream(path, WriterOptions{Format: format}, func(w trace.RecordWriter) error {
 		if hasHdr {
 			if err := w.WriteHeader(h); err != nil {
 				return err
@@ -306,27 +279,8 @@ func WriteTraceFormat(path string, h trace.Header, hasHdr bool, recs []trace.Rec
 				return err
 			}
 		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		written = cw.n
 		return nil
-	}
-	var err error
-	if path == "-" {
-		err = emit(os.Stdout)
-	} else {
-		err = trace.WriteToAtomic(path, emit)
-	}
-	if err != nil {
-		return err
-	}
-	reg := telemetry.Default()
-	reg.Counter("trace.encode.files").Inc()
-	reg.Counter("trace.encode.bytes").Add(written)
-	reg.Counter("trace.encode.records").Add(int64(len(recs)))
-	reg.Counter("trace.encode.records." + format.String()).Add(int64(len(recs)))
-	return nil
+	})
 }
 
 // WriteFile writes an output artifact ("-" means stdout) via an atomic

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tracedst/internal/cache"
+	"tracedst/internal/telemetry"
 	"tracedst/internal/trace"
 )
 
@@ -84,6 +85,21 @@ func TestCacheFlagsErrors(t *testing.T) {
 	} {
 		if build(args...) == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+func TestParseConfigSpecWriteAlloc(t *testing.T) {
+	cfg, err := ParseConfigSpec(cache.Paper32KDirect(), "write=wt,alloc=wn")
+	if err != nil || cfg.Write != cache.WriteThrough || cfg.Alloc != cache.NoWriteAllocate {
+		t.Errorf("write=wt,alloc=wn: write %v, alloc %v, err %v", cfg.Write, cfg.Alloc, err)
+	}
+	for spec, want := range map[string]string{
+		"write=xx": `config field "write=xx": bad write policy "xx"`,
+		"alloc=xx": `config field "alloc=xx": bad alloc policy "xx"`,
+	} {
+		if _, err := ParseConfigSpec(cache.Paper32KDirect(), spec); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", spec, err, want)
 		}
 	}
 }
@@ -324,7 +340,11 @@ func TestWriteTraceFormatBinaryRoundTrip(t *testing.T) {
 		{"auto.glb", trace.FormatUnknown},
 	} {
 		p := filepath.Join(dir, tc.name)
-		if err := WriteTraceFormat(p, h, true, recs, tc.format); err != nil {
+		reg := telemetry.NewRegistry()
+		prev := telemetry.SetDefault(reg)
+		err := WriteTraceFormat(p, h, true, recs, tc.format)
+		telemetry.SetDefault(prev)
+		if err != nil {
 			t.Fatal(err)
 		}
 		b, err := os.ReadFile(p)
@@ -333,6 +353,15 @@ func TestWriteTraceFormatBinaryRoundTrip(t *testing.T) {
 		}
 		if trace.DetectFormat(b) != trace.FormatBinary {
 			t.Fatalf("%s: not binary on disk: %q", tc.name, b[:min(len(b), 8)])
+		}
+		// One file of len(b) bytes and one binary record.
+		for name, want := range map[string]int64{
+			"trace.encode.files": 1, "trace.encode.bytes": int64(len(b)),
+			"trace.encode.records": 1, "trace.encode.records.binary": 1,
+		} {
+			if got := reg.Counter(name).Value(); got != want {
+				t.Errorf("%s: %s = %d, want %d", tc.name, name, got, want)
+			}
 		}
 		h2, hasHdr, recs2, format, err := LoadTraceFormat(p, trace.DecodeOptions{})
 		if err != nil || !hasHdr || h2 != h || format != trace.FormatBinary {

@@ -40,23 +40,9 @@ func ParseConfigSpec(base cache.Config, spec string) (cache.Config, error) {
 		case "repl":
 			cfg.Repl, err = cache.ParseRepl(val)
 		case "write":
-			switch val {
-			case "wb":
-				cfg.Write = cache.WriteBack
-			case "wt":
-				cfg.Write = cache.WriteThrough
-			default:
-				err = fmt.Errorf("bad write policy %q", val)
-			}
+			cfg.Write, err = cache.ParseWrite(val)
 		case "alloc":
-			switch val {
-			case "wa":
-				cfg.Alloc = cache.WriteAllocate
-			case "wn":
-				cfg.Alloc = cache.NoWriteAllocate
-			default:
-				err = fmt.Errorf("bad alloc policy %q", val)
-			}
+			cfg.Alloc, err = cache.ParseAlloc(val)
 		case "pf":
 			cfg.Prefetch, err = cache.ParsePrefetch(val)
 		case "classify":

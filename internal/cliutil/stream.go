@@ -17,6 +17,18 @@ import (
 	"tracedst/internal/trace"
 )
 
+// countingWriter tallies bytes written, for the trace.encode.bytes counter.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
+}
+
 // countingReader tallies bytes read, for the trace.decode.bytes counter.
 type countingReader struct {
 	r io.Reader
@@ -167,47 +179,26 @@ func PublishDecode(format trace.FileFormat, bytes, records int64) {
 	reg.Counter("trace.decode.records." + format.String()).Add(records)
 }
 
-// StreamInfo summarizes a finished StreamTrace pass.
-type StreamInfo struct {
-	Header    trace.Header
-	HasHeader bool
-	Format    trace.FileFormat
-	Records   int64
-	BadLines  int
-}
-
 // StreamTrace streams path's records through fn batch by batch — the
 // constant-memory counterpart of LoadTraceOpts for consumers that fold
 // rather than materialize. fn must not retain the batch slice.
-func StreamTrace(path string, opts trace.DecodeOptions, fn func(batch []trace.Record) error) (StreamInfo, error) {
+func StreamTrace(path string, opts trace.DecodeOptions, fn func(batch []trace.Record) error) error {
 	ts, err := OpenTraceSource(path, opts)
 	if err != nil {
-		return StreamInfo{}, err
+		return err
 	}
 	defer ts.Close()
 	for {
 		batch, err := ts.NextBatch()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return ts.info(), err
+			return err
 		}
 		if err := fn(batch); err != nil {
-			return ts.info(), err
+			return err
 		}
-	}
-	return ts.info(), nil
-}
-
-func (ts *TraceStream) info() StreamInfo {
-	h, _ := ts.src.Header()
-	return StreamInfo{
-		Header:    h,
-		HasHeader: ts.src.HasHeader(),
-		Format:    ts.format,
-		Records:   ts.records,
-		BadLines:  ts.src.BadLines(),
 	}
 }
 
@@ -234,7 +225,7 @@ func ResolveTraceFormat(path string, format trace.FileFormat) trace.FileFormat {
 }
 
 // WriteTraceStream writes a trace to path ("-" means stdout) by handing
-// emit a RecordWriter — the streaming counterpart of WriteTraceFormat:
+// emit a RecordWriter (WriteTraceFormat is it over a record slice):
 // records are encoded as emit produces them, nothing is materialized, and
 // file output still goes through the atomic temp-file+rename.
 // WriteTraceStream flushes (and emits the block-index footer when

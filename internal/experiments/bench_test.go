@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
 
-// sweepRecordCount totals the trace records simulated by one full Sweeps()
+// sweepRecordCount totals the trace records simulated by one full Sweeps
 // run: every (size, side) point replays its whole trace.
 func sweepRecordCount(b *testing.B) int64 {
 	var total int64
@@ -28,7 +29,8 @@ func sweepRecordCount(b *testing.B) int64 {
 // is pure simulation; the custom metric reports simulated trace records per
 // second so runs on different machines are comparable.
 func BenchmarkSweepSerialVsParallel(b *testing.B) {
-	if _, err := SweepsParallel(1); err != nil { // warm the trace memos
+	ctx := context.Background()
+	if _, err := Sweeps(ctx, RunOptions{Workers: 1}); err != nil { // warm the trace memos
 		b.Fatal(err)
 	}
 	recs := sweepRecordCount(b)
@@ -36,7 +38,7 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SweepsParallel(workers); err != nil {
+				if _, err := Sweeps(ctx, RunOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

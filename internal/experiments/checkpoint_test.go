@@ -17,7 +17,7 @@ import (
 // different worker count — the merged results must be byte-identical to an
 // uninterrupted run, and the resumed run must reuse the persisted work.
 func TestSweepCheckpointResume(t *testing.T) {
-	clean, err := SweepsParallel(1)
+	clean, err := Sweeps(context.Background(), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +36,13 @@ func TestSweepCheckpointResume(t *testing.T) {
 				cancel()
 			}
 		}}}
-	if _, err := SweepsOpts(ctx, opts); !errors.Is(err, context.Canceled) {
+	if _, err := Sweeps(ctx, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
 
 	// Resume in a fresh store handle, as a restarted process would.
 	store2, reg2 := openStore(t, dir)
-	resumed, err := SweepsOpts(context.Background(), RunOptions{Workers: 4, Store: store2})
+	resumed, err := Sweeps(context.Background(), RunOptions{Workers: 4, Store: store2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,30 +57,32 @@ func TestSweepCheckpointResume(t *testing.T) {
 
 // TestFigureCheckpointReplay: figures restored from a store print
 // identically to freshly computed ones (Sim aside, which is never
-// printed).
+// printed), whether the run named every figure or one.
 func TestFigureCheckpointReplay(t *testing.T) {
-	dir := t.TempDir()
-	store, _ := openStore(t, dir)
-	first, err := AllOpts(context.Background(), RunOptions{Workers: 2, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store2, _ := openStore(t, dir)
-	replayed, err := AllOpts(context.Background(), RunOptions{Workers: 2, Store: store2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed) != len(first) {
-		t.Fatalf("replay returned %d figures, want %d", len(replayed), len(first))
-	}
-	for i, r := range replayed {
-		if r.SimReport != "" {
-			t.Errorf("%s: replayed result has a SimReport — it was recomputed, not restored", r.ID)
+	for _, ids := range [][]string{nil, {"fig3"}} {
+		dir := t.TempDir()
+		store, _ := openStore(t, dir)
+		first, err := Figures(context.Background(), RunOptions{Workers: 2, Store: store}, ids...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := fingerprintPrinted(r), fingerprintPrinted(first[i]); got != want {
-			t.Errorf("%s: replayed figure prints differently:\n--- fresh ---\n%s\n--- replayed ---\n%s",
-				r.ID, want, got)
+
+		store2, _ := openStore(t, dir)
+		replayed, err := Figures(context.Background(), RunOptions{Workers: 2, Store: store2}, ids...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(replayed) != len(first) {
+			t.Fatalf("ids %v: replay returned %d figures, want %d", ids, len(replayed), len(first))
+		}
+		for i, r := range replayed {
+			if r.SimReport != "" {
+				t.Errorf("%s: replayed result has a SimReport — it was recomputed, not restored", r.ID)
+			}
+			if got, want := fingerprintPrinted(r), fingerprintPrinted(first[i]); got != want {
+				t.Errorf("%s: replayed figure prints differently:\n--- fresh ---\n%s\n--- replayed ---\n%s",
+					r.ID, want, got)
+			}
 		}
 	}
 }
@@ -170,7 +172,7 @@ func TestSweepCancellationReturnsPartialResults(t *testing.T) {
 				cancel()
 			}
 		}}}
-	out, err := SweepsOpts(ctx, opts)
+	out, err := Sweeps(ctx, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

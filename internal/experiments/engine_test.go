@@ -64,12 +64,12 @@ func TestSweepEnginesEquivalent(t *testing.T) {
 func TestSweepsSamplingCheckpointSeparation(t *testing.T) {
 	dir := t.TempDir()
 	store, _ := openStore(t, dir)
-	exact, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Store: store})
+	exact, err := Sweeps(context.Background(), RunOptions{Workers: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	store2, reg2 := openStore(t, dir)
-	sampled, err := SweepsOpts(context.Background(), RunOptions{
+	sampled, err := Sweeps(context.Background(), RunOptions{
 		Workers: 1, Store: store2, Sampling: dinero.Sampling{SetFactor: 4},
 	})
 	if err != nil {

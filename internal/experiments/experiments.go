@@ -64,7 +64,7 @@ func (r *Result) notef(format string, args ...interface{}) {
 }
 
 // memoTrace caches one workload's record slice behind a sync.Once, so a
-// full Sweeps()+figures run traces (and transforms) each workload exactly
+// full Sweeps+Figures run traces (and transforms) each workload exactly
 // once however many figures share it, including when figures run
 // concurrently. Records are interned against sharedSyms on first
 // resolution; afterwards the slice is immutable and may be shared across
@@ -222,45 +222,18 @@ func transformedTrace(orig *memoTrace, ruleSrc string) *memoTrace {
 	}}
 }
 
-// figShards is the process-wide shard count for figure simulations, set
-// from cmd/experiments -shards; ≤1 means serial.
-var (
-	figShardsMu sync.Mutex
-	figShards   int
-)
-
-// SetFigureShards sets how many cold shards figure simulations split into
-// (≤1 = serial) and returns the previous value. Sharded figures carry
-// full attribution — merged per-variable series, per-function stats and
-// conflict matrices — and equal a serial run with Flush at every shard
-// boundary, so AllOpts stores them under distinct @shardsN keys.
-func SetFigureShards(n int) int {
-	figShardsMu.Lock()
-	defer figShardsMu.Unlock()
-	prev := figShards
-	figShards = n
-	return prev
-}
-
-// FigureShards returns the current figure shard count.
-func FigureShards() int {
-	figShardsMu.Lock()
-	defer figShardsMu.Unlock()
-	return figShards
-}
-
 // simulate runs records once through the single-pass multi-config engine
 // for the given configs, attributing against the shared intern table (the
 // records' ids were issued by it) and publishing the finished pass's
 // counters to the default registry. Exact-mode MultiSim reports and
 // per-variable series are byte-identical to independent Simulator runs,
-// so figures built from it print exactly as before. With SetFigureShards
-// above 1 the pass runs on the sharded full-attribution engine instead
-// (cold shards interning privately; MergeFrom matches symbols by name).
-func simulate(recs []trace.Record, cfgs ...cache.Config) (*dinero.MultiSim, error) {
+// so figures built from it print exactly as before. With shards above 1
+// the pass runs on the sharded full-attribution engine instead (cold
+// shards interning privately; MergeFrom matches symbols by name).
+func simulate(recs []trace.Record, shards int, cfgs ...cache.Config) (*dinero.MultiSim, error) {
 	reg := telemetry.Default()
-	if n := FigureShards(); n > 1 {
-		res, err := dinero.MultiSimShardedRecords(context.Background(), recs, dinero.MultiOptions{Configs: cfgs}, n)
+	if shards > 1 {
+		res, err := dinero.MultiSimShardedRecords(context.Background(), recs, dinero.MultiOptions{Configs: cfgs}, shards)
 		if err != nil {
 			return nil, err
 		}
@@ -278,8 +251,8 @@ func simulate(recs []trace.Record, cfgs ...cache.Config) (*dinero.MultiSim, erro
 	return ms, nil
 }
 
-func histogramResult(id, title string, recs []trace.Record, cfg cache.Config) (*Result, error) {
-	ms, err := simulate(recs, cfg)
+func histogramResult(id, title string, recs []trace.Record, shards int, cfg cache.Config) (*Result, error) {
+	ms, err := simulate(recs, shards, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -301,14 +274,14 @@ func assocName(cfg cache.Config) string {
 	return fmt.Sprintf("%d-way %s", cfg.Assoc, cfg.Repl)
 }
 
-// Fig3 — per-set hits/misses of the SoA program on the 32 KB direct-mapped
+// fig3 — per-set hits/misses of the SoA program on the 32 KB direct-mapped
 // cache (series lSoA and lI).
-func Fig3() (*Result, error) {
+func fig3(shards int) (*Result, error) {
 	recs, err := t1Trace.get()
 	if err != nil {
 		return nil, err
 	}
-	r, err := histogramResult("fig3", "Structure of Arrays (original)", recs, cache.Paper32KDirect())
+	r, err := histogramResult("fig3", "Structure of Arrays (original)", recs, shards, cache.Paper32KDirect())
 	if err != nil {
 		return nil, err
 	}
@@ -316,13 +289,13 @@ func Fig3() (*Result, error) {
 	return r, nil
 }
 
-// Fig4 — the same trace after the SoA→AoS rule (series lAoS and lI).
-func Fig4() (*Result, error) {
+// fig4 — the same trace after the SoA→AoS rule (series lAoS and lI).
+func fig4(shards int) (*Result, error) {
 	recs, err := t1Xform.get()
 	if err != nil {
 		return nil, err
 	}
-	r, err := histogramResult("fig4", "Array of Structures (transformed)", recs, cache.Paper32KDirect())
+	r, err := histogramResult("fig4", "Array of Structures (transformed)", recs, shards, cache.Paper32KDirect())
 	if err != nil {
 		return nil, err
 	}
@@ -333,8 +306,8 @@ func Fig4() (*Result, error) {
 	return r, nil
 }
 
-// Fig5 — the side-by-side diff of the original and transformed T1 traces.
-func Fig5() (*Result, error) {
+// fig5 — the side-by-side diff of the original and transformed T1 traces.
+func fig5(int) (*Result, error) {
 	orig, err := t1Trace.get()
 	if err != nil {
 		return nil, err
@@ -357,13 +330,13 @@ func Fig5() (*Result, error) {
 	return r, nil
 }
 
-// Fig6 — per-set stats of the inline nested-structure program.
-func Fig6() (*Result, error) {
+// fig6 — per-set stats of the inline nested-structure program.
+func fig6(shards int) (*Result, error) {
 	recs, err := t2Trace.get()
 	if err != nil {
 		return nil, err
 	}
-	r, err := histogramResult("fig6", "Single level nested structure (original)", recs, cache.Paper32KDirect())
+	r, err := histogramResult("fig6", "Single level nested structure (original)", recs, shards, cache.Paper32KDirect())
 	if err != nil {
 		return nil, err
 	}
@@ -371,9 +344,9 @@ func Fig6() (*Result, error) {
 	return r, nil
 }
 
-// Fig7 — per-set stats after outlining (series lS2, lStorageForRarelyUsed,
+// fig7 — per-set stats after outlining (series lS2, lStorageForRarelyUsed,
 // lI) with the extra pointer loads.
-func Fig7() (*Result, error) {
+func fig7(shards int) (*Result, error) {
 	orig, err := t2Trace.get()
 	if err != nil {
 		return nil, err
@@ -382,7 +355,7 @@ func Fig7() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := histogramResult("fig7", "Structure access through indirection (transformed)", recs, cache.Paper32KDirect())
+	r, err := histogramResult("fig7", "Structure access through indirection (transformed)", recs, shards, cache.Paper32KDirect())
 	if err != nil {
 		return nil, err
 	}
@@ -391,8 +364,8 @@ func Fig7() (*Result, error) {
 	return r, nil
 }
 
-// Fig8 — the T2 trace diff with the inserted indirection loads.
-func Fig8() (*Result, error) {
+// fig8 — the T2 trace diff with the inserted indirection loads.
+func fig8(int) (*Result, error) {
 	orig, err := t2Trace.get()
 	if err != nil {
 		return nil, err
@@ -410,8 +383,8 @@ func Fig8() (*Result, error) {
 	return r, nil
 }
 
-// Fig9 — the T3 trace diff with injected stride-arithmetic loads.
-func Fig9() (*Result, error) {
+// fig9 — the T3 trace diff with injected stride-arithmetic loads.
+func fig9(int) (*Result, error) {
 	orig, err := t3Trace.get()
 	if err != nil {
 		return nil, err
@@ -429,13 +402,13 @@ func Fig9() (*Result, error) {
 	return r, nil
 }
 
-// Fig10 — the contiguous sweep on the PowerPC 440 cache.
-func Fig10() (*Result, error) {
+// fig10 — the contiguous sweep on the PowerPC 440 cache.
+func fig10(shards int) (*Result, error) {
 	recs, err := t3Trace.get()
 	if err != nil {
 		return nil, err
 	}
-	r, err := histogramResult("fig10", "Contiguous array (PPC440 64-way round-robin)", recs, cache.PowerPC440())
+	r, err := histogramResult("fig10", "Contiguous array (PPC440 64-way round-robin)", recs, shards, cache.PowerPC440())
 	if err != nil {
 		return nil, err
 	}
@@ -443,13 +416,13 @@ func Fig10() (*Result, error) {
 	return r, nil
 }
 
-// Fig11 — the strided/pinned sweep on the PowerPC 440 cache.
-func Fig11() (*Result, error) {
+// fig11 — the strided/pinned sweep on the PowerPC 440 cache.
+func fig11(shards int) (*Result, error) {
 	recs, err := t3Xform.get()
 	if err != nil {
 		return nil, err
 	}
-	r, err := histogramResult("fig11", "Array striding (PPC440 64-way round-robin)", recs, cache.PowerPC440())
+	r, err := histogramResult("fig11", "Array striding (PPC440 64-way round-robin)", recs, shards, cache.PowerPC440())
 	if err != nil {
 		return nil, err
 	}
@@ -500,10 +473,11 @@ func addUniformityNote(r *Result, name string) error {
 	return nil
 }
 
-// registry of all figures.
-var registry = map[string]func() (*Result, error){
-	"fig3": Fig3, "fig4": Fig4, "fig5": Fig5, "fig6": Fig6, "fig7": Fig7,
-	"fig8": Fig8, "fig9": Fig9, "fig10": Fig10, "fig11": Fig11,
+// registry of all figures. Each regenerates its figure with its
+// simulations split into the given number of shards (≤1 = serial).
+var registry = map[string]func(shards int) (*Result, error){
+	"fig3": fig3, "fig4": fig4, "fig5": fig5, "fig6": fig6, "fig7": fig7,
+	"fig8": fig8, "fig9": fig9, "fig10": fig10, "fig11": fig11,
 }
 
 // IDs returns the known figure ids in order.
@@ -525,50 +499,38 @@ func figNum(id string) int {
 	return n
 }
 
-// Run regenerates one figure by id.
-func Run(id string) (*Result, error) {
-	f, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown figure %q (known: %v)", id, IDs())
-	}
-	return f()
-}
-
-// All regenerates every figure in order, fanning the figures out over the
-// configured worker pool (SetParallelism) under the configured RunPolicy
-// (SetPolicy). Output order and contents are identical to a serial run:
-// workloads are traced once (memoized) and each figure simulates into its
-// own simulator.
-func All() ([]*Result, error) {
-	return AllOpts(context.Background(), DefaultRunOptions())
-}
-
-// AllParallel is All with an explicit worker count (1 = serial).
-func AllParallel(workers int) ([]*Result, error) {
-	opts := DefaultRunOptions()
-	opts.Workers = workers
-	return AllOpts(context.Background(), opts)
-}
-
 // figNS is the store namespace of regenerated figures.
 const figNS = "fig"
 
-// AllOpts regenerates every figure under explicit run options. A non-nil
-// store replays figures an earlier run finished (restored results print
+// Figures regenerates the figures named by ids (every figure, in IDs
+// order, when none are named) on the worker pool under opts. An unknown
+// id fails the call before any figure runs. Output is identical for any
+// worker count: workloads are traced once (memoized) and each figure
+// simulates into its own simulator. With opts.Shards above 1 the
+// histogram figures simulate sharded, with full attribution, and equal a
+// serial run that flushes at every shard boundary. A non-nil store
+// replays figures an earlier run finished (restored results print
 // identically; their SimReport is empty) and stores fresh ones, keyed by
 // figure id, shard tier and engine version. On error the partial result
-// slice is returned with it — failed or skipped figures are nil entries,
+// slice is returned with it: failed or skipped figures are nil entries,
 // and in KeepGoing mode the error is a TaskErrors naming each failed
 // figure while the others completed.
-func AllOpts(ctx context.Context, opts RunOptions) ([]*Result, error) {
-	ids := IDs()
+func Figures(ctx context.Context, opts RunOptions, ids ...string) ([]*Result, error) {
+	if len(ids) == 0 {
+		ids = IDs()
+	}
+	for _, id := range ids {
+		if _, ok := registry[id]; !ok {
+			return nil, fmt.Errorf("experiments: unknown figure %q (known: %v)", id, IDs())
+		}
+	}
 	out := make([]*Result, len(ids))
 	name := func(i int) string { return ids[i] }
 	// Sharded figures are a distinct result tier (flush-at-boundary
 	// reference), like the sweeps' @shardsN result keys.
 	tier := ""
-	if n := FigureShards(); n > 1 {
-		tier = fmt.Sprintf("@shards%d", n)
+	if opts.Shards > 1 {
+		tier = fmt.Sprintf("@shards%d", opts.Shards)
 	}
 	err := forEachPolicy(ctx, opts.Policy, opts.workerCount(), len(ids), name, func(_ context.Context, i int) error {
 		id := ids[i]
@@ -583,7 +545,7 @@ func AllOpts(ctx context.Context, opts RunOptions) ([]*Result, error) {
 				return nil
 			}
 		}
-		r, err := Run(id)
+		r, err := registry[id](opts.Shards)
 		if err != nil {
 			return err // forEachPolicy's TaskError labels it with the figure id
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 
 func runFig(t *testing.T, id string) *Result {
 	t.Helper()
-	r, err := Run(id)
+	rs, err := Figures(context.Background(), RunOptions{}, id)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	return r
+	return rs[0]
 }
 
 func TestIDsOrdered(t *testing.T) {
@@ -30,8 +31,17 @@ func TestIDsOrdered(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("fig99"); err == nil {
-		t.Error("unknown figure accepted")
+	ran := false
+	rs, err := Figures(context.Background(), RunOptions{Policy: RunPolicy{afterTask: func(int) { ran = true }}},
+		"fig3", "fig99")
+	if err == nil {
+		t.Fatal("unknown figure accepted")
+	}
+	if want := `experiments: unknown figure "fig99" (known: [fig3 fig4`; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("err = %q, want prefix %q", err, want)
+	}
+	if rs != nil || ran {
+		t.Error("figures ran before the unknown id was rejected")
 	}
 }
 
@@ -155,7 +165,7 @@ func TestFig10Fig11Pinning(t *testing.T) {
 }
 
 func TestAllFiguresRun(t *testing.T) {
-	rs, err := All()
+	rs, err := Figures(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +191,7 @@ func TestAllFiguresRun(t *testing.T) {
 }
 
 func TestSweepsRun(t *testing.T) {
-	ss, err := Sweeps()
+	ss, err := Sweeps(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,7 @@ func TestFigureMultiSimParity(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.id, func(t *testing.T) {
-			r, err := Run(c.id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := runFig(t, c.id)
 			recs, err := c.trace()
 			if err != nil {
 				t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 )
@@ -48,30 +47,6 @@ type RunPolicy struct {
 	// successfully. Test hook: checkpoint tests use it to cancel a run
 	// after a known amount of progress.
 	afterTask func(i int)
-}
-
-// policy is the process-wide default applied by Sweeps/All, settable from
-// cmd/experiments flags the way SetParallelism is.
-var (
-	policyMu sync.Mutex
-	policy   RunPolicy
-)
-
-// SetPolicy replaces the default RunPolicy used by Sweeps and All,
-// returning the previous one.
-func SetPolicy(p RunPolicy) RunPolicy {
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	prev := policy
-	policy = p
-	return prev
-}
-
-// Policy returns the current default RunPolicy.
-func Policy() RunPolicy {
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	return policy
 }
 
 // transient reports whether err is worth retrying under the policy.

@@ -48,19 +48,26 @@ func TestForEachPanicIsolation(t *testing.T) {
 // TestForEachPanicFirstErrorMode: without KeepGoing a panic behaves like
 // any first error — reported, cancels the rest, process alive.
 func TestForEachPanicFirstErrorMode(t *testing.T) {
-	err := forEach(context.Background(), 4, 100, func(_ context.Context, i int) error {
-		if i == 0 {
-			panic(errors.New("early crash"))
+	for _, workers := range []int{1, 4} {
+		var ran int32
+		err := forEachPolicy(context.Background(), RunPolicy{}, workers, 100, nil, func(_ context.Context, i int) error {
+			atomic.AddInt32(&ran, 1)
+			if i == 0 {
+				panic(errors.New("early crash"))
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
 		}
-		return nil
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a *PanicError", err)
-	}
-	var te *TaskError
-	if !errors.As(err, &te) || te.Index != 0 {
-		t.Errorf("err = %v, want wrapped in TaskError{Index: 0}", err)
+		var te *TaskError
+		if !errors.As(err, &te) || te.Index != 0 {
+			t.Errorf("workers=%d: err = %v, want wrapped in TaskError{Index: 0}", workers, err)
+		}
+		if workers == 1 && ran != 1 {
+			t.Errorf("workers=1: %d tasks ran, want 1 (the panic cancels the rest)", ran)
+		}
 	}
 }
 

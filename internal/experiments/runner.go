@@ -20,37 +20,10 @@ import (
 // attribute by integer id without touching strings.
 var sharedSyms = trace.NewSymTab()
 
-var (
-	parMu       sync.Mutex
-	parallelism = runtime.GOMAXPROCS(0)
-)
-
-// SetParallelism sets the worker count Sweeps and All fan out to (values
-// below 1 are clamped to 1, i.e. fully serial) and returns the previous
-// setting. cmd/experiments wires its -parallel flag here.
-func SetParallelism(n int) int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	prev := parallelism
-	if n < 1 {
-		n = 1
-	}
-	parallelism = n
-	return prev
-}
-
-// Parallelism returns the current worker count (default GOMAXPROCS).
-func Parallelism() int {
-	parMu.Lock()
-	defer parMu.Unlock()
-	return parallelism
-}
-
 // RunOptions bundles everything that shapes a resilient batch run: worker
 // count, failure policy, and the store (nil = no persistence).
 type RunOptions struct {
-	// Workers is the pool size; values below 1 mean the SetParallelism
-	// default.
+	// Workers is the pool size; values below 1 mean GOMAXPROCS.
 	Workers int
 	// Policy is the per-task failure policy.
 	Policy RunPolicy
@@ -65,36 +38,21 @@ type RunOptions struct {
 	// Sampled results are estimates: they are stored under distinct keys
 	// and never mix with exact ones.
 	Sampling dinero.Sampling
-	// Shards > 1 splits each sweep side's record stream into that many
-	// contiguous shards simulated in parallel on cold caches and merges
-	// the per-config statistics with cache.Stats.Merge. The result equals
-	// a serial run that flushes the cache at every shard boundary, so it
-	// is stored under distinct keys and never mixes with unsharded
-	// results. Incompatible with non-exact Sampling.
+	// Shards > 1 splits each sweep side's and each histogram figure's
+	// record stream into that many contiguous shards, simulated in
+	// parallel on cold caches and merged. The result equals a serial run
+	// that flushes the cache at every shard boundary, so it is stored
+	// under distinct keys and never mixes with unsharded results.
+	// Incompatible with non-exact Sampling.
 	Shards int
 }
 
 // workerCount resolves the effective pool size.
 func (o *RunOptions) workerCount() int {
 	if o.Workers < 1 {
-		return Parallelism()
+		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
-}
-
-// DefaultRunOptions is the options Sweeps/All use: the process-wide
-// parallelism and policy, no store.
-func DefaultRunOptions() RunOptions {
-	return RunOptions{Workers: Parallelism(), Policy: Policy()}
-}
-
-// forEach runs f(ctx, i) for every i in [0, n) on a pool of workers with
-// the zero RunPolicy: errgroup-style first-error-cancels semantics, panics
-// isolated into errors. Tasks must write only to their own slot of any
-// shared output slice; forEach guarantees all writes are visible to the
-// caller when it returns.
-func forEach(ctx context.Context, workers, n int, f func(context.Context, int) error) error {
-	return forEachPolicy(ctx, RunPolicy{}, workers, n, nil, f)
 }
 
 // runInstruments is the telemetry of one pooled run: per-task counters
@@ -166,7 +124,7 @@ func (ins *runInstruments) runTask(ctx context.Context, pol *RunPolicy, i int, l
 func (ins *runInstruments) finish(workers int) {
 	ins.prog.Stop()
 	elapsed := time.Since(ins.start)
-	if workers < 1 || elapsed <= 0 {
+	if elapsed <= 0 {
 		return
 	}
 	ins.reg.Gauge("experiments.workers").Set(int64(workers))
@@ -194,62 +152,32 @@ func toString(v any) string {
 // per the policy. Without KeepGoing the first failure cancels the run and
 // is returned as a *TaskError; with KeepGoing every task runs and all
 // failures return together as TaskErrors, ordered by task index. name,
-// when non-nil, labels tasks in error reports. With one worker the pool
-// degenerates to a plain serial loop.
+// when non-nil, labels tasks in error reports. With one worker the tasks
+// run in index order on the calling goroutine.
 func forEachPolicy(ctx context.Context, pol RunPolicy, workers, n int, name func(int) string, f func(context.Context, int) error) error {
-	taskErr := func(i, attempts int, err error) *TaskError {
-		te := &TaskError{Index: i, Attempts: attempts, Err: err}
-		if name != nil {
-			te.Name = name(i)
-		}
-		return te
-	}
-	if workers > n {
-		workers = n
-	}
 	label := func(i int) string {
 		if name != nil {
 			return name(i)
 		}
 		return "task"
 	}
+	workers = max(1, min(workers, n))
 	ins := newRunInstruments(n)
-	effWorkers := workers
-	if effWorkers < 1 {
-		effWorkers = 1
-	}
-	defer ins.finish(effWorkers)
-	if workers <= 1 {
-		var tes TaskErrors
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return keepGoingResult(tes, err)
-			}
-			attempts, err := ins.runTask(ctx, &pol, i, label(i), f)
-			if err != nil {
-				if !pol.KeepGoing {
-					return taskErr(i, attempts, err)
-				}
-				tes = append(tes, taskErr(i, attempts, err))
-				continue
-			}
-			if pol.afterTask != nil {
-				pol.afterTask(i)
-			}
-		}
-		return keepGoingResult(tes, ctx.Err())
-	}
+	defer ins.finish(workers)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
-		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 		tes      TaskErrors
 	)
-	fail := func(te *TaskError) {
+	fail := func(i, attempts int, err error) {
+		te := &TaskError{Index: i, Attempts: attempts, Err: err}
+		if name != nil {
+			te.Name = name(i)
+		}
 		errMu.Lock()
 		defer errMu.Unlock()
 		if pol.KeepGoing {
@@ -262,39 +190,36 @@ func forEachPolicy(ctx context.Context, pol RunPolicy, workers, n int, name func
 		cancel()
 	}
 
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	// Workers claim task indexes in order from a shared counter and stop
+	// claiming once the run is cancelled; the calling goroutine is one.
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n || runCtx.Err() != nil {
+				return
+			}
+			attempts, err := ins.runTask(runCtx, &pol, i, label(i), f)
+			if err != nil {
+				fail(i, attempts, err)
+				continue
+			}
+			if pol.afterTask != nil {
+				pol.afterTask(i)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if runCtx.Err() != nil {
-					continue // drain without working after cancellation
-				}
-				attempts, err := ins.runTask(runCtx, &pol, i, label(i), f)
-				if err != nil {
-					fail(taskErr(i, attempts, err))
-					continue
-				}
-				if pol.afterTask != nil {
-					pol.afterTask(i)
-				}
-			}
+			work()
 		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-runCtx.Done():
-			break feed
-		}
-	}
-	close(idx)
+	work()
 	wg.Wait()
 
-	errMu.Lock()
-	defer errMu.Unlock()
 	if pol.KeepGoing {
 		return keepGoingResult(tes, ctx.Err())
 	}

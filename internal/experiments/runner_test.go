@@ -13,7 +13,7 @@ import (
 func TestForEachRunsAll(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		var done [50]int32
-		err := forEach(context.Background(), workers, len(done), func(_ context.Context, i int) error {
+		err := forEachPolicy(context.Background(), RunPolicy{}, workers, len(done), nil, func(_ context.Context, i int) error {
 			atomic.AddInt32(&done[i], 1)
 			return nil
 		})
@@ -32,7 +32,7 @@ func TestForEachFirstErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var ran int32
-		err := forEach(context.Background(), workers, 1000, func(_ context.Context, i int) error {
+		err := forEachPolicy(context.Background(), RunPolicy{}, workers, 1000, nil, func(_ context.Context, i int) error {
 			atomic.AddInt32(&ran, 1)
 			if i == 3 {
 				return boom
@@ -51,17 +51,18 @@ func TestForEachFirstErrorCancels(t *testing.T) {
 func TestForEachParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := forEach(ctx, 4, 10, func(context.Context, int) error { return nil })
-	if err == nil {
-		t.Error("cancelled parent context not reported")
-	}
-}
-
-func TestSetParallelismClamps(t *testing.T) {
-	prev := SetParallelism(-3)
-	defer SetParallelism(prev)
-	if got := Parallelism(); got != 1 {
-		t.Errorf("parallelism after SetParallelism(-3) = %d, want 1", got)
+	for _, workers := range []int{1, 4} {
+		var ran int32
+		err := forEachPolicy(ctx, RunPolicy{}, workers, 10, nil, func(context.Context, int) error {
+			atomic.AddInt32(&ran, 1)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if ran != 0 {
+			t.Errorf("workers=%d: %d tasks ran under a cancelled parent", workers, ran)
+		}
 	}
 }
 
@@ -94,8 +95,8 @@ func fingerprintSweeps(ss []*SweepResult) string {
 }
 
 // TestParallelDeterminism is the acceptance gate for the concurrent runner:
-// parallel and serial runs of Sweeps() and the full figure regeneration
-// must produce byte-identical output. Run under -race this also exercises
+// one-worker and many-worker runs of Sweeps and Figures must produce
+// byte-identical output. Run under -race this also exercises
 // the shared-trace/shared-symtab paths for data races.
 func TestParallelDeterminism(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
@@ -103,11 +104,13 @@ func TestParallelDeterminism(t *testing.T) {
 		workers = 4
 	}
 
-	serialSweeps, err := SweepsParallel(1)
+	ctx := context.Background()
+	serial, parallel := RunOptions{Workers: 1}, RunOptions{Workers: workers}
+	serialSweeps, err := Sweeps(ctx, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelSweeps, err := SweepsParallel(workers)
+	parallelSweeps, err := Sweeps(ctx, parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +118,11 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Errorf("parallel sweeps differ from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
 	}
 
-	serialFigs, err := AllParallel(1)
+	serialFigs, err := Figures(ctx, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelFigs, err := AllParallel(workers)
+	parallelFigs, err := Figures(ctx, parallel)
 	if err != nil {
 		t.Fatal(err)
 	}

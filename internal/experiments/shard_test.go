@@ -74,11 +74,11 @@ func TestSweepShardedDegenerate(t *testing.T) {
 func TestSweepsShardedCheckpointSeparation(t *testing.T) {
 	dir := t.TempDir()
 	store, _ := openStore(t, dir)
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Store: store}); err != nil {
+	if _, err := Sweeps(context.Background(), RunOptions{Workers: 1, Store: store}); err != nil {
 		t.Fatal(err)
 	}
 	store2, reg2 := openStore(t, dir)
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 1, Store: store2, Shards: 2}); err != nil {
+	if _, err := Sweeps(context.Background(), RunOptions{Workers: 1, Store: store2, Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if hits, puts := reg2.Counter("simcache.hits").Value(), reg2.Counter("simcache.puts").Value(); hits != 0 || puts == 0 {
@@ -89,7 +89,7 @@ func TestSweepsShardedCheckpointSeparation(t *testing.T) {
 // TestSweepsShardsRejectSampling: sharding and sampling cannot combine —
 // interval windows depend on global record position.
 func TestSweepsShardsRejectSampling(t *testing.T) {
-	_, err := SweepsOpts(context.Background(), RunOptions{
+	_, err := Sweeps(context.Background(), RunOptions{
 		Workers: 1, Shards: 2, Sampling: dinero.Sampling{Interval: 4},
 	})
 	if err == nil {

@@ -30,7 +30,7 @@ func TestSweepSimCacheSecondRunAllHits(t *testing.T) {
 	dir := t.TempDir()
 
 	sc1, reg1 := openStore(t, dir)
-	first, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Store: sc1})
+	first, err := Sweeps(context.Background(), RunOptions{Workers: 2, Store: sc1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSweepSimCacheSecondRunAllHits(t *testing.T) {
 
 	// A fresh handle over the same directory, as a separate process.
 	sc2, reg2 := openStore(t, dir)
-	second, err := SweepsOpts(context.Background(), RunOptions{Workers: 4, Store: sc2})
+	second, err := Sweeps(context.Background(), RunOptions{Workers: 4, Store: sc2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestSweepSimCacheSecondRunAllHits(t *testing.T) {
 func TestSweepSimCacheShardTierIsSeparate(t *testing.T) {
 	dir := t.TempDir()
 	sc1, _ := openStore(t, dir)
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Store: sc1}); err != nil {
+	if _, err := Sweeps(context.Background(), RunOptions{Workers: 2, Store: sc1}); err != nil {
 		t.Fatal(err)
 	}
 	sc2, reg2 := openStore(t, dir)
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Shards: 2, Store: sc2}); err != nil {
+	if _, err := Sweeps(context.Background(), RunOptions{Workers: 2, Shards: 2, Store: sc2}); err != nil {
 		t.Fatal(err)
 	}
 	if h := reg2.Counter("simcache.hits").Value(); h != 0 {
@@ -103,7 +103,7 @@ func TestSweepsHashEachTraceOnce(t *testing.T) {
 	}
 	defer func() { hashRecords = prev }()
 
-	if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2}); err != nil {
+	if _, err := Sweeps(context.Background(), RunOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 0 {
@@ -112,7 +112,7 @@ func TestSweepsHashEachTraceOnce(t *testing.T) {
 	dir := t.TempDir()
 	for run := 0; run < 2; run++ {
 		sc, _ := openStore(t, dir)
-		if _, err := SweepsOpts(context.Background(), RunOptions{Workers: 2, Store: sc}); err != nil {
+		if _, err := Sweeps(context.Background(), RunOptions{Workers: 2, Store: sc}); err != nil {
 			t.Fatal(err)
 		}
 	}

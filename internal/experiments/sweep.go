@@ -145,8 +145,8 @@ func sweepMisses(ctx context.Context, recs []trace.Record, cfgs []cache.Config, 
 // sweepMisses run that calls Flush at every shard boundary (see
 // dinero.Simulator.Flush for why — replacement decisions compare stamps,
 // which survive the merge). Exact sampling only; shard simulators intern
-// privately because the shared table is not goroutine-safe and stats-only
-// sweeps never read it.
+// privately because the sharded engine rejects a shared Syms table
+// (dinero's checkMultiShard), and stats-only sweeps never read it.
 func sweepMissesSharded(ctx context.Context, recs []trace.Record, cfgs []cache.Config, shards int) ([]int64, error) {
 	if shards > len(recs) {
 		shards = len(recs)
@@ -227,6 +227,11 @@ func sweepSpecs() []sweepSpec {
 			sizes:    DefaultSweepSizes, config: directMapped,
 			orig: t2Trace, xform: t2Xform,
 		},
+		// Transformation 2 under its intended access pattern: a loop
+		// touching only the hot member. The full-touch sweeps honestly
+		// show the transformations losing (padding and indirection cost
+		// extra blocks when every member is touched once); outlining pays
+		// off when the cold members stay cold.
 		{
 			id: "sweep-t2-hot", title: "hot-only loop: inline (orig) vs outlined (transformed)",
 			geometry: "32-byte blocks, 1-way, LRU",
@@ -359,57 +364,14 @@ func runSweeps(ctx context.Context, specs []sweepSpec, opts RunOptions) ([]*Swee
 	return out, err
 }
 
-func sweepByID(id string) (*SweepResult, error) {
-	for _, sp := range sweepSpecs() {
-		if sp.id == id {
-			out, err := runSweeps(context.Background(), []sweepSpec{sp}, DefaultRunOptions())
-			if err != nil {
-				return nil, err
-			}
-			return out[0], nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown sweep %q", id)
-}
-
-// SweepT1 sweeps transformation 1 (SoA vs AoS) across cache sizes.
-func SweepT1() (*SweepResult, error) { return sweepByID("sweep-t1") }
-
-// SweepT2 sweeps transformation 2 (inline vs outlined) across cache sizes.
-func SweepT2() (*SweepResult, error) { return sweepByID("sweep-t2") }
-
-// SweepT3 sweeps transformation 3 (contiguous vs set-pinned) on a 64-way
-// round-robin geometry scaled down with size.
-func SweepT3() (*SweepResult, error) { return sweepByID("sweep-t3") }
-
-// SweepT2Hot sweeps transformation 2 under its intended access pattern — a
-// loop touching only the hot member. The full-touch sweeps above honestly
-// show the transformations losing (padding and indirection cost extra
-// blocks when every member is touched once); outlining pays off when the
-// cold members stay cold.
-func SweepT2Hot() (*SweepResult, error) { return sweepByID("sweep-t2-hot") }
-
-// Sweeps runs all layout sweeps, fanning the individual simulations out
-// over the configured worker pool (SetParallelism) under the configured
-// RunPolicy (SetPolicy). Each workload is traced and transformed exactly
-// once; results are byte-identical to a serial run.
-func Sweeps() ([]*SweepResult, error) {
-	return SweepsOpts(context.Background(), DefaultRunOptions())
-}
-
-// SweepsParallel is Sweeps with an explicit worker count (1 = serial).
-func SweepsParallel(workers int) ([]*SweepResult, error) {
-	opts := DefaultRunOptions()
-	opts.Workers = workers
-	return SweepsOpts(context.Background(), opts)
-}
-
-// SweepsOpts runs all layout sweeps under explicit run options: the
-// context cancels the run (SIGINT wiring lives in cmd/experiments), the
-// policy shapes per-task failure handling, and a non-nil store makes the
-// run crash-resumable. On error, the partial results computed (or
-// restored) so far are returned with it — in KeepGoing mode the error is a
-// TaskErrors listing every failed simulation while the rest completed.
-func SweepsOpts(ctx context.Context, opts RunOptions) ([]*SweepResult, error) {
+// Sweeps runs all layout sweeps under run options: the context cancels
+// the run (SIGINT wiring lives in cmd/experiments), the policy shapes
+// per-task failure handling, and a non-nil store makes the run
+// crash-resumable. Each workload is traced and transformed exactly once;
+// results are identical for any worker count. On error, the partial
+// results computed (or restored) so far are returned with it — in
+// KeepGoing mode the error is a TaskErrors listing every failed
+// simulation while the rest completed.
+func Sweeps(ctx context.Context, opts RunOptions) ([]*SweepResult, error) {
 	return runSweeps(ctx, sweepSpecs(), opts)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -18,7 +19,8 @@ import (
 // path costs more than 2% — the telemetry layer must stay invisible in
 // the simulation profile.
 func BenchmarkSweepTelemetry(b *testing.B) {
-	if _, err := SweepsParallel(1); err != nil { // warm the trace memos
+	serial := RunOptions{Workers: 1}
+	if _, err := Sweeps(context.Background(), serial); err != nil { // warm the trace memos
 		b.Fatal(err)
 	}
 	recs := sweepRecordCount(b)
@@ -35,7 +37,7 @@ func BenchmarkSweepTelemetry(b *testing.B) {
 
 	sweep := func() time.Duration {
 		t0 := time.Now()
-		if _, err := SweepsParallel(1); err != nil {
+		if _, err := Sweeps(context.Background(), serial); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(t0)

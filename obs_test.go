@@ -100,8 +100,9 @@ func TestCLIMetricsLossless(t *testing.T) {
 
 // TestCLIExperimentsMetricsResume checks the batch-runner metrics: a fresh
 // sweep with a store persists every task and simulates every record it
-// decodes; a rerun on the same -checkpoint directory answers every point
-// from the store instead of re-simulating.
+// decodes, on one worker when -parallel is below 1; a rerun on the same
+// -checkpoint directory answers every point from the store instead of
+// re-simulating.
 func TestCLIExperimentsMetricsResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -111,7 +112,7 @@ func TestCLIExperimentsMetricsResume(t *testing.T) {
 	m1Path := filepath.Join(dir, "m1.json")
 	m2Path := filepath.Join(dir, "m2.json")
 
-	runTool(t, "experiments", "-sweep", "-checkpoint", ck, "-metrics-out", m1Path)
+	runTool(t, "experiments", "-sweep", "-parallel", "0", "-checkpoint", ck, "-metrics-out", m1Path)
 	m1 := readManifest(t, m1Path)
 	if m1.Tool != "experiments" {
 		t.Errorf("tool = %q, want experiments", m1.Tool)
@@ -132,8 +133,8 @@ func TestCLIExperimentsMetricsResume(t *testing.T) {
 	if m1.Counters["simcache.hits"] != 0 {
 		t.Errorf("fresh run simcache.hits = %d, want 0", m1.Counters["simcache.hits"])
 	}
-	if m1.Gauges["experiments.workers"] < 1 {
-		t.Errorf("workers gauge = %d, want >= 1", m1.Gauges["experiments.workers"])
+	if m1.Gauges["experiments.workers"] != 1 {
+		t.Errorf("-parallel 0: workers gauge = %d, want 1", m1.Gauges["experiments.workers"])
 	}
 
 	runTool(t, "experiments", "-sweep", "-checkpoint", ck, "-metrics-out", m2Path)
