@@ -5,6 +5,7 @@ package tracedst_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -20,7 +21,7 @@ var (
 )
 
 // tools lists every command built for the integration tests.
-var tools = []string{"gltrace", "dinero", "dsxform", "tracediff", "setplot", "glprof", "experiments", "dsx", "glcheck", "tracedstd"}
+var tools = []string{"gltrace", "dinero", "dsxform", "tracediff", "glprof", "experiments", "dsx", "glcheck", "tracedstd"}
 
 func buildTools(t *testing.T) string {
 	t.Helper()
@@ -109,10 +110,15 @@ struct lAoS { int mX; double mY; }[16];
 		}
 	}
 
-	// 5. setplot: CSV per-set histogram.
-	csvOut := runTool(t, "setplot", "-format", "csv", xformFile)
-	if !strings.HasPrefix(csvOut, "set,") || !strings.Contains(csvOut, "lAoS hits") {
-		t.Errorf("setplot csv:\n%.200s", csvOut)
+	// 5. dinero -csv: per-set histogram.
+	csvFile := filepath.Join(dir, "per_set.csv")
+	runTool(t, "dinero", "-csv", csvFile, xformFile)
+	csvOut, err := os.ReadFile(csvFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(csvOut), "set,") || !strings.Contains(string(csvOut), "lAoS hits") {
+		t.Errorf("dinero -csv:\n%.200s", csvOut)
 	}
 
 	// 6. glprof: memory profile with reuse distances.
@@ -249,6 +255,42 @@ func TestCLIDineroOneConfigParity(t *testing.T) {
 	}
 }
 
+// TestCLIDineroSampledLine pins the interval-sampled estimate line: it
+// names the records simulated out of those fed, the interval and the
+// window, and claims no error bound.
+func TestCLIDineroSampledLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	// 10,000 loads. At interval 4, 1,024-record windows 0, 4 and 8 run;
+	// with the default 4,096-record window only window 0 runs.
+	var b strings.Builder
+	b.WriteString("START PID 1\n")
+	for i := 0; i < 10000; i++ {
+		fmt.Fprintf(&b, "L %x 4 main\n", 0x10000+4*(i%4096))
+	}
+	traceFile := filepath.Join(t.TempDir(), "t.out")
+	if err := os.WriteFile(traceFile, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sample-interval", "4", "-sample-window", "1024"},
+			"; simulated 3072 of 10000 records (interval 4, window 1024); no error bound claimed\n"},
+		{[]string{"-sample-interval", "4"},
+			"; simulated 4096 of 10000 records (interval 4, window 4096); no error bound claimed\n"},
+	} {
+		out := runTool(t, "dinero", append(tc.args, traceFile)...)
+		banner, line, _ := strings.Cut(out, "\n")
+		if !strings.HasPrefix(banner, "==== config 1/1: ") || !strings.HasPrefix(line, "sampled estimate (scale ") ||
+			!strings.HasSuffix(line, tc.want) {
+			t.Errorf("dinero %v:\n%s\nwant a banner, then a sampled estimate line ending %q", tc.args, out, tc.want)
+		}
+	}
+}
+
 func TestCLISteeringDriver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -305,7 +347,7 @@ func TestCLIBinaryFormatParity(t *testing.T) {
 	for _, tc := range [][]string{
 		{"dinero", "-l1-size", "32k", "-l1-bsize", "32", "-l1-assoc", "1"},
 		{"glprof", "-reuse"},
-		{"setplot", "-format", "csv"},
+		{"dinero", "-plot"},
 	} {
 		fromText := runTool(t, tc[0], append(tc[1:], textTrace)...)
 		fromBin := runTool(t, tc[0], append(tc[1:], binTrace)...)
@@ -385,7 +427,6 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"dinero", "-l1-size", "100", "does-not-exist.trc"},
 		{"dsxform", "-rules", "missing.rule", "missing.trc"},
 		{"tracediff", "one-arg-only"},
-		{"setplot", "-format", "bogus", "x"},
 		{"experiments"},
 	}
 	for _, c := range cases {
@@ -396,21 +437,30 @@ func TestCLIErrorPaths(t *testing.T) {
 	}
 }
 
-// TestCLIExperimentsRemovedStoreFlags: -checkpoint is the one store flag;
-// -resume and -simcache are unknown flags, a usage error (exit 2).
+// TestCLIExperimentsRemovedStoreFlags: removed flags are unknown flags, a
+// usage error (exit 2). -checkpoint is the one store flag, so -resume and
+// -simcache are gone; -sample-sets went with set sampling.
 func TestCLIExperimentsRemovedStoreFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	bin := filepath.Join(buildTools(t), "experiments")
-	for _, flag := range []string{"-resume", "-simcache"} {
-		out, err := exec.Command(bin, "-sweep", flag, t.TempDir()).CombinedOutput()
+	bin := buildTools(t)
+	for _, tc := range []struct {
+		tool, flag string
+		args       []string
+	}{
+		{"experiments", "-resume", []string{"-sweep", "-resume", t.TempDir()}},
+		{"experiments", "-simcache", []string{"-sweep", "-simcache", t.TempDir()}},
+		{"experiments", "-sample-sets", []string{"-sweep", "-sample-sets", "4"}},
+		{"dinero", "-sample-sets", []string{"-sample-sets", "4", "trace.out"}},
+	} {
+		out, err := exec.Command(filepath.Join(bin, tc.tool), tc.args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("experiments %s: err = %v, want exit status 2\n%s", flag, err, out)
+			t.Errorf("%s %s: err = %v, want exit status 2\n%s", tc.tool, tc.flag, err, out)
 		}
-		if !strings.Contains(string(out), "flag provided but not defined: "+flag) {
-			t.Errorf("experiments %s: no unknown-flag message:\n%s", flag, out)
+		if !strings.Contains(string(out), "flag provided but not defined: "+tc.flag) {
+			t.Errorf("%s %s: no unknown-flag message:\n%s", tc.tool, tc.flag, out)
 		}
 	}
 }

@@ -13,11 +13,11 @@
 // one-config pass. Multi-configuration mode evaluates several geometries
 // in the same pass (decode, translation and symbol resolution are shared)
 // and prints a banner line before each config's report; with
-// -sample-sets/-sample-interval the pass is approximate and prints scaled
-// estimates instead of full reports:
+// -sample-interval the pass simulates every Kth window of records and
+// prints scaled estimates, with no error bound, instead of full reports:
 //
 //	dinero -config size=8k -config size=16k -config size=32k,assoc=2 trace.out
-//	dinero -configs sweep.cfgs -sample-sets 8 trace.out
+//	dinero -configs sweep.cfgs -sample-interval 4 trace.out
 //
 // -shards N splits the pass over a binary .glb (mmap'd; its block-index
 // footer, when present, saves a frame scan) into N parallel cold shards
@@ -55,7 +55,6 @@ func main() {
 	var cfgSpecs cliutil.Repeated
 	fs.Var(&cfgSpecs, "config", "extra cache config as key=value overrides of the -l1 flags, e.g. size=8k,assoc=2 (repeatable; enables single-pass multi-config mode)")
 	configsFile := fs.String("configs", "", "file with one -config spec per line (# comments, - for stdin)")
-	sampleSets := fs.Int("sample-sets", 0, "approximate: simulate every Nth cache set, scale stats (power of two, 0/1 = exact)")
 	sampleInterval := fs.Int("sample-interval", 0, "approximate: simulate every Kth window of records, scale stats (0/1 = exact)")
 	sampleWindow := fs.Int("sample-window", 0, "records per -sample-interval window (0 = default)")
 	shards := fs.Int("shards", 0, "sharded simulation over a binary .glb file: N workers simulate disjoint block ranges and merge (0 = off, -1 = one per CPU)")
@@ -81,7 +80,7 @@ func main() {
 		obs.Fatal(err)
 	}
 	opts := dinero.MultiOptions{
-		Sampling: dinero.Sampling{SetFactor: *sampleSets, Interval: *sampleInterval, Window: *sampleWindow},
+		Sampling: dinero.Sampling{Interval: *sampleInterval, Window: *sampleWindow},
 	}
 	switch *phys {
 	case "off":
@@ -221,7 +220,9 @@ func simulate(path string, opts dinero.MultiOptions, shards int, tf *cliutil.Tra
 }
 
 // printMultiReports prints every config's banner plus report (exact) or
-// scaled-estimate line (sampled).
+// scaled-estimate line (interval-sampled). The estimate line names the
+// records simulated out of those fed and the sampling parameters, and
+// claims no error bound.
 func printMultiReports(ms *dinero.MultiSim, sampling dinero.Sampling) {
 	for i := 0; i < ms.NumConfigs(); i++ {
 		cfg := ms.Config(i)
@@ -231,8 +232,10 @@ func printMultiReports(ms *dinero.MultiSim, sampling dinero.Sampling) {
 			continue
 		}
 		st := ms.ScaledStats(i)
-		fmt.Printf("sampled estimate (scale %.4g): accesses %d, misses %d, miss ratio %.4f\n",
-			ms.Scale(i), st.Accesses(), st.Misses(), st.MissRatio())
+		fmt.Printf("sampled estimate (scale %.4g): accesses %d, misses %d, miss ratio %.4f; "+
+			"simulated %d of %d records (interval %d, window %d); no error bound claimed\n",
+			ms.RecordScale(), st.Accesses(), st.Misses(), st.MissRatio(),
+			ms.SimulatedRecords(), ms.Records(), sampling.Interval, sampling.WindowLen())
 	}
 }
 

@@ -57,7 +57,6 @@ func main() {
 	retries := fs.Int("retries", 0, "retry a task failing with a transient I/O error this many times")
 	retryBackoff := fs.Duration("retry-backoff", 100*time.Millisecond, "sleep before the first retry, doubled each attempt")
 	maxSteps := fs.Int64("max-steps", 0, "per-workload interpreter step budget; runaway workloads fail instead of hanging (0 = default limit)")
-	sampleSets := fs.Int("sample-sets", 0, "approximate sweeps: simulate every Nth cache set (power of two, 0/1 = exact)")
 	sampleInterval := fs.Int("sample-interval", 0, "approximate sweeps: simulate every Kth window of records (0/1 = exact)")
 	sampleWindow := fs.Int("sample-window", 0, "records per -sample-interval window (0 = default)")
 	shards := fs.Int("shards", 0, "sharded runs: split each sweep side and figure simulation into N cold shards merged with full attribution (equals flush-at-boundary serial run; 0/1 = off)")
@@ -89,16 +88,12 @@ func main() {
 			RetryBackoff: *retryBackoff,
 			KeepGoing:    *keepGoing,
 		},
-		Sampling: dinero.Sampling{
-			SetFactor: *sampleSets,
-			Interval:  *sampleInterval,
-			Window:    *sampleWindow,
-		},
-		Shards: *shards,
+		Sampling: dinero.Sampling{Interval: *sampleInterval, Window: *sampleWindow},
+		Shards:   *shards,
 	}
 	if !opts.Sampling.Exact() {
 		obs.Log.Info("sweeps run sampled: results are scaled estimates",
-			"sample_sets", *sampleSets, "sample_interval", *sampleInterval)
+			"sample_interval", opts.Sampling.Interval, "sample_window", opts.Sampling.WindowLen())
 	}
 	if opts.Shards > 1 {
 		obs.Log.Info("sweeps and figures run sharded: results equal a flush-at-boundary serial run",

@@ -20,19 +20,9 @@ import (
 // layers multi-level and classified configs on top by falling back to full
 // Cache instances behind the same record-sharing front end.
 //
-// A MultiSim additionally supports deterministic set sampling: with
-// SampleSets = K (a power of two), only sets whose index is ≡ 0 (mod K) are
-// simulated and the rest of the traffic is dropped before touching any
-// state. Because a set-associative cache's per-set state depends only on
-// the accesses mapping to that set, the sampled sets' statistics are exact
-// (for recency-based policies; ReplRandom draws from a shared per-config
-// stream and becomes approximate), and scaling by the sampled fraction
-// estimates the full-trace totals.
-//
 // A MultiSim is not safe for concurrent use.
 type MultiSim struct {
-	per        []multiCfg
-	sampleSets int
+	per []multiCfg
 }
 
 // line-state flag bits.
@@ -48,14 +38,8 @@ type multiCfg struct {
 	setBits  uint
 	blkShift uint
 	assoc    int
-	nsets    int
 	clock    uint64
 	rng      uint64
-
-	// sampleMask selects simulated sets (index&sampleMask == 0); zero
-	// means every set. sampledSets is how many sets survive the filter.
-	sampleMask  uint64
-	sampledSets int
 
 	// Flat line state, indexed set*assoc+way. stamps carries the
 	// replacement policy's recency value: last use for LRU, fill time for
@@ -98,17 +82,17 @@ func CanMulti(cfg Config) error {
 	return nil
 }
 
-// NewMultiSim builds a single-pass simulator over cfgs. sampleSets of 0 or
-// 1 simulates every set; a power of two K simulates only sets ≡ 0 (mod K)
-// in every configuration.
+// NewMultiSim builds a single-pass simulator that simulates every set of
+// every configuration in cfgs. sampleSets is a retired set-sampling
+// factor: 0 and 1 (every set) are accepted, any other value is an error.
 func NewMultiSim(cfgs []Config, sampleSets int) (*MultiSim, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cache: NewMultiSim needs at least one config")
 	}
-	if sampleSets < 0 || (sampleSets > 1 && bits.OnesCount(uint(sampleSets)) != 1) {
-		return nil, fmt.Errorf("cache: set-sampling factor %d is not a power of two", sampleSets)
+	if sampleSets != 0 && sampleSets != 1 {
+		return nil, fmt.Errorf("cache: set-sampling factor %d: set sampling was removed; pass 0", sampleSets)
 	}
-	m := &MultiSim{per: make([]multiCfg, len(cfgs)), sampleSets: sampleSets}
+	m := &MultiSim{per: make([]multiCfg, len(cfgs))}
 	for i, cfg := range cfgs {
 		if err := CanMulti(cfg); err != nil {
 			return nil, err
@@ -124,7 +108,6 @@ func NewMultiSim(cfgs []Config, sampleSets int) (*MultiSim, error) {
 		p.setBits = uint(bits.OnesCount64(p.setMask))
 		p.blkShift = uint(bits.TrailingZeros64(uint64(cfg.BlockSize)))
 		p.assoc = assoc
-		p.nsets = nsets
 		p.rng = cfg.Seed*2862933555777941757 + 3037000493
 		p.tags = make([]uint64, nsets*assoc)
 		p.stamps = make([]uint64, nsets*assoc)
@@ -135,11 +118,6 @@ func NewMultiSim(cfgs []Config, sampleSets int) (*MultiSim, error) {
 			p.rr = make([]int32, nsets)
 		}
 		p.stats.PerSet = make([]SetStats, nsets)
-		p.sampledSets = nsets
-		if sampleSets > 1 {
-			p.sampleMask = uint64(sampleSets - 1)
-			p.sampledSets = (nsets + sampleSets - 1) / sampleSets
-		}
 	}
 	return m, nil
 }
@@ -167,9 +145,7 @@ func (m *MultiSim) NumConfigs() int { return len(m.per) }
 // Config returns configuration i.
 func (m *MultiSim) Config(i int) Config { return m.per[i].cfg }
 
-// Stats returns a snapshot of configuration i's raw statistics. Under set
-// sampling these cover only the sampled sets; SetScale gives the factor a
-// caller multiplies by to estimate full-trace totals.
+// Stats returns a snapshot of configuration i's statistics.
 func (m *MultiSim) Stats(i int) Stats { return m.per[i].stats }
 
 // MergeStats folds another run's raw statistics for configuration i into
@@ -180,23 +156,9 @@ func (m *MultiSim) MergeStats(i int, other Stats) {
 	m.per[i].stats.Merge(other)
 }
 
-// SampleSets returns the set-sampling factor (0 or 1 = exact).
-func (m *MultiSim) SampleSets() int { return m.sampleSets }
-
-// SetScale returns the per-config scaling factor that turns sampled-set
-// counts into full-cache estimates: total sets over sampled sets (1 when
-// sampling is off).
-func (m *MultiSim) SetScale(i int) float64 {
-	p := &m.per[i]
-	if p.sampleMask == 0 {
-		return 1
-	}
-	return float64(p.nsets) / float64(p.sampledSets)
-}
-
 // Access performs one possibly block-spanning access against every
-// configuration. visit, when non-nil, is called once per simulated block
-// per configuration (set-sampled blocks are skipped entirely).
+// configuration. visit, when non-nil, is called once per block per
+// configuration.
 func (m *MultiSim) Access(kind Kind, addr uint64, size int32, owner OwnerID, visit MultiVisit) {
 	if size <= 0 {
 		size = 1
@@ -212,9 +174,6 @@ func (m *MultiSim) Access(kind Kind, addr uint64, size int32, owner OwnerID, vis
 		last := end >> p.blkShift
 		for b := first; b <= last; b++ {
 			si := b & p.setMask
-			if si&p.sampleMask != 0 {
-				continue
-			}
 			hit, ev := p.accessBlock(kind, b, si, owner)
 			if visit != nil {
 				visit(ci, int(si), hit, ev)
@@ -246,9 +205,6 @@ func (p *multiCfg) accessDirectRun(kind Kind, addr, end uint64, owner OwnerID) {
 	last := end >> p.blkShift
 	for b := first; b <= last; b++ {
 		si := int(b) & (n - 1)
-		if uint64(si)&p.sampleMask != 0 {
-			continue
-		}
 		p.clock++
 		tag := b >> p.setBits
 		if tags[si] == tag && flags[si]&mValid != 0 { // hit

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -141,55 +142,17 @@ func TestMultiSimVisitOutcomes(t *testing.T) {
 	}
 }
 
-// TestMultiSimSetSamplingExactPerSet verifies the sampling contract: every
-// sampled set's per-set counters are exactly those of the full simulation
-// (recency-based policies only — random replacement shares one draw
-// stream), and no unsampled set is ever touched.
-func TestMultiSimSetSamplingExactPerSet(t *testing.T) {
-	cfgs := []Config{
-		{Size: 4096, BlockSize: 32, Assoc: 1},
-		{Size: 8192, BlockSize: 32, Assoc: 4, Repl: ReplLRU},
-		{Size: 8192, BlockSize: 32, Assoc: 64, Repl: ReplRoundRobin},
-	}
-	const k = 4
-	exact, err := NewMultiSim(cfgs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := NewMultiSim(cfgs, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range multiTraffic(20000) {
-		exact.Access(tc.kind, tc.addr, tc.size, tc.owner, nil)
-		sampled.Access(tc.kind, tc.addr, tc.size, tc.owner, nil)
-	}
-	for i := range cfgs {
-		es, ss := exact.Stats(i), sampled.Stats(i)
-		for set := range ss.PerSet {
-			if set%k == 0 {
-				if ss.PerSet[set] != es.PerSet[set] {
-					t.Errorf("config %d set %d: sampled %+v != exact %+v", i, set, ss.PerSet[set], es.PerSet[set])
-				}
-			} else if ss.PerSet[set] != (SetStats{}) {
-				t.Errorf("config %d set %d: unsampled set has traffic %+v", i, set, ss.PerSet[set])
-			}
-		}
-		if sc := sampled.SetScale(i); sc != float64(k) {
-			t.Errorf("config %d: SetScale = %v, want %d", i, sc, k)
-		}
-	}
-}
-
-// TestNewMultiSimRejects pins the kernel's envelope: bad sampling factors
-// and unsupported features fail construction.
+// TestNewMultiSimRejects pins the kernel's envelope: any set-sampling
+// factor but 0 or 1 and unsupported features fail construction.
 func TestNewMultiSimRejects(t *testing.T) {
 	good := Config{Size: 1024, BlockSize: 32, Assoc: 1}
 	if _, err := NewMultiSim(nil, 0); err == nil {
 		t.Error("no configs: want error")
 	}
-	if _, err := NewMultiSim([]Config{good}, 3); err == nil {
-		t.Error("non-power-of-two sampling: want error")
+	for _, k := range []int{-1, 3, 8} {
+		if _, err := NewMultiSim([]Config{good}, k); err == nil || !strings.Contains(err.Error(), "set sampling was removed") {
+			t.Errorf("set-sampling factor %d: err = %v, want set sampling was removed", k, err)
+		}
 	}
 	if _, err := NewMultiSim([]Config{{Size: 1000, BlockSize: 32, Assoc: 1}}, 0); err == nil {
 		t.Error("invalid geometry: want error")
@@ -200,8 +163,10 @@ func TestNewMultiSimRejects(t *testing.T) {
 	if _, err := NewMultiSim([]Config{{Size: 1024, BlockSize: 32, Assoc: 1, ClassifyMisses: true}}, 0); err == nil {
 		t.Error("classify config: want error")
 	}
-	if _, err := NewMultiSim([]Config{good}, 8); err != nil {
-		t.Errorf("power-of-two sampling: %v", err)
+	for _, k := range []int{0, 1} {
+		if _, err := NewMultiSim([]Config{good}, k); err != nil {
+			t.Errorf("factor %d (every set): %v", k, err)
+		}
 	}
 }
 

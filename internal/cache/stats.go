@@ -120,9 +120,7 @@ func ratio(num, den int64) float64 {
 // total − misses so the structural invariants Reads == ReadHits +
 // ReadMisses and Writes == WriteHits + WriteMisses hold exactly — per-side
 // rounding could otherwise drift them apart by ±1. Per-set counters are
-// scaled too; under set sampling the unsampled sets stay zero (scaling
-// cannot invent sets that were never simulated), so per-set consumers
-// should read only the sampled indices.
+// scaled by the same factor.
 func (s Stats) Scaled(factor float64) Stats {
 	if factor == 1 {
 		out := s

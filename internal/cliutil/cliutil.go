@@ -161,8 +161,8 @@ func NewTraceFlags(fs *flag.FlagSet, tool string) *TraceFlags {
 
 // AddFormatFlag registers -format on fs for tools that write traces.
 // Opt-in rather than part of NewTraceFlags because some tools already own a
-// -format flag with a different meaning (setplot's plot style, gltrace's
-// output dialect). Readers never need it: input format is sniffed.
+// -format flag with a different meaning (gltrace's output dialect).
+// Readers never need it: input format is sniffed.
 func (tf *TraceFlags) AddFormatFlag(fs *flag.FlagSet) {
 	tf.format = fs.String("format", "auto", "output trace format: auto (mirror input) | text | binary")
 }

@@ -11,16 +11,9 @@ import (
 	"tracedst/internal/trace"
 )
 
-// Sampling selects an approximate simulation tier for a MultiSim. The zero
-// value is exact.
+// Sampling selects interval sampling, the one approximate simulation tier
+// of a MultiSim. The zero value is exact.
 type Sampling struct {
-	// SetFactor K > 1 simulates only cache sets whose index ≡ 0 (mod K)
-	// and scales totals by the sampled fraction. Must be a power of two,
-	// and every configuration must be fast-kernel eligible (see
-	// cache.CanMulti). Per-set state is independent, so sampled sets'
-	// counters are exact for recency-based replacement; ReplRandom shares
-	// one draw stream and becomes approximate.
-	SetFactor int
 	// Interval k > 1 simulates every k-th window of Window records
 	// (window 0 always runs) and scales totals by the fed/simulated ratio.
 	// Accurate when behaviour is phase-stable at the window scale.
@@ -35,7 +28,16 @@ type Sampling struct {
 const DefaultSampleWindow = 4096
 
 // Exact reports whether the sampling configuration is a no-op.
-func (sm Sampling) Exact() bool { return sm.SetFactor <= 1 && sm.Interval <= 1 }
+func (sm Sampling) Exact() bool { return sm.Interval <= 1 }
+
+// WindowLen is the window length interval sampling runs with: Window, or
+// DefaultSampleWindow when Window is zero.
+func (sm Sampling) WindowLen() int {
+	if sm.Window == 0 {
+		return DefaultSampleWindow
+	}
+	return sm.Window
+}
 
 // MultiOptions configure a multi-configuration simulation.
 type MultiOptions struct {
@@ -113,11 +115,8 @@ func NewMulti(opts MultiOptions) (*MultiSim, error) {
 		return nil, fmt.Errorf("dinero: NewMulti needs at least one config")
 	}
 	sm := opts.Sampling
-	if sm.Interval < 0 || sm.SetFactor < 0 || sm.Window < 0 {
+	if sm.Interval < 0 || sm.Window < 0 {
 		return nil, fmt.Errorf("dinero: negative sampling parameter")
-	}
-	if sm.Interval > 1 && sm.Window == 0 {
-		sm.Window = DefaultSampleWindow
 	}
 	syms := opts.Syms
 	trust := syms != nil
@@ -131,7 +130,7 @@ func NewMulti(opts MultiOptions) (*MultiSim, error) {
 		nosymID:   syms.Intern(NoSymbol),
 		translate: opts.Translate,
 		sampling:  sm,
-		window:    int64(sm.Window),
+		window:    int64(sm.WindowLen()),
 		slot:      make([]multiSlot, len(opts.Configs)),
 	}
 	var fast []cache.Config
@@ -142,10 +141,6 @@ func NewMulti(opts MultiOptions) (*MultiSim, error) {
 			m.kernelIdx = append(m.kernelIdx, i)
 			continue
 		}
-		if sm.SetFactor > 1 {
-			return nil, fmt.Errorf("dinero: set sampling requires fast-kernel configs: config %d: %w",
-				i, firstMultiErr(cfg, opts.L2))
-		}
 		sub, err := New(Options{L1: cfg, L2: opts.L2, Translate: opts.Translate, Syms: opts.Syms})
 		if err != nil {
 			return nil, fmt.Errorf("dinero: config %d: %w", i, err)
@@ -155,7 +150,7 @@ func NewMulti(opts MultiOptions) (*MultiSim, error) {
 		m.subIdx = append(m.subIdx, i)
 	}
 	if len(fast) > 0 {
-		kernel, err := cache.NewMultiSim(fast, sm.SetFactor)
+		kernel, err := cache.NewMultiSim(fast, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -170,14 +165,6 @@ func NewMulti(opts MultiOptions) (*MultiSim, error) {
 	}
 	m.statsOnly = opts.StatsOnly
 	return m, nil
-}
-
-// firstMultiErr explains why a config cannot use the fast kernel.
-func firstMultiErr(cfg cache.Config, l2 *cache.Config) error {
-	if l2 != nil {
-		return fmt.Errorf("two-level hierarchy")
-	}
-	return cache.CanMulti(cfg)
 }
 
 // Flush invalidates every configuration's cache lines (kernel and
@@ -317,7 +304,8 @@ func (m *MultiSim) ProcessSource(src trace.RecordSource) error {
 }
 
 // Stats returns configuration i's raw L1 statistics: exact totals when
-// sampling is off, sampled-subset totals otherwise (see ScaledStats).
+// sampling is off, the simulated windows' totals otherwise (see
+// ScaledStats).
 func (m *MultiSim) Stats(i int) cache.Stats {
 	s := m.slot[i]
 	if s.kernel {
@@ -335,21 +323,11 @@ func (m *MultiSim) RecordScale() float64 {
 	return float64(m.fed) / float64(m.simFed)
 }
 
-// Scale is configuration i's total expansion factor: record scale times
-// its set-sampling scale.
-func (m *MultiSim) Scale(i int) float64 {
-	sc := m.RecordScale()
-	if s := m.slot[i]; s.kernel {
-		sc *= m.kernel.SetScale(s.idx)
-	}
-	return sc
-}
-
 // ScaledStats estimates configuration i's full-trace statistics by scaling
-// the raw counters by Scale(i). With sampling off it returns the exact
-// stats unchanged.
+// the raw counters by RecordScale(). With sampling off it returns the
+// exact stats unchanged.
 func (m *MultiSim) ScaledStats(i int) cache.Stats {
-	return m.Stats(i).Scaled(m.Scale(i))
+	return m.Stats(i).Scaled(m.RecordScale())
 }
 
 // MergeFrom folds another MultiSim's accumulated state into this one:
@@ -480,7 +458,6 @@ func (m *MultiSim) PublishTelemetry(reg *telemetry.Registry) {
 	reg.Counter("dinero.page_allocs").Add(m.PageAllocs())
 
 	if !m.sampling.Exact() {
-		reg.Gauge("multisim.sample_sets").Set(int64(m.sampling.SetFactor))
 		reg.Gauge("multisim.sample_interval").Set(int64(m.sampling.Interval))
 		reg.Gauge("multisim.sample_window").Set(m.window)
 		if m.fed > 0 {

@@ -116,7 +116,7 @@ func TestMultiSimIntervalSampling(t *testing.T) {
 	if sampled.Records() != int64(len(recs)) {
 		t.Fatalf("fed %d, want %d", sampled.Records(), len(recs))
 	}
-	gotScale := sampled.Scale(0)
+	gotScale := sampled.RecordScale()
 	wantScale := float64(len(recs)) / float64(wantSim)
 	if math.Abs(gotScale-wantScale) > 1e-9 {
 		t.Fatalf("scale %v, want %v", gotScale, wantScale)
@@ -134,55 +134,6 @@ func TestMultiSimIntervalSampling(t *testing.T) {
 	accErr := math.Abs(float64(est.Accesses()-ref.Accesses())) / float64(ref.Accesses())
 	if accErr > 0.02 {
 		t.Errorf("scaled accesses %d vs exact %d: relative error %.3f > 0.02", est.Accesses(), ref.Accesses(), accErr)
-	}
-}
-
-// TestMultiSimSetSampling checks the set-sampling tier end to end at the
-// dinero layer: eligible configs only, sampled sets exact, scaled miss
-// ratio close to the exact run.
-func TestMultiSimSetSampling(t *testing.T) {
-	cfgs := []cache.Config{
-		{Size: 4096, BlockSize: 32, Assoc: 1},
-		{Size: 8192, BlockSize: 32, Assoc: 2, Repl: cache.ReplLRU},
-	}
-	recs := multiRecords(60000, 16)
-	exact, err := NewMulti(MultiOptions{Configs: cfgs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact.Process(recs)
-	sampled, err := NewMulti(MultiOptions{Configs: cfgs, Sampling: Sampling{SetFactor: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled.Process(recs)
-	for i := range cfgs {
-		es, ss := exact.Stats(i), sampled.Stats(i)
-		for set := range ss.PerSet {
-			if set%4 == 0 {
-				if ss.PerSet[set] != es.PerSet[set] {
-					t.Errorf("config %d set %d: sampled per-set stats diverge", i, set)
-				}
-			}
-		}
-		est := sampled.ScaledStats(i)
-		relErr := math.Abs(est.MissRatio() - es.MissRatio())
-		if es.MissRatio() > 0 {
-			relErr /= es.MissRatio()
-		}
-		if relErr > 0.25 {
-			t.Errorf("config %d: set-sampled miss ratio %.5f vs exact %.5f: relative error %.3f > 0.25",
-				i, est.MissRatio(), es.MissRatio(), relErr)
-		}
-	}
-
-	// Ineligible configs must be rejected up front.
-	_, err = NewMulti(MultiOptions{
-		Configs:  []cache.Config{{Size: 2048, BlockSize: 32, Assoc: 2, ClassifyMisses: true}},
-		Sampling: Sampling{SetFactor: 4},
-	})
-	if err == nil {
-		t.Error("set sampling with classify config: want error")
 	}
 }
 

@@ -176,11 +176,7 @@ func samplingKeySuffix(sm dinero.Sampling) string {
 	if sm.Exact() {
 		return ""
 	}
-	w := sm.Window
-	if sm.Interval > 1 && w == 0 {
-		w = dinero.DefaultSampleWindow
-	}
-	return fmt.Sprintf("@sets%d-int%d-win%d", sm.SetFactor, sm.Interval, w)
+	return fmt.Sprintf("@int%d-win%d", sm.Interval, sm.WindowLen())
 }
 
 // runKeySuffix is the result tier of a run's keys: sampling parameters

@@ -10,6 +10,7 @@ import (
 	"runtime/metrics"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -299,6 +300,14 @@ func TestSecondStreamReusesState(t *testing.T) {
 	}
 }
 
+// dropIdleStates empties lastState and the pool, so the next stream makes
+// a state.
+func dropIdleStates() {
+	lastState.Store(nil)
+	runtime.GC() // two collections empty the pool
+	runtime.GC()
+}
+
 // TestDecodeStatesCounter: trace.decode.states counts the states made
 // because none could be recycled; sequential streams in one goroutine
 // make one between them.
@@ -308,8 +317,7 @@ func TestDecodeStatesCounter(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC() // two collections empty the pool
-	runtime.GC()
+	dropIdleStates()
 	states := telemetry.Default().Counter("trace.decode.states")
 	before := states.Value()
 	ds := decoders(t, boundedTrace(t, 2*DefaultBlockRecords))
@@ -318,5 +326,39 @@ func TestDecodeStatesCounter(t *testing.T) {
 	}
 	if got := states.Value() - before; got != 1 {
 		t.Errorf("20 sequential streams made %d decode states, want 1", got)
+	}
+}
+
+// TestStreamOnOtherPReusesState: a stream decoded on another goroutine
+// while the goroutine that ended the stream before it still holds its P,
+// so on the other P, reuses that stream's state and makes none. A state
+// kept only in sync.Pool goes to the releasing P's private slot, which the
+// other P cannot take.
+func TestStreamOnOtherPReusesState(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	states := telemetry.Default().Counter("trace.decode.states")
+	for _, d := range decoders(t, boundedTrace(t, 2*DefaultBlockRecords)) {
+		dropIdleStates()
+		exhaust(t, d.open())
+		before := states.Value()
+		var done atomic.Bool
+		var err error
+		go func() {
+			defer done.Store(true)
+			src := d.open()
+			for err == nil {
+				_, err = src.NextBatch()
+			}
+		}()
+		for !done.Load() {
+			// Spin: this goroutine keeps its P, so the stream runs on the other.
+		}
+		if err != io.EOF {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if got := states.Value() - before; got != 0 {
+			t.Errorf("%s: a stream on the other P made %d decode states, want 0", d.name, got)
+		}
 	}
 }

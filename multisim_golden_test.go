@@ -112,35 +112,31 @@ func TestMultiSimGoldenAllWorkloads(t *testing.T) {
 	}
 }
 
-// Sampling error bounds asserted below and documented in
+// Sampling error bound asserted below and documented in
 // docs/performance.md. The guaranteed quantity is the scaled total MISS
 // COUNT — what the sweep engine consumes. Miss-ratio extrapolation is
-// deliberately not bounded: hit traffic concentrates in the hot loop
-// scalar's set, so set sampling over- or under-weights hits depending on
-// whether that one set is sampled, while misses (array traffic) spread
-// evenly. The bounds only hold where the exact signal is large enough
-// for the tiers' constant bias sources not to dominate: at least
-// minMissesForBound exact misses, and an exact miss ratio of at least
-// minRatioForBound (below that, interval sampling's cold-resume refills
-// outweigh the real misses — measured 2.5× on matmul at ratio 0.003).
+// deliberately not bounded. The bound only holds where the exact signal
+// is large enough for the tier's constant bias sources not to dominate:
+// at least minMissesForBound exact misses, and an exact miss ratio of at
+// least minRatioForBound (below that, interval sampling's cold-resume
+// refills outweigh the real misses — measured 2.5× on matmul at ratio
+// 0.003).
 const (
 	minMissesForBound = 100
 	minRatioForBound  = 0.01
-	setSampleBound    = 0.20 // |Δ misses| / exact misses, sets/4 (worst measured 0.14)
 	intervalBound     = 0.30 // |Δ misses| / exact misses, every 4th 4096-record window (worst measured 0.23)
 )
 
-// TestMultiSimSamplingErrorBounds measures both approximation tiers
-// against exact runs on every workload and asserts the documented
-// miss-count bounds wherever the exact run produced a statistically
-// meaningful number of misses.
+// TestMultiSimSamplingErrorBounds measures interval sampling against
+// exact runs on every workload and asserts the documented miss-count
+// bound wherever the exact run produced a statistically meaningful
+// number of misses.
 func TestMultiSimSamplingErrorBounds(t *testing.T) {
 	tiers := []struct {
 		name  string
 		sm    dinero.Sampling
 		bound float64
 	}{
-		{"set-sampling", dinero.Sampling{SetFactor: 4}, setSampleBound},
 		{"interval-sampling", dinero.Sampling{Interval: 4}, intervalBound},
 	}
 	worst := map[string]float64{}
