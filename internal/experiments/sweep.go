@@ -29,6 +29,10 @@ type SweepResult struct {
 	// Geometry note (block size, associativity).
 	Geometry string
 	Points   []SweepPoint
+	// Sampling and Shards are the run's approximations, zero for an exact
+	// serial run; Table names them under the title.
+	Sampling dinero.Sampling
+	Shards   int
 }
 
 // Winner reports which side has fewer misses at each size: '<' orig wins,
@@ -45,10 +49,17 @@ func (s *SweepResult) Winner(i int) byte {
 	}
 }
 
-// Table renders the sweep.
+// Table renders the sweep. A sampled or sharded run says so in one line
+// under the title.
 func (s *SweepResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s (%s)\n", s.ID, s.Title, s.Geometry)
+	switch {
+	case !s.Sampling.Exact():
+		fmt.Fprintf(&b, "sampled estimate (interval %d, window %d); no error bound claimed\n", s.Sampling.Interval, s.Sampling.WindowLen())
+	case s.Shards > 1:
+		fmt.Fprintf(&b, "sharded (%d shards): equals a serial run with a cache flush at each shard boundary\n", s.Shards)
+	}
 	fmt.Fprintf(&b, "%-12s %14s %14s  %s\n", "cache bytes", "orig misses", "xform misses", "winner")
 	for i, p := range s.Points {
 		var who string
@@ -271,7 +282,7 @@ func runSweeps(ctx context.Context, specs []sweepSpec, opts RunOptions) ([]*Swee
 	var tasks []task
 	for si, sp := range specs {
 		r := &SweepResult{ID: sp.id, Title: sp.title, Geometry: sp.geometry,
-			Points: make([]SweepPoint, len(sp.sizes))}
+			Points: make([]SweepPoint, len(sp.sizes)), Sampling: opts.Sampling, Shards: opts.Shards}
 		for pi, size := range sp.sizes {
 			r.Points[pi].CacheBytes = size
 		}

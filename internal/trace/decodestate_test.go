@@ -7,20 +7,14 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
-	"runtime/metrics"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"tracedst/internal/ctype"
 	"tracedst/internal/telemetry"
 )
-
-// raceEnabled is set under the race detector, which makes sync.Pool drop
-// a random share of what it is given: exact reuse counts do not hold.
-var raceEnabled bool
 
 // respelled is decodeFixture with k appended to every name and 1000·k
 // added to every subscript: the same shapes, other spellings.
@@ -47,19 +41,48 @@ func respelled(k int) []Record {
 type decoder struct {
 	name string
 	open func() RecordSource
+	// readBuf is what a stream allocates for its input buffer, which is
+	// per stream.
+	readBuf int
 }
 
 // decoders returns a decoder over the indexed trace data for each of
-// BinaryReader and IndexedTrace.Source.
+// BinaryReader, IndexedTrace.Source and, over the same records as text,
+// Reader.
 func decoders(t *testing.T, data []byte) []decoder {
 	tr, err := NewIndexedBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := textOf(t, tr)
 	return []decoder{
-		{"BinaryReader", func() RecordSource { return NewBinaryReader(bytes.NewReader(data)) }},
-		{"IndexedTrace.Source", func() RecordSource { return tr.Source(0, tr.NumBlocks(), DecodeOptions{}) }},
+		{"BinaryReader", func() RecordSource { return NewBinaryReader(bytes.NewReader(data)) }, 256 << 10},
+		{"IndexedTrace.Source", func() RecordSource { return tr.Source(0, tr.NumBlocks(), DecodeOptions{}) }, 0},
+		{"Reader", func() RecordSource { return NewReader(bytes.NewReader(text)) }, 64 << 10},
 	}
+}
+
+// textOf renders an indexed trace's records as text, through a decoder of
+// its own rather than a recycled state. A block that fails to decode
+// becomes one line that does not parse, so damage stays damage.
+func textOf(t *testing.T, tr *IndexedTrace) []byte {
+	dec := blockDecoder{intern: NewInterner()}
+	var recs []Record
+	var text []byte
+	for i := 0; i < tr.NumBlocks(); i++ {
+		framed, n, _, err := tr.frameAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs, err = dec.checkAndDecode(framed, n, recs[:0]); err != nil {
+			text = append(text, "?? damaged block\n"...)
+			continue
+		}
+		for j := range recs {
+			text = append(recs[j].AppendText(text), '\n')
+		}
+	}
+	return text
 }
 
 // drain decodes src to its end and returns copies of its records.
@@ -131,8 +154,7 @@ func TestRecycledStateKeepsRecords(t *testing.T) {
 
 // TestEndedStreamBatchReadsZero: once a stream has ended, at its clean end
 // or at a decoding error, the last batch it handed out reads as zero
-// records: its memory went back to the pool cleared, holding no record's
-// strings.
+// records: its memory went back to the idle list cleared.
 func TestEndedStreamBatchReadsZero(t *testing.T) {
 	recs := decodeFixture()[:1000]
 	clean := encodeIndexed(t, nil, recs, 100)
@@ -206,7 +228,7 @@ func TestEndedStreamReleasesOnce(t *testing.T) {
 }
 
 // TestRecycledStateConcurrent: goroutines decoding different traces at
-// once through both decoders, each stream taking and returning a pooled
+// once through every decoder, each stream taking and returning a recycled
 // state, see exactly their own trace's records.
 func TestRecycledStateConcurrent(t *testing.T) {
 	const goroutines, rounds = 8, 20
@@ -228,7 +250,7 @@ func TestRecycledStateConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				k := (g + r) % len(data)
-				d := ds[k][(g+r/len(data))%2]
+				d := ds[k][(g+r/len(data))%len(ds[k])]
 				src := d.open()
 				off := 0
 				for {
@@ -269,71 +291,128 @@ func boundedTrace(t *testing.T, n int) []byte {
 	return encodeIndexed(t, nil, recs, 0)
 }
 
-// heapAllocBytes reads the cumulative bytes allocated on the heap.
+// heapAllocBytes reads the cumulative bytes allocated on the heap, exactly:
+// reading the memory statistics flushes every P's allocation cache.
 func heapAllocBytes() uint64 {
-	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
-// TestSecondStreamReusesState: a stream decoded after another has ended
-// reuses its record buffer, payload buffer, slot table and intern tables,
-// so it allocates less than one block's record buffer — the reader itself,
-// its read buffer and one string and path per distinct spelling.
+// TestSecondStreamReusesState: a stream decoded after another over the
+// same trace has ended reuses its record buffer, payload buffer, slot
+// table and intern tables, so it makes no spelling, and allocates only
+// its input buffer and a few small objects: the reader or source itself.
 func TestSecondStreamReusesState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop states at random")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spellings := telemetry.Default().Counter("trace.decode.spellings")
 	data := boundedTrace(t, 4*DefaultBlockRecords)
-	limit := uint64(DefaultBlockRecords * unsafe.Sizeof(Record{}))
+	const small = 1 << 10
 	for _, d := range decoders(t, data) {
 		exhaust(t, d.open())
-		before := heapAllocBytes()
+		before, made := heapAllocBytes(), spellings.Value()
 		exhaust(t, d.open())
 		got := heapAllocBytes() - before
 		t.Logf("%s: the second stream allocated %d bytes", d.name, got)
-		if got >= limit {
-			t.Errorf("%s: the second stream allocated %d bytes, want < %d (one block's records)", d.name, got, limit)
+		if made := spellings.Value() - made; made != 0 {
+			t.Errorf("%s: the second stream made %d spellings, want 0", d.name, made)
+		}
+		if limit := uint64(d.readBuf + small); got > limit {
+			t.Errorf("%s: the second stream allocated %d bytes, want ≤ %d (its input buffer and %d bytes)", d.name, got, limit, small)
 		}
 	}
 }
 
-// dropIdleStates empties lastState and the pool, so the next stream makes
-// a state.
+// dropIdleStates empties the idle list, so the next stream makes a state.
 func dropIdleStates() {
-	lastState.Store(nil)
-	runtime.GC() // two collections empty the pool
-	runtime.GC()
+	idleStates.Lock()
+	clear(idleStates.list)
+	idleStates.list = idleStates.list[:0]
+	idleStates.Unlock()
 }
 
 // TestDecodeStatesCounter: trace.decode.states counts the states made
 // because none could be recycled; sequential streams in one goroutine
 // make one between them.
 func TestDecodeStatesCounter(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop states at random")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	dropIdleStates()
 	states := telemetry.Default().Counter("trace.decode.states")
 	before := states.Value()
 	ds := decoders(t, boundedTrace(t, 2*DefaultBlockRecords))
 	for i := 0; i < 20; i++ {
-		exhaust(t, ds[i%2].open())
+		exhaust(t, ds[i%len(ds)].open())
 	}
 	if got := states.Value() - before; got != 1 {
 		t.Errorf("20 sequential streams made %d decode states, want 1", got)
 	}
 }
 
+// TestConcurrentStreamsMakeTwoStates: two streams decoding at once, round
+// after round, as glb-sharded's two shards do, make two states in the
+// first round and none after: every round finds both on the idle list.
+func TestConcurrentStreamsMakeTwoStates(t *testing.T) {
+	const rounds = 50
+	dropIdleStates()
+	states := telemetry.Default().Counter("trace.decode.states")
+	before := states.Value()
+	ds := decoders(t, boundedTrace(t, 2*DefaultBlockRecords))
+	for r := 0; r < rounds; r++ {
+		var started, wg sync.WaitGroup
+		started.Add(2)
+		wg.Add(2)
+		for g := 0; g < 2; g++ {
+			go func() {
+				defer wg.Done()
+				src := ds[(r+g)%len(ds)].open()
+				_, err := src.NextBatch()
+				// Both streams hold a state before either can end.
+				started.Done()
+				started.Wait()
+				for err == nil {
+					_, err = src.NextBatch()
+				}
+				if err != io.EOF {
+					t.Errorf("round %d: %v", r, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if got := states.Value() - before; got != 2 {
+		t.Errorf("%d rounds of two concurrent streams made %d decode states, want 2", rounds, got)
+	}
+}
+
+// TestSpellingsCounter: trace.decode.spellings counts the spellings a
+// stream made: a trace's distinct function names and access expressions
+// the first time a process decodes it, and none when it decodes it again.
+func TestSpellingsCounter(t *testing.T) {
+	spellings := telemetry.Default().Counter("trace.decode.spellings")
+	for i := range decoders(t, encodeIndexed(t, nil, nil, 0)) {
+		// Decoder i decodes a trace no other stream spelled.
+		recs := respelled(100 + i)
+		funcs, vars := map[string]bool{}, map[string]bool{}
+		for j := range recs {
+			funcs[recs[j].Func] = true
+			if recs[j].HasSym {
+				vars[recs[j].Var.String()] = true
+			}
+		}
+		d := decoders(t, encodeIndexed(t, nil, recs, 100))[i]
+		for stream, want := range []int{len(funcs) + len(vars), 0} {
+			before := spellings.Value()
+			exhaust(t, d.open())
+			if got := spellings.Value() - before; got != int64(want) {
+				t.Errorf("%s: stream %d made %d spellings, want %d", d.name, stream, got, want)
+			}
+		}
+	}
+}
+
 // TestStreamOnOtherPReusesState: a stream decoded on another goroutine
 // while the goroutine that ended the stream before it still holds its P,
-// so on the other P, reuses that stream's state and makes none. A state
-// kept only in sync.Pool goes to the releasing P's private slot, which the
-// other P cannot take.
+// so on the other P, reuses that stream's state and makes none.
 func TestStreamOnOtherPReusesState(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

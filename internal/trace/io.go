@@ -13,18 +13,20 @@ import (
 const oversizePrefixLen = 128
 
 // Reader streams records from a Gleipnir trace file. Its tolerance for
-// malformed input is set by DecodeOptions; see NewReaderOptions.
+// malformed input is set by DecodeOptions; see NewReaderOptions. It parses
+// through a decode state, as the binary decoders do: the state's intern
+// tables resolve function names and access expressions, and its record
+// buffer holds NextBatch's batches.
 type Reader struct {
 	br         *bufio.Reader
 	opts       DecodeOptions
-	intern     *Interner
 	header     Header
 	gotHdr     bool
 	hasHdr     bool // input actually began with a START line
 	buf        []byte
 	pending    []byte // non-header first line peeked while looking for START
 	hasPending bool
-	batch      []Record // NextBatch's buffer, grown up to DefaultBatchRecords
+	st         *decodeState // from the first record to the stream's end; see decodeState
 	line       int
 	bad        int
 	err        error
@@ -36,7 +38,7 @@ func NewReader(r io.Reader) *Reader { return NewReaderOptions(r, DecodeOptions{}
 
 // NewReaderOptions returns a Reader with explicit decode options.
 func NewReaderOptions(r io.Reader, opts DecodeOptions) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64*1024), opts: opts, intern: NewInterner()}
+	return &Reader{br: bufio.NewReaderSize(r, 64*1024), opts: opts}
 }
 
 // Header returns the trace header. If the stream has no START line the
@@ -172,6 +174,22 @@ func (rd *Reader) ensureHeader() error {
 
 // Read returns the next record, or io.EOF at end of stream.
 func (rd *Reader) Read() (Record, error) {
+	rec, err := rd.read()
+	if err != nil {
+		rd.end()
+	}
+	return rec, err
+}
+
+// end gives the decode state back once the stream's sticky result is set.
+func (rd *Reader) end() {
+	rd.st.release()
+	rd.st = nil
+}
+
+// read parses the next record, taking a decode state at the first one.
+// An error is sticky; the state stays taken until end.
+func (rd *Reader) read() (Record, error) {
 	if rd.err != nil {
 		return Record{}, rd.err
 	}
@@ -205,7 +223,10 @@ func (rd *Reader) Read() (Record, error) {
 				continue
 			}
 		}
-		rec, perr := rd.intern.ParseRecord(text)
+		if rd.st == nil {
+			rd.st = getDecodeState()
+		}
+		rec, perr := rd.st.dec.intern.ParseRecord(text)
 		if perr != nil {
 			ble := &BadLineError{Line: rd.line, Text: string(text), Err: perr}
 			if rd.err = rd.opts.skip(ble, &rd.bad); rd.err != nil {
@@ -219,20 +240,22 @@ func (rd *Reader) Read() (Record, error) {
 
 // NextBatch returns the next records, up to DefaultBatchRecords of them
 // (see RecordSource). The records decoded before an error come first, as
-// one batch; the sticky error follows on the next call.
+// one batch; the sticky error follows on the next call, which gives the
+// decode state back.
 func (rd *Reader) NextBatch() ([]Record, error) {
-	b := rd.batch[:0]
+	rec, err := rd.read()
+	if err != nil {
+		rd.end()
+		return nil, err
+	}
+	b := append(rd.st.recs[:0], rec)
 	for len(b) < DefaultBatchRecords {
-		rec, err := rd.Read()
-		if err != nil {
-			if len(b) > 0 {
-				break
-			}
-			return nil, err
+		if rec, err = rd.read(); err != nil {
+			break
 		}
 		b = append(b, rec)
 	}
-	rd.batch = b
+	rd.st.recs = b
 	return b, nil
 }
 
