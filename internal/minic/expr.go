@@ -90,12 +90,13 @@ func (in *Interp) storeTo(lv lvalue, v Value) error {
 // performed along the way (subscript variables, pointer fields) emit events,
 // deduplicated per outermost lvalue computation.
 func (in *Interp) evalLValue(st *execState, e Expr) (lvalue, error) {
-	outermost := in.dedup == nil
-	if outermost {
-		in.dedup = map[uint64]bool{}
-		defer func() { in.dedup = nil }()
+	if in.loadedFrom >= 0 {
+		return in.lvalueInner(st, e)
 	}
-	return in.lvalueInner(st, e)
+	in.loadedFrom = len(in.loaded)
+	lv, err := in.lvalueInner(st, e)
+	in.loaded, in.loadedFrom = in.loaded[:in.loadedFrom], -1
+	return lv, err
 }
 
 func (in *Interp) lvalueInner(st *execState, e Expr) (lvalue, error) {

@@ -66,7 +66,9 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded
 const ctxCheckMask = 1023
 
 // Interp executes a parsed Program against a fresh address space, reporting
-// every data access to the Listener.
+// every data access to the Listener. Loads repeated within one outermost
+// lvalue computation are reported once; the computation's scope ends at a
+// call, whose own loads are all reported.
 type Interp struct {
 	prog  *Program
 	Space *memmodel.AddressSpace
@@ -78,11 +80,17 @@ type Interp struct {
 	ctx       context.Context
 
 	fnStack []string
-	// dedup, when non-nil, suppresses duplicate load events for the same
-	// address within a single lvalue address computation (mirroring the
-	// register reuse visible in the paper's traces, e.g. one load of i for
-	// glStructArray[i].myArray[i]).
-	dedup map[uint64]bool
+	// loaded lists the addresses loaded so far by lvalue computations in
+	// progress, one segment per call level; the running call's segment
+	// starts at loadedFrom, which is -1 while that call computes no lvalue.
+	// A load of an address already in the segment emits no event, so a
+	// load repeats within one outermost lvalue computation only once
+	// (mirroring the register reuse visible in the paper's traces, e.g.
+	// one load of i for glStructArray[i].myArray[i]). Compiled code reuses
+	// a register only within one address computation, and a call starts
+	// its own, so the scope ends at a call: the callee's loads are its own.
+	loaded     []uint64
+	loadedFrom int
 
 	heapSeq int
 	// zzqAddr is the hidden _zzq_result local used by the GLEIPNIR macros.
@@ -103,6 +111,7 @@ func NewInterp(prog *Program, lis Listener) *Interp {
 		Syms:          symtab.New(),
 		lis:           lis,
 		StepLimit:     DefaultStepLimit,
+		loadedFrom:    -1,
 		zzqAddr:       map[string]uint64{},
 		globalsByName: map[string]*symtab.Symbol{},
 	}
@@ -175,11 +184,13 @@ func (in *Interp) depth() int { return len(in.fnStack) - 1 }
 // access emits a memory event, honouring lvalue-computation deduplication
 // for loads.
 func (in *Interp) access(op AccessOp, addr uint64, size int64) {
-	if op == OpLoad && in.dedup != nil {
-		if in.dedup[addr] {
-			return
+	if op == OpLoad && in.loadedFrom >= 0 {
+		for _, a := range in.loaded[in.loadedFrom:] {
+			if a == addr {
+				return
+			}
 		}
-		in.dedup[addr] = true
+		in.loaded = append(in.loaded, addr)
 	}
 	in.lis.Access(op, addr, size, in.curFn(), in.depth())
 }
@@ -198,41 +209,49 @@ const (
 
 // execState carries the per-invocation environment.
 type execState struct {
-	frame  *memmodel.Frame
+	frame *memmodel.Frame
+	// vars binds the names declared in the call's open blocks, innermost
+	// last, so looking a name up from the end finds the declaration that
+	// shadows the others.
+	vars   []binding
 	scopes []blockScope
 	ret    Value
 }
 
-// blockScope is one C block scope: its name bindings plus the frame mark
-// taken at entry, so exiting the block releases its locals' stack space
-// (loops re-declaring block locals reuse the same slots, as compiled code
-// does).
+// binding is one declared name.
+type binding struct {
+	name string
+	sym  *symtab.Symbol
+}
+
+// blockScope is one C block scope: where its bindings start in vars, plus
+// the frame mark taken at entry, so exiting the block releases its locals'
+// stack space (loops re-declaring block locals reuse the same slots, as
+// compiled code does).
 type blockScope struct {
-	vars map[string]*symtab.Symbol
-	mark uint64
+	start int
+	mark  uint64
 }
 
 func (st *execState) pushScope() {
-	st.scopes = append(st.scopes, blockScope{
-		vars: map[string]*symtab.Symbol{},
-		mark: st.frame.Mark(),
-	})
+	st.scopes = append(st.scopes, blockScope{start: len(st.vars), mark: st.frame.Mark()})
 }
 
 func (st *execState) popScope() {
 	sc := st.scopes[len(st.scopes)-1]
 	st.frame.Release(sc.mark)
+	st.vars = st.vars[:sc.start]
 	st.scopes = st.scopes[:len(st.scopes)-1]
 }
 
 func (st *execState) define(name string, sym *symtab.Symbol) {
-	st.scopes[len(st.scopes)-1].vars[name] = sym
+	st.vars = append(st.vars, binding{name: name, sym: sym})
 }
 
 func (st *execState) lookup(name string) (*symtab.Symbol, bool) {
-	for i := len(st.scopes) - 1; i >= 0; i-- {
-		if s, ok := st.scopes[i].vars[name]; ok {
-			return s, true
+	for i := len(st.vars) - 1; i >= 0; i-- {
+		if st.vars[i].name == name {
+			return st.vars[i].sym, true
 		}
 	}
 	return nil, false
@@ -246,6 +265,12 @@ func (in *Interp) call(fd *FuncDecl, args []Value) (Value, error) {
 	if len(args) != len(fd.Params) {
 		return Value{}, fmt.Errorf("minic: %s called with %d args, want %d", fd.Name, len(args), len(fd.Params))
 	}
+	// The callee starts with no lvalue computation in progress; the
+	// caller's resumes when it returns.
+	loaded, loadedFrom := len(in.loaded), in.loadedFrom
+	in.loadedFrom = -1
+	defer func() { in.loaded, in.loadedFrom = in.loaded[:loaded], loadedFrom }()
+
 	frame := in.Space.Stack.Push(fd.Name)
 
 	if len(in.fnStack) > 0 {

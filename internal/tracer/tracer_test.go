@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracedst/internal/minic"
 	"tracedst/internal/trace"
 	"tracedst/internal/workloads"
 )
@@ -310,4 +311,149 @@ func TestMaxRecordsCap(t *testing.T) {
 	if res.Return != 0 {
 		t.Errorf("return = %d", res.Return)
 	}
+}
+
+// TestCallInsideLValueKeepsItsLoads: a call made while an lvalue's address
+// is computed starts its own load deduplication, as compiled code reuses a
+// register only within one address computation. g's two loads of x both
+// appear, while main's second load of i within its own lvalue stays
+// deduplicated.
+func TestCallInsideLValueKeepsItsLoads(t *testing.T) {
+	const src = `
+int x;
+int m[4][4];
+int g(void) {
+	int a = x;
+	int b = x;
+	return 1;
+}
+int main(void) {
+	int i;
+	i = 2;
+	m[i][g() + i] = 1;
+	return 0;
+}`
+	res := mustRun(t, src, nil, Options{TraceAll: true})
+	var xLoads, iLoads int
+	for _, r := range res.Records {
+		if r.Op != trace.Load || !r.HasSym {
+			continue
+		}
+		switch {
+		case r.Func == "g" && r.Var.Root == "x":
+			xLoads++
+		case r.Func == "main" && r.Var.Root == "i":
+			iLoads++
+		}
+	}
+	if xLoads != 2 || iLoads != 1 {
+		t.Errorf("g loads x %d times, main loads i %d times; want 2 and 1:\n%s",
+			xLoads, iLoads, strings.Join(lines(res), "\n"))
+	}
+	if last := res.Records[len(res.Records)-1]; last.Op != trace.Store || last.Var.String() != "m[2][3]" {
+		t.Errorf("last record %q, want the store to m[2][3]", last.String())
+	}
+}
+
+// TestChunkedCollection: a trace many chunks long comes back whole and in
+// order from RunProgram and from WriteTo, MaxRecords counts every chunk,
+// and a short trace does not pay for a full chunk.
+func TestChunkedCollection(t *testing.T) {
+	defs := map[string]string{"LEN": "4096"} // 20,484 records: five chunks
+	res := mustRun(t, workloads.Trans1SoA, defs, Options{})
+	if len(res.Records) <= 4*chunkRecords {
+		t.Fatalf("%d records, want more than %d", len(res.Records), 4*chunkRecords)
+	}
+	if cap(res.Records) != len(res.Records) {
+		t.Errorf("joined trace: len %d, cap %d; want exact size", len(res.Records), cap(res.Records))
+	}
+	tr := New(Options{})
+	in := minic.NewInterp(mustParse(t, workloads.Trans1SoA, defs), tr)
+	tr.Attach(in)
+	if _, err := in.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := trace.ParseAll(buf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(res.Records) {
+		t.Fatalf("WriteTo wrote %d records, RunProgram returned %d", len(recs), len(res.Records))
+	}
+	for i := range recs {
+		if !recs[i].Equal(&res.Records[i]) {
+			t.Fatalf("record %d: WriteTo %q, RunProgram %q", i, recs[i].String(), res.Records[i].String())
+		}
+	}
+
+	limit := 3*chunkRecords + 5
+	capped := mustRun(t, workloads.Trans1SoA, defs, Options{MaxRecords: limit})
+	if len(capped.Records) != limit {
+		t.Errorf("MaxRecords %d kept %d records", limit, len(capped.Records))
+	}
+
+	short := mustRun(t, workloads.Listing1, nil, Options{})
+	if c := cap(short.Records); c >= chunkRecords || c > 2*len(short.Records) {
+		t.Errorf("a %d-record trace holds capacity for %d", len(short.Records), c)
+	}
+}
+
+// drainingListener reads and truncates the tracer's Records every block
+// right after Access, as a streaming consumer does.
+type drainingListener struct {
+	t   *Tracer
+	got []trace.Record
+}
+
+func (l *drainingListener) Instrument(on bool) { l.t.Instrument(on) }
+
+func (l *drainingListener) Access(op minic.AccessOp, addr uint64, size int64, fn string, depth int) {
+	l.t.Access(op, addr, size, fn, depth)
+	if len(l.t.Records) >= trace.DefaultBlockRecords {
+		l.drain()
+	}
+}
+
+func (l *drainingListener) drain() {
+	l.got = append(l.got, l.t.Records...)
+	l.t.Records = l.t.Records[:0]
+}
+
+// TestDrainingListenerSeesEveryRecord: a listener that drains Records every
+// block sees the whole trace, in order, and the tracer seals no chunk.
+func TestDrainingListenerSeesEveryRecord(t *testing.T) {
+	defs := map[string]string{"LEN": "4096"}
+	want := mustRun(t, workloads.Trans1SoA, defs, Options{}).Records
+	tr := New(Options{})
+	l := &drainingListener{t: tr}
+	in := minic.NewInterp(mustParse(t, workloads.Trans1SoA, defs), l)
+	tr.Attach(in)
+	if _, err := in.Run(); err != nil {
+		t.Fatal(err)
+	}
+	l.drain()
+	if len(tr.sealed) != 0 {
+		t.Errorf("%d chunks sealed under a draining listener", len(tr.sealed))
+	}
+	if len(l.got) != len(want) {
+		t.Fatalf("listener saw %d records, want %d", len(l.got), len(want))
+	}
+	for i := range want {
+		if !l.got[i].Equal(&want[i]) {
+			t.Fatalf("record %d: listener saw %q, want %q", i, l.got[i].String(), want[i].String())
+		}
+	}
+}
+
+func mustParse(t *testing.T, src string, defines map[string]string) *minic.Program {
+	t.Helper()
+	prog, err := minic.Parse(src, defines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
