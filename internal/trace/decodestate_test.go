@@ -2,15 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"tracedst/internal/ctype"
 	"tracedst/internal/telemetry"
@@ -439,5 +442,38 @@ func TestStreamOnOtherPReusesState(t *testing.T) {
 		if got := states.Value() - before; got != 0 {
 			t.Errorf("%s: a stream on the other P made %d decode states, want 0", d.name, got)
 		}
+	}
+}
+
+// TestSecondTextValidationReusesState: a Validator batches text input in
+// its Reader's decode state, so a second validation of the same text
+// trace, which recycles the first one's state, allocates less than one
+// batch of records.
+func TestSecondTextValidationReusesState(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// validTrace's six records, over and over: more than four batches of a
+	// trace with no finding, so every batch is handed on.
+	hdr, body, _ := strings.Cut(validTrace, "\n")
+	const reps = 4*DefaultBatchRecords/6 + 1
+	text := []byte(hdr + "\n" + strings.Repeat(body, reps))
+	validate := func() {
+		v, err := NewValidator(context.Background(), bytes.NewReader(text), ValidateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exhaust(t, v)
+		if rep, err := v.Finish(); err != nil || rep.Records != 6*reps || !rep.OK() {
+			t.Fatalf("validation: %d records, %d errors, err %v", rep.Records, rep.Errors(), err)
+		}
+	}
+	validate()
+	before := heapAllocBytes()
+	validate()
+	got := heapAllocBytes() - before
+	batch := uint64(DefaultBatchRecords) * uint64(unsafe.Sizeof(Record{}))
+	t.Logf("the second validation allocated %d bytes", got)
+	if got >= batch {
+		t.Errorf("the second validation allocated %d bytes, want < %d (one batch of records)", got, batch)
 	}
 }

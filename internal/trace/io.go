@@ -243,20 +243,39 @@ func (rd *Reader) read() (Record, error) {
 // one batch; the sticky error follows on the next call, which gives the
 // decode state back.
 func (rd *Reader) NextBatch() ([]Record, error) {
+	b, err := rd.nextBatch(nil)
+	if len(b) > 0 {
+		return b, nil
+	}
+	return nil, err
+}
+
+// nextBatch reads the next records, up to DefaultBatchRecords of them,
+// into the decode state's record buffer, and calls each (when non-nil) on
+// every record as soon as it is read, while Line is still its line. It
+// returns the batch and the error that ended it early, which is sticky.
+// An error before the first record gives the decode state back.
+func (rd *Reader) nextBatch(each func(*Record)) ([]Record, error) {
 	rec, err := rd.read()
 	if err != nil {
 		rd.end()
 		return nil, err
 	}
-	b := append(rd.st.recs[:0], rec)
-	for len(b) < DefaultBatchRecords {
+	b := rd.st.recs[:0]
+	for {
+		b = append(b, rec)
+		if each != nil {
+			each(&b[len(b)-1])
+		}
+		if len(b) == DefaultBatchRecords {
+			break
+		}
 		if rec, err = rd.read(); err != nil {
 			break
 		}
-		b = append(b, rec)
 	}
 	rd.st.recs = b
-	return b, nil
+	return b, err
 }
 
 // ReadAll reads the remaining records into a slice.

@@ -193,8 +193,7 @@ type Validator struct {
 	rd     RecordReader
 	format FileFormat
 	bin    *BinaryReader // binary input: batches are decoded blocks
-	text   *Reader       // text input: records are read one by one for their line numbers
-	buf    []Record      // text batch
+	text   *Reader       // text input: each record is checked as it is read, at its line
 
 	sawBadHeader bool
 	failed       bool  // an error-severity finding was seen: forward nothing more
@@ -237,7 +236,6 @@ func newValidator(ctx context.Context, r io.Reader, opts ValidateOptions, traced
 		v.bin = rd
 	case *Reader:
 		v.text = rd
-		v.buf = make([]Record, DefaultBatchRecords)
 	}
 	h, err := rd.Header()
 	if err != nil && err != io.EOF {
@@ -348,7 +346,10 @@ func (v *Validator) step() []Record {
 }
 
 // read decodes the next batch and checks its records. Each text record is
-// checked as soon as it is read, so findings keep their input order.
+// checked as soon as it is read, so findings keep their input order; the
+// batch is the text Reader's own, in its decode state's record buffer. A
+// text batch that ends in an error other than io.EOF is not returned, and
+// the decode state goes back at once.
 func (v *Validator) read() ([]Record, error) {
 	if v.bin != nil {
 		recs, err := v.bin.NextBatch()
@@ -361,21 +362,18 @@ func (v *Validator) read() ([]Record, error) {
 		}
 		return recs, nil
 	}
-	n := 0
-	for n < len(v.buf) {
-		rec, err := v.text.Read()
-		if err == io.EOF && n > 0 {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		v.buf[n] = rec
-		v.rep.Records++
-		v.chk.check(v.text.Line(), &v.buf[n], v.opts.SkipRegionChecks)
-		n++
+	recs, err := v.text.nextBatch(v.checkText)
+	if err != nil && (err != io.EOF || len(recs) == 0) {
+		v.text.end()
+		return nil, err
 	}
-	return v.buf[:n], nil
+	return recs, nil
+}
+
+// checkText checks one text record, just read.
+func (v *Validator) checkText(rec *Record) {
+	v.rep.Records++
+	v.chk.check(v.text.Line(), rec, v.opts.SkipRegionChecks)
 }
 
 // end closes the pass with err, io.EOF for a complete pass. A complete
