@@ -132,11 +132,23 @@ func BenchmarkTracerListing1(b *testing.B) {
 }
 
 // BenchmarkTracerMatMul measures tracing a denser kernel and reports
-// records/op.
+// records/op and allocations.
 func BenchmarkTracerMatMul(b *testing.B) {
+	benchTrace(b, workloads.MatMul, map[string]string{"N": "24"})
+}
+
+// BenchmarkTracerSweep measures tracing trans1-soa at LEN=32768, the
+// larger of the two programs the layout-sweep benchmark traces during
+// set-up.
+func BenchmarkTracerSweep(b *testing.B) {
+	benchTrace(b, workloads.Trans1SoA, map[string]string{"LEN": "32768"})
+}
+
+func benchTrace(b *testing.B, src string, defines map[string]string) {
+	b.ReportAllocs()
 	var n int
 	for i := 0; i < b.N; i++ {
-		res, err := tracer.Run(workloads.MatMul, map[string]string{"N": "24"}, tracer.Options{})
+		res, err := tracer.Run(src, defines, tracer.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -174,18 +174,21 @@ func Resolve(t Type, path Path) (off int64, elem Type, err error) {
 // scalar (or a sub-object boundary it cannot descend past, such as a padding
 // hole, in which case it returns the path so far). This is the reverse-map
 // Valgrind's debug parser performs when it annotates a raw address with
-// "glStructArray[0].myArray[0]".
+// "glStructArray[0].myArray[0]". A non-empty path is allocated once, at
+// exact size.
 func PathForOffset(t Type, off int64) (Path, Type, error) {
 	if off < 0 || off >= t.Size() && !(off == 0 && t.Size() == 0) {
 		return nil, nil, fmt.Errorf("ctype: offset %d out of range for %s (size %d)", off, t, t.Size())
 	}
-	var path Path
+	var buf [8]PathElem
+	path := Path(buf[:0])
 	elem := t
+walk:
 	for {
 		switch tt := elem.(type) {
 		case *Array:
 			if tt.Elem.Size() == 0 {
-				return path, elem, nil
+				break walk
 			}
 			i := off / tt.Elem.Size()
 			path = append(path, PathElem{Index: i})
@@ -195,13 +198,17 @@ func PathForOffset(t Type, off int64) (Path, Type, error) {
 			f, ok := tt.FieldAt(off)
 			if !ok {
 				// Padding hole: stop at the struct itself.
-				return path, elem, nil
+				break walk
 			}
 			path = append(path, PathElem{Field: f.Name})
 			off -= f.Offset
 			elem = f.Type
 		default:
-			return path, elem, nil
+			break walk
 		}
 	}
+	if len(path) == 0 {
+		return nil, elem, nil
+	}
+	return path.Clone(), elem, nil
 }

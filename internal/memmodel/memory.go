@@ -19,6 +19,10 @@ const pageSize = 1 << pageShift
 // unwritten bytes read as zero (as freshly mapped pages do).
 type Memory struct {
 	pages map[uint64]*[pageSize]byte
+	// last caches the most recently used page, number lastPN, in front of
+	// the page map. Pages are never freed, so it cannot go stale.
+	last   *[pageSize]byte
+	lastPN uint64
 }
 
 // NewMemory returns an empty memory.
@@ -28,30 +32,44 @@ func NewMemory() *Memory {
 
 func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 	pn := addr >> pageShift
+	if m.last != nil && pn == m.lastPN {
+		return m.last
+	}
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new([pageSize]byte)
 		m.pages[pn] = p
 	}
+	m.last, m.lastPN = p, pn
 	return p
 }
 
 // ReadBytes copies size bytes starting at addr into a fresh slice.
 func (m *Memory) ReadBytes(addr uint64, size int) []byte {
 	out := make([]byte, size)
-	for i := 0; i < size; {
+	m.read(addr, out)
+	return out
+}
+
+// read fills dst with the bytes starting at addr.
+func (m *Memory) read(addr uint64, dst []byte) {
+	for i := 0; i < len(dst); {
 		p := m.page(addr+uint64(i), false)
 		off := int((addr + uint64(i)) & (pageSize - 1))
 		n := pageSize - off
-		if n > size-i {
-			n = size - i
+		if n > len(dst)-i {
+			n = len(dst) - i
 		}
 		if p != nil {
-			copy(out[i:i+n], p[off:off+n])
+			copy(dst[i:i+n], p[off:off+n])
+		} else {
+			clear(dst[i : i+n])
 		}
 		i += n
 	}
-	return out
 }
 
 // WriteBytes stores b starting at addr.
@@ -65,34 +83,41 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 }
 
 // ReadUint reads a little-endian unsigned integer of the given byte size
-// (1, 2, 4 or 8).
+// (1, 2, 4 or 8). It reads in place, without allocating.
 func (m *Memory) ReadUint(addr uint64, size int) uint64 {
-	b := m.ReadBytes(addr, size)
+	switch size {
+	case 1, 2, 4, 8:
+	default:
+		panic(fmt.Sprintf("memmodel: bad integer size %d", size))
+	}
+	off := int(addr & (pageSize - 1))
+	if off+size > pageSize {
+		// The value straddles two pages; the bytes above size stay zero.
+		var b [8]byte
+		m.read(addr, b[:size])
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
 	switch size {
 	case 1:
-		return uint64(b[0])
+		return uint64(p[off])
 	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
+		return uint64(binary.LittleEndian.Uint16(p[off:]))
 	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	case 8:
-		return binary.LittleEndian.Uint64(b)
+		return uint64(binary.LittleEndian.Uint32(p[off:]))
 	}
-	panic(fmt.Sprintf("memmodel: bad integer size %d", size))
+	return binary.LittleEndian.Uint64(p[off:])
 }
 
 // WriteUint stores a little-endian unsigned integer of the given byte size.
 func (m *Memory) WriteUint(addr uint64, size int, v uint64) {
 	var b [8]byte
 	switch size {
-	case 1:
-		b[0] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(b[:2], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(b[:4], uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(b[:8], v)
+	case 1, 2, 4, 8:
+		binary.LittleEndian.PutUint64(b[:], v)
 	default:
 		panic(fmt.Sprintf("memmodel: bad integer size %d", size))
 	}

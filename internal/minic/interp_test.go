@@ -596,3 +596,31 @@ func ExampleInterp() {
 	fmt.Println(v)
 	// Output: 7
 }
+
+// TestRunAllocationsFlatInIterations: a loop whose body enters a block,
+// declares a local and stores through a subscript allocates nothing per
+// iteration — no map per block entry or lvalue, no slice per memory read,
+// no symbol per re-declared local.
+func TestRunAllocationsFlatInIterations(t *testing.T) {
+	const src = `
+int a[8];
+int main(void) {
+	for (int i = 0; i < N; i++) {
+		int v;
+		v = i % 8;
+		a[v] = a[(v + 1) % 8] + i;
+	}
+	return a[0];
+}`
+	allocs := func(n int) float64 {
+		p := mustParse(t, src, map[string]string{"N": fmt.Sprint(n)})
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewInterp(p, nil).Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); many > few {
+		t.Errorf("10 iterations allocate %.0f times, 1000 iterations %.0f", few, many)
+	}
+}

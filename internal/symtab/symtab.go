@@ -130,7 +130,23 @@ type Table struct {
 	globals scope
 	heap    scope
 	frames  []*frameScope
+	// paths memoizes the access paths Describe computed, one entry per
+	// slot (see pathFor); allocated on first use.
+	paths []pathMemo
 }
+
+// pathMemo is one access path Describe computed: the path of byte off
+// within type t.
+type pathMemo struct {
+	t    ctype.Type
+	off  int64
+	path ctype.Path
+}
+
+// pathMemoSlots is the number of memoized paths, a power of two. Slots are
+// chosen by address, so an array of up to this many 4-byte elements, or
+// half as many 8-byte ones, keeps all of its paths.
+const pathMemoSlots = 1 << 12
 
 // New returns an empty table.
 func New() *Table { return &Table{} }
@@ -179,6 +195,11 @@ func (t *Table) AddLocal(name string, addr uint64, ty ctype.Type) (*Symbol, erro
 		return nil, fmt.Errorf("symtab: local %s declared outside any frame", name)
 	}
 	fr := t.frames[len(t.frames)-1]
+	if s, ok := fr.lookup(addr); ok && s.Addr == addr && s.Name == name && s.Type == ty {
+		// A block local declared again, as on every iteration of a loop
+		// body, in the slot it last held: the symbol is the same.
+		return s, nil
+	}
 	s := &Symbol{Name: name, Addr: addr, Type: ty, Kind: KindLocal, Func: fr.fn, Depth: fr.depth}
 	fr.insertReplacing(s)
 	return s, nil
@@ -224,15 +245,9 @@ func (t *Table) Describe(addr uint64, currentDepth int) (Ref, bool) {
 	if !ok {
 		return Ref{}, false
 	}
-	path, _, err := ctype.PathForOffset(sym.Type, off)
-	if err != nil {
-		// Address inside the symbol but past a resolvable sub-object —
-		// annotate with the bare symbol.
-		path = nil
-	}
 	ref := Ref{
 		Sym:       sym,
-		Expr:      ctype.AccessExpr{Root: sym.Name, Path: path},
+		Expr:      ctype.AccessExpr{Root: sym.Name, Path: t.pathFor(addr, sym.Type, off)},
 		Aggregate: ctype.IsAggregate(sym.Type),
 	}
 	if sym.Kind == KindLocal {
@@ -242,6 +257,33 @@ func (t *Table) Describe(addr uint64, currentDepth int) (Ref, bool) {
 		}
 	}
 	return ref, true
+}
+
+// pathFor returns the access path of byte off within ty, the type of the
+// symbol covering addr. It reuses the path it returned last time for the
+// same type and offset if addr's memo slot still holds it, so records of
+// one element share one path; paths are never written to once returned.
+// The memo is keyed by type identity, not by symbol, since a heap block is
+// retyped when its pointer is first stored (minic's storeTo).
+func (t *Table) pathFor(addr uint64, ty ctype.Type, off int64) ctype.Path {
+	if !ctype.IsAggregate(ty) {
+		return nil
+	}
+	if t.paths == nil {
+		t.paths = make([]pathMemo, pathMemoSlots)
+	}
+	m := &t.paths[(addr>>2)&(pathMemoSlots-1)]
+	if m.off == off && m.t == ty {
+		return m.path
+	}
+	path, _, err := ctype.PathForOffset(ty, off)
+	if err != nil {
+		// Address inside the symbol but past a resolvable sub-object —
+		// annotate with the bare symbol.
+		path = nil
+	}
+	*m = pathMemo{t: ty, off: off, path: path}
+	return path
 }
 
 // Globals returns the registered globals in address order (for reports).

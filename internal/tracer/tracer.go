@@ -42,16 +42,40 @@ type Options struct {
 	Ctx context.Context
 }
 
+// chunkRecords is the capacity of a full record chunk: one block of a
+// binary trace, so a listener that drains Records every block never sees
+// a chunk sealed.
+const chunkRecords = trace.DefaultBlockRecords
+
+// minChunkRecords is the capacity the first chunk starts at.
+const minChunkRecords = 64
+
 // Tracer converts interpreter events to trace records. Create it, then the
 // interpreter with the tracer as its listener, then Attach the interpreter
 // so the tracer can consult its symbol table.
+//
+// Records are collected in chunks. The first grows by doubling up to
+// chunkRecords, so a short trace allocates about what it keeps; from then
+// on a full chunk is sealed and a new one begins, so no record is copied
+// until RunProgram joins the chunks once, at exact size, when the run
+// ends.
 type Tracer struct {
 	opts    Options
 	interp  *minic.Interp
 	enabled bool
 
-	// Records accumulates the trace in memory.
+	// Records holds the records collected since the last chunk was sealed.
+	// During a run these are the most recent records. A listener may read
+	// and truncate Records right after each Access: if it does so at least
+	// every chunkRecords records (benchrun drains every
+	// trace.DefaultBlockRecords), no chunk is ever sealed and Records holds
+	// every record it has not drained. After RunProgram, Records holds the
+	// whole trace.
 	Records []trace.Record
+	// sealed holds the full chunks before Records, oldest first, and
+	// nsealed counts their records.
+	sealed  [][]trace.Record
+	nsealed int
 	// Dropped counts events suppressed while instrumentation was off.
 	Dropped int
 }
@@ -85,7 +109,7 @@ func (t *Tracer) Access(op minic.AccessOp, addr uint64, size int64, fn string, d
 		t.Dropped++
 		return
 	}
-	if t.opts.MaxRecords > 0 && len(t.Records) >= t.opts.MaxRecords {
+	if t.opts.MaxRecords > 0 && t.count() >= t.opts.MaxRecords {
 		t.Dropped++
 		return
 	}
@@ -115,7 +139,41 @@ func (t *Tracer) Access(op minic.AccessOp, addr uint64, size int64, fn string, d
 			}
 		}
 	}
+	if len(t.Records) == cap(t.Records) {
+		t.grow()
+	}
 	t.Records = append(t.Records, rec)
+}
+
+// count returns the number of records collected and not drained.
+func (t *Tracer) count() int { return t.nsealed + len(t.Records) }
+
+// grow makes room in Records for one more record: it doubles the first
+// chunk up to chunkRecords, and seals a full chunk.
+func (t *Tracer) grow() {
+	if c := cap(t.Records); c < chunkRecords {
+		next := make([]trace.Record, len(t.Records), min(max(2*c, minChunkRecords), chunkRecords))
+		copy(next, t.Records)
+		t.Records = next
+		return
+	}
+	t.sealed = append(t.sealed, t.Records)
+	t.nsealed += len(t.Records)
+	t.Records = make([]trace.Record, 0, chunkRecords)
+}
+
+// join gathers the sealed chunks and Records into one slice of exact size.
+func (t *Tracer) join() {
+	if len(t.sealed) == 0 {
+		return
+	}
+	all := make([]trace.Record, 0, t.count())
+	for i, c := range t.sealed {
+		all = append(all, c...)
+		t.sealed[i] = nil // the collector may take it back during the join
+	}
+	t.Records = append(all, t.Records...)
+	t.sealed, t.nsealed = nil, 0
 }
 
 // hideSymbol reproduces a Gleipnir quirk: the read-back of the Valgrind
@@ -131,15 +189,27 @@ func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
 	if err := tw.WriteHeader(t.Header()); err != nil {
 		return 0, err
 	}
-	for i := range t.Records {
-		if err := tw.Write(&t.Records[i]); err != nil {
+	for _, c := range t.sealed {
+		if err := writeRecords(tw, c); err != nil {
 			return 0, err
 		}
+	}
+	if err := writeRecords(tw, t.Records); err != nil {
+		return 0, err
 	}
 	if err := tw.Flush(); err != nil {
 		return 0, err
 	}
 	return int64(tw.Records()), nil
+}
+
+func writeRecords(tw *trace.Writer, recs []trace.Record) error {
+	for i := range recs {
+		if err := tw.Write(&recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Result bundles everything a trace collection produces.
@@ -182,12 +252,13 @@ func RunProgram(prog *minic.Program, opts Options) (*Result, error) {
 	wall := sp.End()
 	reg.Counter("tracer.programs").Inc()
 	reg.Counter("tracer.steps").Add(in.Steps())
-	reg.Counter("tracer.records").Add(int64(len(t.Records)))
+	reg.Counter("tracer.records").Add(int64(t.count()))
 	reg.Counter("tracer.dropped").Add(int64(t.Dropped))
 	if err != nil {
 		reg.Counter("tracer.errors").Inc()
 		return nil, fmt.Errorf("tracer: %w", err)
 	}
+	t.join()
 	if rate := recordsPerSec(len(t.Records), wall); rate > 0 {
 		telemetry.L().Debug("trace collected",
 			"records", len(t.Records), "steps", in.Steps(),
