@@ -116,8 +116,14 @@ func (m *Memory) ReadUint(addr uint64, size int) uint64 {
 func (m *Memory) WriteUint(addr uint64, size int, v uint64) {
 	var b [8]byte
 	switch size {
-	case 1, 2, 4, 8:
-		binary.LittleEndian.PutUint64(b[:], v)
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b[:2], uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b[:4], uint32(v))
+	case 8:
+		binary.LittleEndian.PutUint64(b[:8], v)
 	default:
 		panic(fmt.Sprintf("memmodel: bad integer size %d", size))
 	}

@@ -66,9 +66,13 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded
 const ctxCheckMask = 1023
 
 // Interp executes a parsed Program against a fresh address space, reporting
-// every data access to the Listener. Loads repeated within one outermost
-// lvalue computation are reported once; the computation's scope ends at a
-// call, whose own loads are all reported.
+// every data access to the Listener. Within one outermost lvalue
+// computation, a repeated load of an address is reported once, mirroring
+// the register reuse visible in the paper's traces (one load of i for
+// glStructArray[i].myArray[i]). Compiled code reuses a register only
+// within one address computation, and a call starts its own, so a call
+// ends that scope: a callee's loads are deduplicated only within its own
+// lvalue computations.
 type Interp struct {
 	prog  *Program
 	Space *memmodel.AddressSpace
@@ -80,15 +84,10 @@ type Interp struct {
 	ctx       context.Context
 
 	fnStack []string
-	// loaded lists the addresses loaded so far by lvalue computations in
-	// progress, one segment per call level; the running call's segment
-	// starts at loadedFrom, which is -1 while that call computes no lvalue.
-	// A load of an address already in the segment emits no event, so a
-	// load repeats within one outermost lvalue computation only once
-	// (mirroring the register reuse visible in the paper's traces, e.g.
-	// one load of i for glStructArray[i].myArray[i]). Compiled code reuses
-	// a register only within one address computation, and a call starts
-	// its own, so the scope ends at a call: the callee's loads are its own.
+	// loaded holds the addresses loaded by the lvalue computations in
+	// progress, one segment per call level. The running call's segment
+	// starts at loadedFrom, -1 while it computes no lvalue. A load already
+	// in the segment emits no event (see Interp).
 	loaded     []uint64
 	loadedFrom int
 

@@ -64,13 +64,11 @@ type Tracer struct {
 	interp  *minic.Interp
 	enabled bool
 
-	// Records holds the records collected since the last chunk was sealed.
-	// During a run these are the most recent records. A listener may read
-	// and truncate Records right after each Access: if it does so at least
-	// every chunkRecords records (benchrun drains every
-	// trace.DefaultBlockRecords), no chunk is ever sealed and Records holds
-	// every record it has not drained. After RunProgram, Records holds the
-	// whole trace.
+	// Records holds, during a run, the records collected since the last
+	// chunk was sealed, and after RunProgram the whole trace. A listener
+	// may read and truncate it right after each Access: if it does so at
+	// least every chunkRecords records, as benchrun's does every block, no
+	// chunk is sealed and it sees every record.
 	Records []trace.Record
 	// sealed holds the full chunks before Records, oldest first, and
 	// nsealed counts their records.
