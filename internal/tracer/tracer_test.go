@@ -359,7 +359,7 @@ int main(void) {
 // order from RunProgram and from WriteTo, MaxRecords counts every chunk,
 // and a short trace does not pay for a full chunk.
 func TestChunkedCollection(t *testing.T) {
-	defs := map[string]string{"LEN": "4096"} // 20,484 records: five chunks
+	defs := map[string]string{"LEN": "4096"} // 20,484 records: five full chunks and four more
 	res := mustRun(t, workloads.Trans1SoA, defs, Options{})
 	if len(res.Records) <= 4*chunkRecords {
 		t.Fatalf("%d records, want more than %d", len(res.Records), 4*chunkRecords)
