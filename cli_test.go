@@ -259,7 +259,9 @@ func TestCLIDineroOneConfigParity(t *testing.T) {
 // under each title it applies to. Interval-sampled dinero names the scale,
 // the records simulated out of those fed, the interval and the window, and
 // claims no error bound, on the line after its banner that ends its
-// output. A sampled or sharded experiments sweep says so under each
+// output. Sharded dinero says what its reports equal above each report:
+// under each banner, or first of all in a one-config run, which has no
+// banner. A sampled or sharded experiments sweep says so under each
 // table's title, and an exact sweep prints no such line.
 func TestCLIDineroSampledLine(t *testing.T) {
 	if testing.Short() {
@@ -272,14 +274,21 @@ func TestCLIDineroSampledLine(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		fmt.Fprintf(&b, "L %x 4 main\n", 0x10000+4*(i%4096))
 	}
-	traceFile := filepath.Join(t.TempDir(), "t.out")
+	dir := t.TempDir()
+	traceFile := filepath.Join(dir, "t.out")
 	if err := os.WriteFile(traceFile, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Sharding needs the binary container; matmul N=16 spans 11 blocks.
+	glb := filepath.Join(dir, "t.glb")
+	runTool(t, "gltrace", "-w", "matmul", "-D", "N=16", "-format", "binary", "-glb-index", "-o", glb)
+	const sharded = "2 shards): equals a serial run with a cache flush at each shard boundary"
 	for _, tc := range []struct {
-		tool   string
-		args   []string
-		title  string // prefix of a title line
+		tool string
+		args []string
+		// prefix of a title line; "" when the output has none, and then
+		// the marked line must open it.
+		title  string
 		titles int
 		// prefix and suffix of the line under each title; "" when no
 		// line is marked.
@@ -290,20 +299,30 @@ func TestCLIDineroSampledLine(t *testing.T) {
 			"sampled estimate (scale ", "; simulated 3072 of 10000 records (interval 4, window 1024); no error bound claimed", true},
 		{"dinero", []string{"-sample-interval", "4", traceFile}, "==== config 1/1: ", 1,
 			"sampled estimate (scale ", "; simulated 4096 of 10000 records (interval 4, window 4096); no error bound claimed", true},
+		{"dinero", []string{"-shards", "2", glb}, "", 1, "sharded (", sharded, false},
+		{"dinero", []string{"-config", "size=2k", "-config", "size=4k,assoc=2", "-shards", "2", glb}, "==== config ", 2,
+			"sharded (", sharded, false},
+		{"dinero", []string{glb}, "", 1, "", "", false},
 		{"experiments", []string{"-sweep", "-sample-interval", "4"}, "sweep-", 4,
 			"sampled estimate (interval ", "4, window 4096); no error bound claimed", false},
 		{"experiments", []string{"-sweep", "-shards", "2"}, "sweep-", 4,
-			"sharded (", "2 shards): equals a serial run with a cache flush at each shard boundary", false},
+			"sharded (", sharded, false},
 		{"experiments", []string{"-sweep"}, "sweep-", 4, "", "", false},
 	} {
 		out := runTool(t, tc.tool, tc.args...)
 		lines := strings.Split(out, "\n")
+		title := tc.title
+		if title == "" {
+			// Check an untitled output as if a title opened it.
+			title = "\x00untitled"
+			lines = append([]string{title}, lines...)
+		}
 		titles, marked := 0, 0
 		for i, line := range lines {
 			if strings.HasPrefix(line, "sampled estimate ") || strings.HasPrefix(line, "sharded (") {
 				marked++
 			}
-			if !strings.HasPrefix(line, tc.title) {
+			if !strings.HasPrefix(line, title) {
 				continue
 			}
 			titles++

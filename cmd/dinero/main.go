@@ -22,7 +22,8 @@
 // -shards N splits the pass over a binary .glb (mmap'd; its block-index
 // footer, when present, saves a frame scan) into N parallel cold shards
 // that merge; reports then equal a serial run with a cache Flush at each
-// shard boundary:
+// shard boundary, and a line saying so precedes each report when more
+// than one shard ran:
 //
 //	dinero -shards 4 trace.glb
 //	dinero -config size=8k -config size=16k -shards -1 trace.glb
@@ -110,13 +111,18 @@ func main() {
 	if opts.Configs, err = configs(cfg1, cfgSpecs, *configsFile); err != nil {
 		obs.Fatal(err)
 	}
-	ms := simulate(fs.Arg(0), opts, *shards, tf)
+	ms, ran := simulate(fs.Arg(0), opts, *shards, tf)
+	// A sharded report says what it equals, before the report itself.
+	note := ""
+	if ran > 1 {
+		note = dinero.ShardNote(ran) + "\n"
+	}
 	if multi {
-		printMultiReports(ms, opts.Sampling)
+		printMultiReports(ms, opts.Sampling, note)
 		obs.Close()
 		return
 	}
-	fmt.Print(ms.Report(0))
+	fmt.Print(note + ms.Report(0))
 
 	p := analysis.FromMulti("per-set cache behaviour", ms, 0, *noSym)
 	if *plot {
@@ -168,12 +174,13 @@ func configs(base cache.Config, specs []string, specFile string) ([]cache.Config
 }
 
 // simulate runs the one pass over the trace at path, under the
-// dinero/simulate span. Serially it streams the trace batch by batch in
-// constant memory, whatever its format. With shards != 0 the trace must
-// be a binary .glb: workers simulate disjoint block ranges on cold
+// dinero/simulate span, and returns the engine with the shard count that
+// ran (0 for a serial pass). Serially it streams the trace batch by batch
+// in constant memory, whatever its format. With shards != 0 the trace
+// must be a binary .glb: workers simulate disjoint block ranges on cold
 // engines and merge, so reports equal a serial run with Flush at each
 // shard boundary.
-func simulate(path string, opts dinero.MultiOptions, shards int, tf *cliutil.TraceFlags) *dinero.MultiSim {
+func simulate(path string, opts dinero.MultiOptions, shards int, tf *cliutil.TraceFlags) (*dinero.MultiSim, int) {
 	if shards == 0 {
 		ms, err := dinero.NewMulti(opts)
 		if err != nil {
@@ -194,7 +201,7 @@ func simulate(path string, opts dinero.MultiOptions, shards int, tf *cliutil.Tra
 			obs.Fatal(cerr)
 		}
 		ms.PublishTelemetry(obs.Reg)
-		return ms
+		return ms, 0
 	}
 	// SIGINT/SIGTERM cancel the shard context: every worker stops at its
 	// next record batch instead of the process dying mid-merge.
@@ -216,19 +223,19 @@ func simulate(path string, opts dinero.MultiOptions, shards int, tf *cliutil.Tra
 	}
 	sp.End()
 	res.PublishShardTelemetry(obs.Reg)
-	return res.Sim
+	return res.Sim, res.Shards
 }
 
-// printMultiReports prints every config's banner plus report (exact) or
-// scaled-estimate line (interval-sampled). The estimate line names the
-// records simulated out of those fed and the sampling parameters, and
-// claims no error bound.
-func printMultiReports(ms *dinero.MultiSim, sampling dinero.Sampling) {
+// printMultiReports prints every config's banner plus note and report
+// (exact) or scaled-estimate line (interval-sampled). The estimate line
+// names the records simulated out of those fed and the sampling
+// parameters, and claims no error bound.
+func printMultiReports(ms *dinero.MultiSim, sampling dinero.Sampling, note string) {
 	for i := 0; i < ms.NumConfigs(); i++ {
 		cfg := ms.Config(i)
 		fmt.Printf("==== config %d/%d: %s ====\n", i+1, ms.NumConfigs(), describeConfig(cfg))
 		if sampling.Exact() {
-			fmt.Print(ms.Report(i))
+			fmt.Print(note + ms.Report(i))
 			continue
 		}
 		st := ms.ScaledStats(i)

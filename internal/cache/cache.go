@@ -153,9 +153,6 @@ func (c *Cache) SetOf(addr uint64) int {
 	return int((addr >> c.blkShift) & c.setMask)
 }
 
-// BlockOf returns the block number of addr.
-func (c *Cache) BlockOf(addr uint64) uint64 { return addr >> c.blkShift }
-
 // Access performs one possibly block-spanning access. owner labels the
 // program variable for eviction attribution (NoOwner when unknown). One
 // Outcome per block touched is appended to out, which is returned; passing

@@ -255,8 +255,3 @@ func IsAggregate(t Type) bool {
 	}
 	return false
 }
-
-// Underlying strips typedef-like wrappers. The current model has no typedef
-// node (typedefs are resolved at parse time), so it returns t unchanged; it
-// exists so call sites read correctly and survive a future typedef node.
-func Underlying(t Type) Type { return t }

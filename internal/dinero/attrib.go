@@ -8,10 +8,9 @@ import (
 )
 
 // attrib is one configuration's attribution state: the per-variable series,
-// per-function totals and the variable×variable eviction matrix. Simulator
-// owns one; the multi-config engine owns one per fast-kernel configuration,
-// so both paths share the same bookkeeping (and the same report) down to
-// the byte.
+// per-function totals and the variable×variable eviction matrix. MultiSim
+// owns one per configuration, whichever engine runs it, so both engines
+// share the same bookkeeping (and the same report) down to the byte.
 type attrib struct {
 	syms  *trace.SymTab
 	nsets int
@@ -58,26 +57,45 @@ func growTo[T any](s []T, n int) []T {
 	return s
 }
 
+// varAt returns id's series, creating it on first sight. Only a new id
+// stores the grown table back, so the per-access lookup of a known id
+// writes no slice header.
 func (a *attrib) varAt(id trace.SymID) *VarSeries {
-	i := int(id)
-	a.varsByID = growTo(a.varsByID, i+1)
-	vs := a.varsByID[i]
-	if vs == nil {
-		vs = newVarSeries(a.syms.Name(id), a.nsets)
-		a.varsByID[i] = vs
+	if int(id) < len(a.varsByID) {
+		if vs := a.varsByID[id]; vs != nil {
+			return vs
+		}
 	}
+	a.varsByID = growTo(a.varsByID, int(id)+1)
+	vs := newVarSeries(a.syms.Name(id), a.nsets)
+	a.varsByID[id] = vs
 	return vs
 }
 
+// funcAt returns id's totals, creating them on first sight (see varAt).
 func (a *attrib) funcAt(id trace.SymID) *FuncStats {
-	i := int(id)
-	a.funcsByID = growTo(a.funcsByID, i+1)
-	fs := a.funcsByID[i]
-	if fs == nil {
-		fs = &FuncStats{Name: a.syms.Name(id)}
-		a.funcsByID[i] = fs
+	if int(id) < len(a.funcsByID) {
+		if fs := a.funcsByID[id]; fs != nil {
+			return fs
+		}
 	}
+	a.funcsByID = growTo(a.funcsByID, int(id)+1)
+	fs := &FuncStats{Name: a.syms.Name(id)}
+	a.funcsByID[id] = fs
 	return fs
+}
+
+// varNamed returns the series for one variable (nil when unseen).
+func (a *attrib) varNamed(name string) *VarSeries {
+	id, ok := a.syms.Lookup(name)
+	if !ok || int(id) >= len(a.varsByID) {
+		return nil
+	}
+	vs := a.varsByID[id]
+	if vs != nil {
+		vs.materialize()
+	}
+	return vs
 }
 
 // noteBlock attributes one block-granular outcome: per-variable and

@@ -72,7 +72,7 @@ func TestReportSkipsPerSetSeries(t *testing.T) {
 	}
 	sim.Process(recs)
 	sim.Report()
-	for _, vs := range sim.at.sortedVars() {
+	for _, vs := range sim.m.at[0].sortedVars() {
 		if vs.PerSet != nil {
 			t.Fatalf("Report materialized %s's per-set series", vs.Name)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"tracedst/internal/cache"
 	"tracedst/internal/telemetry"
@@ -43,33 +44,35 @@ func (sm Sampling) WindowLen() int {
 type MultiOptions struct {
 	// Configs are the L1 geometries to evaluate, all in one pass.
 	Configs []cache.Config
-	// L2, when non-nil, adds the same second level behind every config
-	// (forces the full per-config simulator path).
+	// L2, when non-nil, puts a second level of this geometry behind every
+	// config, one per config; every config then runs on cache.Cache
+	// levels instead of the flat kernel.
 	L2 *cache.Config
 	// Translate maps virtual addresses before they reach any cache; it
-	// runs once per record, shared by every configuration.
+	// runs once per access, shared by every configuration.
 	Translate func(uint64) uint64
 	// Syms is the shared intern table (see Options.Syms).
 	Syms *trace.SymTab
 	// Sampling selects the approximation tier; zero value is exact.
 	Sampling Sampling
 	// StatsOnly skips per-variable/per-function attribution and the
-	// conflict matrix for fast-kernel configs, collecting cache-level
-	// statistics only — the sweep engine's mode, where only miss totals
-	// are consumed and symbol resolution would be pure overhead. Reports
-	// and Vars/Funcs/Conflicts for fast configs come back empty; cache
-	// statistics are unaffected and remain exact.
+	// conflict matrix for every config, collecting cache-level statistics
+	// only — the sweep engine's mode, where only miss totals are consumed
+	// and symbol resolution would be pure overhead. Reports and
+	// Vars/Funcs/Conflicts come back empty; cache statistics are
+	// unaffected and remain exact.
 	StatsOnly bool
 }
 
-// MultiSim evaluates N cache configurations over one pass of a trace.
-// Record iteration, op dispatch, address translation and symbol resolution
-// happen once per record; each configuration then updates its own state.
-// Configurations inside the fast-kernel envelope (single-level, no
-// prefetch, no classification) share cache.MultiSim's flat state; the rest
-// fall back to full Simulators behind the same front end. Exact-mode
-// results are byte-identical to N independent Simulator runs — Report(i)
-// renders through the same code path over the same counters.
+// MultiSim evaluates N cache configurations over one pass of a trace. It
+// is the one trace-consuming front end: Simulator is a one-config
+// MultiSim. Record iteration, op dispatch, address translation and symbol
+// resolution happen once per access; each configuration then updates its
+// own state on one of two engines. Configurations inside the kernel
+// envelope (single-level, no prefetch, no classification) share
+// cache.MultiSim's flat state; the rest run on bare cache.Cache levels.
+// Exact-mode results are byte-identical to N independent Simulator runs —
+// Report(i) renders through the same code path over the same counters.
 type MultiSim struct {
 	cfgs     []cache.Config
 	syms     *trace.SymTab
@@ -81,20 +84,22 @@ type MultiSim struct {
 	window    int64
 	statsOnly bool
 
-	// kernel covers the fast configs; kernelIdx maps kernel slot -> global
-	// config index and kernelAt holds their attribution state.
-	kernel    *cache.MultiSim
-	kernelIdx []int
-	kernelAt  []attrib
-	visitFn   cache.MultiVisit
+	// at is every config's attribution state: the kernel configs first,
+	// indexed by kernel slot so visitBlock needs no lookup, then the
+	// reference configs in ref order. slot maps config index -> at index.
+	at   []attrib
+	slot []int
 
-	// subs are the fallback full simulators; subIdx maps sub -> global
-	// config index. slot maps global index -> (isKernel, local index).
-	subs   []*Simulator
-	subIdx []int
-	slot   []multiSlot
+	// kernel runs the configs at at[:len(at)-len(ref)]; visitFn attributes
+	// its outcomes.
+	kernel  *cache.MultiSim
+	visitFn cache.MultiVisit
+	// ref are the L1s of the configs on cache.Cache levels (an L2 is its
+	// L1's Next); out is their reusable outcome buffer.
+	ref []*cache.Cache
+	out []cache.Outcome
 
-	// Per-record resolution shared by every kernel config via visitFn.
+	// The access the kernel is simulating, for visitBlock.
 	curVid trace.SymID
 	curFid trace.SymID
 	curOwn cache.OwnerID
@@ -104,25 +109,37 @@ type MultiSim struct {
 	ignored int64 // non-memory ops in simulated windows
 }
 
-type multiSlot struct {
-	kernel bool
-	idx    int
-}
-
 // NewMulti builds a multi-configuration simulator.
 func NewMulti(opts MultiOptions) (*MultiSim, error) {
 	if len(opts.Configs) == 0 {
 		return nil, fmt.Errorf("dinero: NewMulti needs at least one config")
 	}
+	return newMulti(opts, false)
+}
+
+// newMulti builds the front end. Every config the kernel accepts runs on
+// it, unless reference is set, as New sets it: then every config runs on
+// cache.Cache levels and a config's error is cache.New's own, unwrapped.
+func newMulti(opts MultiOptions, reference bool) (*MultiSim, error) {
 	sm := opts.Sampling
 	if sm.Interval < 0 || sm.Window < 0 {
 		return nil, fmt.Errorf("dinero: negative sampling parameter")
+	}
+	onKernel := func(cfg cache.Config) bool {
+		return !reference && opts.L2 == nil && cache.CanMulti(cfg) == nil
+	}
+	nk := 0
+	for _, cfg := range opts.Configs {
+		if onKernel(cfg) {
+			nk++
+		}
 	}
 	syms := opts.Syms
 	trust := syms != nil
 	if syms == nil {
 		syms = trace.NewSymTab()
 	}
+	n := len(opts.Configs)
 	m := &MultiSim{
 		cfgs:      append([]cache.Config(nil), opts.Configs...),
 		syms:      syms,
@@ -131,51 +148,78 @@ func NewMulti(opts MultiOptions) (*MultiSim, error) {
 		translate: opts.Translate,
 		sampling:  sm,
 		window:    int64(sm.WindowLen()),
-		slot:      make([]multiSlot, len(opts.Configs)),
+		statsOnly: opts.StatsOnly,
+		at:        make([]attrib, n),
+		slot:      make([]int, n),
+		ref:       make([]*cache.Cache, 0, n-nk),
 	}
-	var fast []cache.Config
+	fast := make([]cache.Config, 0, nk)
 	for i, cfg := range opts.Configs {
-		if opts.L2 == nil && cache.CanMulti(cfg) == nil {
-			m.slot[i] = multiSlot{kernel: true, idx: len(fast)}
+		if onKernel(cfg) {
+			m.slot[i] = len(fast)
 			fast = append(fast, cfg)
-			m.kernelIdx = append(m.kernelIdx, i)
-			continue
+		} else {
+			l1, err := newLevels(cfg, opts.L2)
+			if err != nil {
+				if reference {
+					return nil, err
+				}
+				return nil, fmt.Errorf("dinero: config %d: %w", i, err)
+			}
+			m.slot[i] = nk + len(m.ref)
+			m.ref = append(m.ref, l1)
 		}
-		sub, err := New(Options{L1: cfg, L2: opts.L2, Translate: opts.Translate, Syms: opts.Syms})
-		if err != nil {
-			return nil, fmt.Errorf("dinero: config %d: %w", i, err)
-		}
-		m.slot[i] = multiSlot{idx: len(m.subs)}
-		m.subs = append(m.subs, sub)
-		m.subIdx = append(m.subIdx, i)
+		m.at[m.slot[i]] = newAttrib(syms, cfg.Sets())
 	}
-	if len(fast) > 0 {
+	if nk > 0 {
 		kernel, err := cache.NewMultiSim(fast, 0)
 		if err != nil {
 			return nil, err
 		}
 		m.kernel = kernel
-		m.kernelAt = make([]attrib, len(fast))
-		for ki, cfg := range fast {
-			m.kernelAt[ki] = newAttrib(syms, cfg.Sets())
-		}
-		if !opts.StatsOnly {
-			m.visitFn = m.visitBlock
-		}
+		m.visitFn = m.visitBlock
 	}
-	m.statsOnly = opts.StatsOnly
 	return m, nil
 }
 
-// Flush invalidates every configuration's cache lines (kernel and
-// fallback simulators alike), leaving statistics in place — the reference
-// boundary operation for sharded simulation (see Simulator.Flush).
+// newLevels builds one reference-engine hierarchy and returns its L1:
+// l1 and, when l2 is non-nil, a second level behind it (built first, so
+// its error wins).
+func newLevels(l1 cache.Config, l2 *cache.Config) (*cache.Cache, error) {
+	var next *cache.Cache
+	if l2 != nil {
+		var err error
+		if next, err = cache.New(*l2, nil); err != nil {
+			return nil, err
+		}
+	}
+	return cache.New(l1, next)
+}
+
+// l1Of returns config i's L1 on cache.Cache, or nil when config i runs on
+// the kernel (as kernel slot m.slot[i]).
+func (m *MultiSim) l1Of(i int) *cache.Cache {
+	if r := m.slot[i] - (len(m.at) - len(m.ref)); r >= 0 {
+		return m.ref[r]
+	}
+	return nil
+}
+
+// Flush invalidates every configuration's cache lines at every level,
+// leaving statistics and attribution in place. A serial run with Flush at
+// each shard boundary is the exact reference for sharded cold-cache
+// simulation: shard simulators merged with MergeFrom reproduce it to the
+// byte (ReplRandom excepted — its draw stream survives a Flush but not a
+// shard split).
 func (m *MultiSim) Flush() {
 	if m.kernel != nil {
 		m.kernel.Flush()
 	}
-	for _, sub := range m.subs {
-		sub.Flush()
+	for _, l1 := range m.ref {
+		l1.Flush()
+		if l2 := l1.Next(); l2 != nil {
+			l2.Flush()
+		}
 	}
 }
 
@@ -193,9 +237,9 @@ func (m *MultiSim) Records() int64 { return m.fed }
 func (m *MultiSim) SimulatedRecords() int64 { return m.simFed }
 
 // visitBlock is the kernel's per-block callback: it attributes the
-// outcome for one fast config using the record resolution cached by apply.
+// outcome for one kernel config using the resolution cached by apply.
 func (m *MultiSim) visitBlock(cfg, set int, hit bool, evicted cache.OwnerID) {
-	m.kernelAt[cfg].noteBlock(m.curVid, m.curFid, set, hit, m.curOwn, evicted)
+	m.at[cfg].noteBlock(m.curVid, m.curFid, set, hit, m.curOwn, evicted)
 }
 
 func (m *MultiSim) varID(rec *trace.Record) trace.SymID {
@@ -215,7 +259,10 @@ func (m *MultiSim) funcID(rec *trace.Record) trace.SymID {
 	return m.syms.Intern(rec.Func)
 }
 
-// Feed simulates one trace record against every configuration.
+// Feed simulates one trace record against every configuration. Loads
+// access the caches once; stores likewise; modifies perform a read
+// followed by a write (the two halves of the RMW). Other records are
+// counted but do not touch the caches.
 func (m *MultiSim) Feed(rec *trace.Record) {
 	m.fed++
 	if k := int64(m.sampling.Interval); k > 1 {
@@ -224,17 +271,6 @@ func (m *MultiSim) Feed(rec *trace.Record) {
 		}
 	}
 	m.simFed++
-	for _, sub := range m.subs {
-		sub.Feed(rec)
-	}
-	if m.kernel == nil {
-		switch rec.Op {
-		case trace.Load, trace.Store, trace.Modify:
-		default:
-			m.ignored++
-		}
-		return
-	}
 	switch rec.Op {
 	case trace.Load:
 		m.apply(rec, cache.Read)
@@ -248,8 +284,8 @@ func (m *MultiSim) Feed(rec *trace.Record) {
 	}
 }
 
-// apply resolves a record once — translation, variable, function — and
-// drives every fast config through the kernel. In StatsOnly mode symbol
+// apply resolves one access once — translation, variable, function — and
+// drives every config through its engine. In StatsOnly mode symbol
 // resolution is skipped entirely: owners only feed the conflict matrix,
 // and cache statistics do not depend on them.
 func (m *MultiSim) apply(rec *trace.Record, kind cache.Kind) {
@@ -258,13 +294,48 @@ func (m *MultiSim) apply(rec *trace.Record, kind cache.Kind) {
 		addr = m.translate(addr)
 	}
 	if m.statsOnly {
-		m.kernel.Access(kind, addr, rec.Size, cache.NoOwner, nil)
+		if m.kernel != nil {
+			m.kernel.Access(kind, addr, rec.Size, cache.NoOwner, nil)
+		}
+		for _, l1 := range m.ref {
+			m.out = l1.Access(kind, addr, rec.Size, cache.NoOwner, m.out[:0])
+		}
 		return
 	}
-	m.curVid = m.varID(rec)
-	m.curFid = m.funcID(rec)
-	m.curOwn = cache.OwnerID(m.curVid)
-	m.kernel.Access(kind, addr, rec.Size, m.curOwn, m.visitFn)
+	vid := m.varID(rec)
+	fid := m.funcID(rec)
+	owner := cache.OwnerID(vid)
+	if m.kernel != nil {
+		m.curVid, m.curFid, m.curOwn = vid, fid, owner
+		m.kernel.Access(kind, addr, rec.Size, owner, m.visitFn)
+	}
+	refAt := m.at[len(m.at)-len(m.ref):]
+	for r, l1 := range m.ref {
+		out := l1.Access(kind, addr, rec.Size, owner, m.out[:0])
+		m.out = out
+		// The ids and outcomes stay in locals here: read from fields inside
+		// this loop they cost the reference engine about a tenth of its
+		// speed.
+		a := &refAt[r]
+		vs := a.varAt(vid)
+		fs := a.funcAt(fid)
+		for i := range out {
+			o := &out[i]
+			vs.Accesses++
+			fs.Accesses++
+			if o.Hit {
+				vs.Hits++
+				fs.Hits++
+			} else {
+				vs.Misses++
+				fs.Misses++
+			}
+			vs.touch(o.Set, o.Hit)
+			if o.Evicted && o.EvictedOwner != cache.NoOwner && o.EvictedOwner != owner {
+				a.bumpConflict(vid, o.EvictedOwner)
+			}
+		}
+	}
 }
 
 // Process simulates a record slice.
@@ -274,10 +345,10 @@ func (m *MultiSim) Process(recs []trace.Record) {
 	}
 }
 
-// ProcessSourceCtx is ProcessSource wrapped in a "dinero.simulate" span,
-// the name Simulator.ProcessSourceCtx uses too, so the simulate layer has
-// one name whichever engine runs. When ctx carries a trace the span joins
-// its tree, tagged with the fed record and configuration counts.
+// ProcessSourceCtx is ProcessSource wrapped in a "dinero.simulate" span:
+// when ctx carries a trace the span joins its tree, tagged with the fed
+// record and configuration counts, and the per-name aggregate is recorded
+// either way.
 func (m *MultiSim) ProcessSourceCtx(ctx context.Context, src trace.RecordSource) error {
 	sp, _ := telemetry.Default().StartSpanCtx(ctx, "dinero.simulate")
 	err := m.ProcessSource(src)
@@ -288,8 +359,8 @@ func (m *MultiSim) ProcessSourceCtx(ctx context.Context, src trace.RecordSource)
 }
 
 // ProcessSource streams record batches from src until EOF, holding only
-// one batch live at a time. Results are identical to Process over the
-// materialized trace.
+// one batch live at a time — the constant-memory ingestion path. Results
+// are identical to Process over the materialized trace.
 func (m *MultiSim) ProcessSource(src trace.RecordSource) error {
 	for {
 		batch, err := src.NextBatch()
@@ -307,11 +378,10 @@ func (m *MultiSim) ProcessSource(src trace.RecordSource) error {
 // sampling is off, the simulated windows' totals otherwise (see
 // ScaledStats).
 func (m *MultiSim) Stats(i int) cache.Stats {
-	s := m.slot[i]
-	if s.kernel {
-		return m.kernel.Stats(s.idx)
+	if l1 := m.l1Of(i); l1 != nil {
+		return l1.Stats()
 	}
-	return m.subs[s.idx].L1().Stats()
+	return m.kernel.Stats(m.slot[i])
 }
 
 // RecordScale is the interval-sampling expansion factor: records fed over
@@ -331,13 +401,14 @@ func (m *MultiSim) ScaledStats(i int) cache.Stats {
 }
 
 // MergeFrom folds another MultiSim's accumulated state into this one:
-// per-config raw statistics, full attribution (per-variable series,
-// per-function stats, conflict matrices — matched by symbol name, so the
-// two sides may use different intern tables) and record counters. It is
-// the reduce step of sharded multi-config simulation: merging cold shards
-// equals one serial run with Flush at each shard boundary. Both sides
-// must have the same configurations in the same order and exact sampling;
-// other is left unchanged and must not be fed concurrently.
+// per-config raw statistics at every level, full attribution
+// (per-variable series with per-set counters, per-function stats,
+// conflict matrices — matched by symbol name, so the two sides may use
+// different intern tables) and record counters. It is the reduce step of
+// sharded simulation: merging cold shards equals one serial run with
+// Flush at each shard boundary. Both sides must have the same
+// configurations in the same order on the same engines, and exact
+// sampling; other is left unchanged and must not be fed concurrently.
 func (m *MultiSim) MergeFrom(other *MultiSim) error {
 	if len(m.cfgs) != len(other.cfgs) {
 		return fmt.Errorf("dinero: merge of %d-config multisim into %d-config multisim", len(other.cfgs), len(m.cfgs))
@@ -349,21 +420,25 @@ func (m *MultiSim) MergeFrom(other *MultiSim) error {
 		return fmt.Errorf("dinero: multisim merge across stats-only modes")
 	}
 	for i := range m.cfgs {
-		if m.slot[i] != other.slot[i] {
-			return fmt.Errorf("dinero: config %d runs on different engines (kernel vs fallback)", i)
+		a, b := m.l1Of(i), other.l1Of(i)
+		if (a == nil) != (b == nil) || a != nil && (a.Next() == nil) != (b.Next() == nil) {
+			return fmt.Errorf("dinero: config %d runs on different engines or levels", i)
 		}
 		if m.cfgs[i].Sets() != other.cfgs[i].Sets() {
 			return fmt.Errorf("dinero: config %d set counts differ (%d vs %d)", i, m.cfgs[i].Sets(), other.cfgs[i].Sets())
 		}
 	}
-	for ki := range m.kernelIdx {
-		m.kernel.MergeStats(ki, other.kernel.Stats(ki))
-		m.kernelAt[ki].mergeFrom(&other.kernelAt[ki])
-	}
-	for si := range m.subs {
-		if err := m.subs[si].MergeFrom(other.subs[si]); err != nil {
-			return err
+	for i, j := range m.slot {
+		if l1 := m.l1Of(i); l1 != nil {
+			o := other.l1Of(i)
+			l1.MergeStats(o.Stats())
+			if l1.Next() != nil {
+				l1.Next().MergeStats(o.Next().Stats())
+			}
+		} else {
+			m.kernel.MergeStats(j, other.kernel.Stats(j))
 		}
+		m.at[j].mergeFrom(&other.at[j])
 	}
 	m.fed += other.fed
 	m.simFed += other.simFed
@@ -371,64 +446,76 @@ func (m *MultiSim) MergeFrom(other *MultiSim) error {
 	return nil
 }
 
-// Vars returns configuration i's per-variable series (sorted as
-// Simulator.Vars).
-func (m *MultiSim) Vars(i int) []*VarSeries {
-	s := m.slot[i]
-	if s.kernel {
-		return m.kernelAt[s.idx].vars()
-	}
-	return m.subs[s.idx].Vars()
-}
+// Vars returns configuration i's per-variable series, sorted by
+// descending access count, then name.
+func (m *MultiSim) Vars(i int) []*VarSeries { return m.at[m.slot[i]].vars() }
 
-// Funcs returns configuration i's per-function stats.
-func (m *MultiSim) Funcs(i int) []*FuncStats {
-	s := m.slot[i]
-	if s.kernel {
-		return m.kernelAt[s.idx].funcs()
-	}
-	return m.subs[s.idx].Funcs()
-}
+// Funcs returns configuration i's per-function stats, sorted by
+// descending access count.
+func (m *MultiSim) Funcs(i int) []*FuncStats { return m.at[m.slot[i]].funcs() }
 
-// Conflicts returns configuration i's eviction matrix.
-func (m *MultiSim) Conflicts(i int) []Conflict {
-	s := m.slot[i]
-	if s.kernel {
-		return m.kernelAt[s.idx].conflictList()
-	}
-	return m.subs[s.idx].Conflicts()
-}
+// Conflicts returns configuration i's eviction matrix, sorted by
+// descending count.
+func (m *MultiSim) Conflicts(i int) []Conflict { return m.at[m.slot[i]].conflictList() }
 
-// Report renders configuration i's full text report. In exact mode it is
-// byte-identical to the report of an independent Simulator run of the same
-// config over the same records.
+// Report renders configuration i's full text report: overall
+// DineroIV-style statistics, per-function and per-variable tables, and
+// the conflict matrix. In exact mode it is byte-identical to the report
+// of an independent Simulator run of the same config over the same
+// records, whichever engine runs either.
 func (m *MultiSim) Report(i int) string {
-	s := m.slot[i]
-	if s.kernel {
-		return renderReport(m.cfgs[i], m.kernel.Stats(s.idx), nil, &m.kernelAt[s.idx])
+	cfg, a := m.cfgs[i], &m.at[m.slot[i]]
+	var b strings.Builder
+	fmt.Fprintf(&b, "---Simulation begins.\n")
+	fmt.Fprintf(&b, "l1-dcache: %d bytes, %d-byte blocks, %d-way, %s replacement, %s, %s\n",
+		cfg.Size, cfg.BlockSize, displayAssoc(cfg), cfg.Repl, cfg.Write, cfg.Alloc)
+	b.WriteString(m.Stats(i).Report("l1-data"))
+	if l1 := m.l1Of(i); l1 != nil && l1.Next() != nil {
+		b.WriteString(l1.Next().Stats().Report("l2-unified"))
 	}
-	return m.subs[s.idx].Report()
+
+	fmt.Fprintf(&b, "\nPer-function statistics\n")
+	fmt.Fprintf(&b, " %-24s %10s %10s %10s %8s\n", "function", "accesses", "hits", "misses", "miss%")
+	for _, fs := range a.funcs() {
+		fmt.Fprintf(&b, " %-24s %10d %10d %10d %7.2f%%\n",
+			fs.Name, fs.Accesses, fs.Hits, fs.Misses, pct(fs.Misses, fs.Accesses))
+	}
+
+	fmt.Fprintf(&b, "\nPer-variable statistics\n")
+	fmt.Fprintf(&b, " %-24s %10s %10s %10s %8s\n", "variable", "accesses", "hits", "misses", "miss%")
+	for _, vs := range a.sortedVars() {
+		fmt.Fprintf(&b, " %-24s %10d %10d %10d %7.2f%%\n",
+			vs.Name, vs.Accesses, vs.Hits, vs.Misses, pct(vs.Misses, vs.Accesses))
+	}
+
+	if cs := a.conflictList(); len(cs) > 0 {
+		fmt.Fprintf(&b, "\nStructure conflicts (evictor ← victim)\n")
+		for _, c := range cs {
+			fmt.Fprintf(&b, " %-24s evicted %-24s %8d times\n", c.Evictor, c.Victim, c.Count)
+		}
+	}
+	fmt.Fprintf(&b, "---Simulation complete.\n")
+	return b.String()
 }
 
 // PageAllocs returns the lazily allocated series pages across all configs.
 func (m *MultiSim) PageAllocs() int64 {
 	var n int64
-	for i := range m.kernelAt {
-		n += m.kernelAt[i].pageAllocs()
-	}
-	for _, sub := range m.subs {
-		n += sub.PageAllocs()
+	for i := range m.at {
+		n += m.at[i].pageAllocs()
 	}
 	return n
 }
 
-// PublishTelemetry adds the run's totals to reg. The dinero.* counters
-// accumulate as if each configuration had been an independent simulation,
-// so downstream invariants (records_in == records_simulated) hold
-// unchanged; the multisim.* counters expose the sharing:
-// multisim.config_records (records × configs, summed per run) must equal
-// multisim.per_config_records (what each config actually consumed) —
-// tools/metricscheck enforces it.
+// PublishTelemetry adds the run's totals to reg. It is a cold-path
+// publish — the per-access loop stays untouched — so callers invoke it
+// once per finished simulation. The dinero.* counters accumulate as if
+// each configuration had been an independent simulation, so downstream
+// invariants (records_in == records_simulated) hold unchanged; the
+// multisim.* counters expose the sharing. multisim.config_records
+// (records × configs, summed per run) equals multisim.per_config_records
+// (what the configs consumed) by construction, as every config consumes
+// the one record loop's stream; tools/metricscheck checks it.
 func (m *MultiSim) PublishTelemetry(reg *telemetry.Registry) {
 	n := int64(len(m.cfgs))
 	reg.Counter("multisim.runs").Inc()
@@ -436,11 +523,7 @@ func (m *MultiSim) PublishTelemetry(reg *telemetry.Registry) {
 	reg.Counter("multisim.records").Add(m.fed)
 	reg.Counter("multisim.records_sampled").Add(m.simFed)
 	reg.Counter("multisim.config_records").Add(m.simFed * n)
-	perCfg := m.simFed * int64(len(m.kernelIdx))
-	for _, sub := range m.subs {
-		perCfg += sub.Records()
-	}
-	reg.Counter("multisim.per_config_records").Add(perCfg)
+	reg.Counter("multisim.per_config_records").Add(m.simFed * n)
 
 	reg.Counter("dinero.sims").Add(n)
 	reg.Counter("dinero.records_simulated").Add(m.simFed * n)

@@ -78,6 +78,53 @@ func TestMultiSimReportsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestOneFrontEnd pins the one-front-end contract: every config takes its
+// access from one resolution, whichever engine runs it, and StatsOnly
+// skips attribution on both engines.
+func TestOneFrontEnd(t *testing.T) {
+	recs := multiRecords(1000, 16)
+	var accesses int
+	for _, r := range recs {
+		switch r.Op {
+		case trace.Load, trace.Store:
+			accesses++
+		case trace.Modify:
+			accesses += 2
+		}
+	}
+	// With L2 set every config runs on cache.Cache levels; the address is
+	// still translated once per access, not once per config.
+	l2 := cache.Config{Size: 32768, BlockSize: 64, Assoc: 4, Repl: cache.ReplLRU}
+	calls := 0
+	ms, err := NewMulti(MultiOptions{Configs: multiTestConfigs()[:3], L2: &l2,
+		Translate: func(addr uint64) uint64 { calls++; return addr }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms.Process(recs)
+	if calls != accesses {
+		t.Errorf("Translate ran %d times for %d accesses on 3 configs, want once per access", calls, accesses)
+	}
+
+	classify := cache.Config{Size: 2048, BlockSize: 32, Assoc: 2, ClassifyMisses: true}
+	st, err := NewMulti(MultiOptions{Configs: []cache.Config{classify}, StatsOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Process(recs)
+	if v, f, c := st.Vars(0), st.Funcs(0), st.Conflicts(0); len(v)+len(f)+len(c) != 0 {
+		t.Errorf("StatsOnly on cache.Cache levels attributed %d vars, %d funcs, %d conflicts; want none", len(v), len(f), len(c))
+	}
+	ref, err := New(Options{L1: classify})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Process(recs)
+	if got, want := st.Stats(0), ref.L1().Stats(); got.Accesses() != want.Accesses() || got.Misses() != want.Misses() {
+		t.Errorf("StatsOnly: %d/%d misses/accesses, want %d/%d", got.Misses(), got.Accesses(), want.Misses(), want.Accesses())
+	}
+}
+
 // TestMultiSimIntervalSampling pins the window arithmetic — window 0
 // always simulates, every k-th window thereafter — and checks the scaled
 // estimate lands near the exact totals on a phase-stable trace.

@@ -83,6 +83,12 @@ func MultiSimShardedRecords(ctx context.Context, recs []trace.Record, opts Multi
 	return runShards(ctx, srcs, opts, requested)
 }
 
+// ShardNote is the line printed above the report of a run on more than
+// one shard: it says what such a run equals.
+func ShardNote(shards int) string {
+	return fmt.Sprintf("sharded (%d shards): equals a serial run with a cache flush at each shard boundary", shards)
+}
+
 // checkMultiShard validates the sharding constraints and resolves the
 // default shard count, returning the requested (pre-clamp) count.
 func checkMultiShard(opts *MultiOptions, shards *int) (int, error) {

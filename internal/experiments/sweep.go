@@ -58,7 +58,7 @@ func (s *SweepResult) Table() string {
 	case !s.Sampling.Exact():
 		fmt.Fprintf(&b, "sampled estimate (interval %d, window %d); no error bound claimed\n", s.Sampling.Interval, s.Sampling.WindowLen())
 	case s.Shards > 1:
-		fmt.Fprintf(&b, "sharded (%d shards): equals a serial run with a cache flush at each shard boundary\n", s.Shards)
+		fmt.Fprintln(&b, dinero.ShardNote(s.Shards))
 	}
 	fmt.Fprintf(&b, "%-12s %14s %14s  %s\n", "cache bytes", "orig misses", "xform misses", "winner")
 	for i, p := range s.Points {
@@ -154,7 +154,7 @@ func sweepMisses(ctx context.Context, recs []trace.Record, cfgs []cache.Config, 
 // MultiSim concurrently, and the shards reduce with MultiSim.MergeFrom
 // (dinero.MultiSimShardedRecords). The merged misses equal a serial
 // sweepMisses run that calls Flush at every shard boundary (see
-// dinero.Simulator.Flush for why — replacement decisions compare stamps,
+// dinero.MultiSim.Flush for why — replacement decisions compare stamps,
 // which survive the merge). Exact sampling only; shard simulators intern
 // privately because the sharded engine rejects a shared Syms table
 // (dinero's checkMultiShard), and stats-only sweeps never read it.

@@ -186,9 +186,6 @@ func (t *Table) PopFrame() {
 	t.frames = t.frames[:len(t.frames)-1]
 }
 
-// FrameDepth returns the number of open frames.
-func (t *Table) FrameDepth() int { return len(t.frames) }
-
 // AddLocal registers a stack variable in the innermost frame.
 func (t *Table) AddLocal(name string, addr uint64, ty ctype.Type) (*Symbol, error) {
 	if len(t.frames) == 0 {
@@ -238,8 +235,8 @@ type Ref struct {
 }
 
 // Describe annotates a raw address. currentDepth is the call depth of the
-// executing function (Table.FrameDepth()-1 during execution); it determines
-// FrameDistance for locals.
+// executing function (the index of its frame, one less than the number of
+// open frames, during execution); it determines FrameDistance for locals.
 func (t *Table) Describe(addr uint64, currentDepth int) (Ref, bool) {
 	sym, off, ok := t.Lookup(addr)
 	if !ok {
