@@ -197,6 +197,43 @@ func TestCLIDineroPhysicalIndexing(t *testing.T) {
 	}
 }
 
+// TestCLIDineroPhysRefusesShards: physical indexing runs serially only.
+// -phys with -shards exits 1 naming why, for one shard count or several,
+// one config or several, and never simulates; serial -phys over the same
+// indexed .glb runs.
+func TestCLIDineroPhysRefusesShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	bin := buildTools(t)
+	indexed := filepath.Join(t.TempDir(), "t-idx.glb")
+	runTool(t, "gltrace", "-w", "matmul", "-D", "N=16", "-format", "binary", "-glb-index", "-o", indexed)
+	const want = "physical indexing is not shardable (shards would share one page map); run it serially"
+	for _, args := range [][]string{
+		{"-phys", "shuffled", "-shards", "2"},
+		{"-phys", "seq", "-shards", "1"},
+		{"-phys", "shuffled", "-shards", "2", "-config", "size=2k", "-config", "size=8k"},
+	} {
+		cmd := exec.Command(filepath.Join(bin, "dinero"), append(append([]string{"-l1-size", "2k", "-l1-assoc", "2"}, args...), indexed)...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: exit %v, want status 1", args, err)
+		}
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("%v: stderr does not say %q:\n%s", args, want, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed a report:\n%.200s", args, stdout.String())
+		}
+	}
+	if out := runTool(t, "dinero", "-l1-size", "2k", "-l1-assoc", "2", "-phys", "shuffled", indexed); !strings.Contains(out, "Demand Fetches") {
+		t.Errorf("serial -phys run malformed:\n%.200s", out)
+	}
+}
+
 // TestCLIDineroOneConfigParity: a plain dinero run is a one-config pass
 // of the multi-config engine, so `dinero <flags>` prints exactly what
 // `dinero -config size=<same> <flags>` prints after its banner line — on

@@ -27,6 +27,10 @@
 //
 //	dinero -shards 4 trace.glb
 //	dinero -config size=8k -config size=16k -shards -1 trace.glb
+//
+// -phys (physical indexing) runs serially only: its page map assigns
+// frames in first-touch order and cannot be shared by concurrent shards,
+// so -shards refuses it.
 package main
 
 import (
@@ -59,7 +63,7 @@ func main() {
 	sampleInterval := fs.Int("sample-interval", 0, "approximate: simulate every Kth window of records, scale stats (0/1 = exact)")
 	sampleWindow := fs.Int("sample-window", 0, "records per -sample-interval window (0 = default)")
 	shards := fs.Int("shards", 0, "sharded simulation over a binary .glb file: N workers simulate disjoint block ranges and merge (0 = off, -1 = one per CPU)")
-	phys := fs.String("phys", "off", "physical indexing: off | seq | shuffled (4 KiB pages)")
+	phys := fs.String("phys", "off", "physical indexing: off | seq | shuffled (4 KiB pages); serial runs only (-shards refuses it)")
 	physSeed := fs.Uint64("phys-seed", 0, "seed for the shuffled frame permutation")
 	tf := cliutil.NewTraceFlags(fs, "dinero")
 	of := cliutil.NewObsFlags(fs, "dinero")

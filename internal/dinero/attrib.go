@@ -14,6 +14,7 @@ import (
 type attrib struct {
 	syms  *trace.SymTab
 	nsets int
+	st    *simState // where its series' pages come from
 
 	// varsByID / funcsByID are indexed by trace.SymID; nil entries are
 	// symbols the simulation never touched.
@@ -67,7 +68,7 @@ func (a *attrib) varAt(id trace.SymID) *VarSeries {
 		}
 	}
 	a.varsByID = growTo(a.varsByID, int(id)+1)
-	vs := newVarSeries(a.syms.Name(id), a.nsets)
+	vs := newVarSeries(a.syms.Name(id), a.nsets, a.st)
 	a.varsByID[id] = vs
 	return vs
 }
@@ -119,7 +120,7 @@ func (a *attrib) noteBlock(vid, fid trace.SymID, set int, hit bool, owner, evict
 	}
 }
 
-// pageAllocs sums the lazily allocated 64-set pages across all variables.
+// pageAllocs sums the 64-set pages all variables counted in.
 func (a *attrib) pageAllocs() int64 {
 	var n int64
 	for _, vs := range a.varsByID {
@@ -230,7 +231,7 @@ func (a *attrib) mergeFrom(other *attrib) {
 			}
 			dpg := dst.pages[pi]
 			if dpg == nil {
-				dpg = make([]cache.SetStats, perSetPage)
+				dpg = a.st.page()
 				dst.pages[pi] = dpg
 				dst.PageAllocs++
 			}

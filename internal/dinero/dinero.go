@@ -56,8 +56,8 @@ type VarSeries struct {
 	Hits     int64
 	Misses   int64
 	PerSet   []cache.SetStats
-	// PageAllocs counts the 64-set pages lazily allocated for this
-	// series — the memory-vs-coverage signal telemetry reports.
+	// PageAllocs counts the 64-set pages this series counted in, new or
+	// recycled — the memory-vs-coverage signal telemetry reports.
 	PageAllocs int64
 
 	// pages backs PerSet sparsely: one 64-set page per touched region, so
@@ -66,28 +66,29 @@ type VarSeries struct {
 	pages [][]cache.SetStats
 	nsets int
 	dirty bool
+	st    *simState // where new pages come from
 }
 
-func newVarSeries(name string, nsets int) *VarSeries {
+func newVarSeries(name string, nsets int, st *simState) *VarSeries {
 	return &VarSeries{
 		Name:  name,
 		nsets: nsets,
 		pages: make([][]cache.SetStats, (nsets+perSetPage-1)/perSetPage),
+		st:    st,
 	}
 }
 
 // touch records one block outcome for set.
 func (vs *VarSeries) touch(set int, hit bool) {
-	pg := vs.pages[set/perSetPage]
-	if pg == nil {
-		pg = make([]cache.SetStats, perSetPage)
-		vs.pages[set/perSetPage] = pg
+	pg := &vs.pages[set/perSetPage]
+	if *pg == nil {
+		*pg = vs.st.page()
 		vs.PageAllocs++
 	}
-	if hit {
-		pg[set%perSetPage].Hits++
+	if c := &(*pg)[set%perSetPage]; hit {
+		c.Hits++
 	} else {
-		pg[set%perSetPage].Misses++
+		c.Misses++
 	}
 	vs.dirty = true
 }

@@ -107,6 +107,11 @@ type MultiSim struct {
 	fed     int64 // records seen (including skipped windows)
 	simFed  int64 // records in simulated windows
 	ignored int64 // non-memory ops in simulated windows
+
+	// st holds the attribution's pages across runs; a Simulator, which is
+	// never released, has one of its own. See Release.
+	st       *simState
+	released bool
 }
 
 // NewMulti builds a multi-configuration simulator.
@@ -179,7 +184,43 @@ func newMulti(opts MultiOptions, reference bool) (*MultiSim, error) {
 		m.kernel = kernel
 		m.visitFn = m.visitBlock
 	}
+	if reference {
+		m.st = &simState{}
+	} else {
+		m.st = getSimState()
+	}
+	for i := range m.at {
+		m.at[i].st = m.st
+	}
 	return m, nil
+}
+
+// Release hands the simulator's state to the next NewMulti: the kernel's
+// arrays and the attribution's 64-set pages. Neither the simulator nor
+// anything read from it that shares that state may be used afterwards:
+// Stats(i).PerSet shares the kernel's array, and a *VarSeries shares its
+// pages. Values copied out before — a report, a miss count — stay valid.
+// A released MultiSim panics on use, and a second Release does nothing.
+// No goroutine may still be feeding it.
+func (m *MultiSim) Release() {
+	if m.released {
+		return
+	}
+	if m.kernel != nil {
+		m.kernel.Release()
+	}
+	for i := range m.at {
+		m.st.reclaim(&m.at[i])
+	}
+	putSimState(m.st)
+	*m = MultiSim{released: true}
+}
+
+// live panics when m was released: its state may be another run's.
+func (m *MultiSim) live() {
+	if m.released {
+		panic("dinero: use of a released MultiSim")
+	}
 }
 
 // newLevels builds one reference-engine hierarchy and returns its L1:
@@ -212,6 +253,7 @@ func (m *MultiSim) l1Of(i int) *cache.Cache {
 // byte (ReplRandom excepted — its draw stream survives a Flush but not a
 // shard split).
 func (m *MultiSim) Flush() {
+	m.live()
 	if m.kernel != nil {
 		m.kernel.Flush()
 	}
@@ -224,17 +266,29 @@ func (m *MultiSim) Flush() {
 }
 
 // NumConfigs returns how many configurations the simulator evaluates.
-func (m *MultiSim) NumConfigs() int { return len(m.cfgs) }
+func (m *MultiSim) NumConfigs() int {
+	m.live()
+	return len(m.cfgs)
+}
 
 // Config returns configuration i.
-func (m *MultiSim) Config(i int) cache.Config { return m.cfgs[i] }
+func (m *MultiSim) Config(i int) cache.Config {
+	m.live()
+	return m.cfgs[i]
+}
 
 // Records returns how many trace records were fed (including records in
 // windows that interval sampling skipped).
-func (m *MultiSim) Records() int64 { return m.fed }
+func (m *MultiSim) Records() int64 {
+	m.live()
+	return m.fed
+}
 
 // SimulatedRecords returns how many records reached the simulators.
-func (m *MultiSim) SimulatedRecords() int64 { return m.simFed }
+func (m *MultiSim) SimulatedRecords() int64 {
+	m.live()
+	return m.simFed
+}
 
 // visitBlock is the kernel's per-block callback: it attributes the
 // outcome for one kernel config using the resolution cached by apply.
@@ -264,6 +318,12 @@ func (m *MultiSim) funcID(rec *trace.Record) trace.SymID {
 // followed by a write (the two halves of the RMW). Other records are
 // counted but do not touch the caches.
 func (m *MultiSim) Feed(rec *trace.Record) {
+	m.live()
+	m.feed(rec)
+}
+
+// feed is Feed on a simulator known to be live.
+func (m *MultiSim) feed(rec *trace.Record) {
 	m.fed++
 	if k := int64(m.sampling.Interval); k > 1 {
 		if ((m.fed-1)/m.window)%k != 0 {
@@ -340,8 +400,9 @@ func (m *MultiSim) apply(rec *trace.Record, kind cache.Kind) {
 
 // Process simulates a record slice.
 func (m *MultiSim) Process(recs []trace.Record) {
+	m.live()
 	for i := range recs {
-		m.Feed(&recs[i])
+		m.feed(&recs[i])
 	}
 }
 
@@ -362,6 +423,7 @@ func (m *MultiSim) ProcessSourceCtx(ctx context.Context, src trace.RecordSource)
 // one batch live at a time — the constant-memory ingestion path. Results
 // are identical to Process over the materialized trace.
 func (m *MultiSim) ProcessSource(src trace.RecordSource) error {
+	m.live()
 	for {
 		batch, err := src.NextBatch()
 		if err == io.EOF {
@@ -378,6 +440,7 @@ func (m *MultiSim) ProcessSource(src trace.RecordSource) error {
 // sampling is off, the simulated windows' totals otherwise (see
 // ScaledStats).
 func (m *MultiSim) Stats(i int) cache.Stats {
+	m.live()
 	if l1 := m.l1Of(i); l1 != nil {
 		return l1.Stats()
 	}
@@ -387,6 +450,7 @@ func (m *MultiSim) Stats(i int) cache.Stats {
 // RecordScale is the interval-sampling expansion factor: records fed over
 // records simulated (1 when off or nothing fed yet).
 func (m *MultiSim) RecordScale() float64 {
+	m.live()
 	if m.sampling.Interval <= 1 || m.simFed == 0 {
 		return 1
 	}
@@ -410,6 +474,8 @@ func (m *MultiSim) ScaledStats(i int) cache.Stats {
 // configurations in the same order on the same engines, and exact
 // sampling; other is left unchanged and must not be fed concurrently.
 func (m *MultiSim) MergeFrom(other *MultiSim) error {
+	m.live()
+	other.live()
 	if len(m.cfgs) != len(other.cfgs) {
 		return fmt.Errorf("dinero: merge of %d-config multisim into %d-config multisim", len(other.cfgs), len(m.cfgs))
 	}
@@ -448,15 +514,24 @@ func (m *MultiSim) MergeFrom(other *MultiSim) error {
 
 // Vars returns configuration i's per-variable series, sorted by
 // descending access count, then name.
-func (m *MultiSim) Vars(i int) []*VarSeries { return m.at[m.slot[i]].vars() }
+func (m *MultiSim) Vars(i int) []*VarSeries {
+	m.live()
+	return m.at[m.slot[i]].vars()
+}
 
 // Funcs returns configuration i's per-function stats, sorted by
 // descending access count.
-func (m *MultiSim) Funcs(i int) []*FuncStats { return m.at[m.slot[i]].funcs() }
+func (m *MultiSim) Funcs(i int) []*FuncStats {
+	m.live()
+	return m.at[m.slot[i]].funcs()
+}
 
 // Conflicts returns configuration i's eviction matrix, sorted by
 // descending count.
-func (m *MultiSim) Conflicts(i int) []Conflict { return m.at[m.slot[i]].conflictList() }
+func (m *MultiSim) Conflicts(i int) []Conflict {
+	m.live()
+	return m.at[m.slot[i]].conflictList()
+}
 
 // Report renders configuration i's full text report: overall
 // DineroIV-style statistics, per-function and per-variable tables, and
@@ -464,6 +539,7 @@ func (m *MultiSim) Conflicts(i int) []Conflict { return m.at[m.slot[i]].conflict
 // of an independent Simulator run of the same config over the same
 // records, whichever engine runs either.
 func (m *MultiSim) Report(i int) string {
+	m.live()
 	cfg, a := m.cfgs[i], &m.at[m.slot[i]]
 	var b strings.Builder
 	fmt.Fprintf(&b, "---Simulation begins.\n")
@@ -498,8 +574,10 @@ func (m *MultiSim) Report(i int) string {
 	return b.String()
 }
 
-// PageAllocs returns the lazily allocated series pages across all configs.
+// PageAllocs returns how many series pages all configs counted in, new or
+// recycled.
 func (m *MultiSim) PageAllocs() int64 {
+	m.live()
 	var n int64
 	for i := range m.at {
 		n += m.at[i].pageAllocs()
@@ -517,6 +595,7 @@ func (m *MultiSim) PageAllocs() int64 {
 // (what the configs consumed) by construction, as every config consumes
 // the one record loop's stream; tools/metricscheck checks it.
 func (m *MultiSim) PublishTelemetry(reg *telemetry.Registry) {
+	m.live()
 	n := int64(len(m.cfgs))
 	reg.Counter("multisim.runs").Inc()
 	reg.Counter("multisim.configs").Add(n)

@@ -226,3 +226,47 @@ func TestMultiSimShardedRecordsEmpty(t *testing.T) {
 		t.Errorf("clamp: %d records simulated, want %d", res.Sim.Records(), len(recs))
 	}
 }
+
+// TestShardedRefusesTranslate: a Translate cannot serve concurrent shards
+// (pagemap.Mapper writes its page map on first touch), so both sharded
+// entry points refuse it at every shard count, before any shard runs.
+func TestShardedRefusesTranslate(t *testing.T) {
+	cfgs := []cache.Config{{Size: 2048, BlockSize: 32, Assoc: 2, Repl: cache.ReplLRU}}
+	recs := multiRecords(2000, 4)
+	var buf bytes.Buffer
+	bw := trace.NewBinaryWriter(&buf)
+	bw.EnableIndex()
+	bw.SetBlockRecords(100)
+	for i := range recs {
+		if err := bw.Write(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.NewIndexedBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	translated := 0
+	opts := MultiOptions{Configs: cfgs, Translate: func(a uint64) uint64 { translated++; return a }}
+	for _, shards := range []int{1, 2, 0} {
+		for name, run := range map[string]func() (*MultiShardedResult, error){
+			"MultiSimShardedContext": func() (*MultiShardedResult, error) {
+				return MultiSimShardedContext(context.Background(), tr, opts, shards, trace.DecodeOptions{})
+			},
+			"MultiSimShardedRecords": func() (*MultiShardedResult, error) {
+				return MultiSimShardedRecords(context.Background(), recs, opts, shards)
+			},
+		} {
+			res, err := run()
+			if err == nil || !strings.Contains(err.Error(), "physical indexing is not shardable") {
+				t.Errorf("%s with %d shards and a Translate: result %v, error %v; want the refusal", name, shards, res, err)
+			}
+		}
+	}
+	if translated != 0 {
+		t.Errorf("refused runs translated %d addresses", translated)
+	}
+}

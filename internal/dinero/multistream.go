@@ -37,10 +37,11 @@ type MultiShardedResult struct {
 // MultiSimSharded streams an indexed binary trace through min(shards,
 // blocks) workers over disjoint block ranges, each feeding a cold
 // MultiSim, and merges the shards. opts.Syms must be nil (each shard
-// interns privately; MergeFrom matches attribution by symbol name) and
-// opts.Sampling must be exact — interval sampling is stateful across the
-// whole record stream and cannot split. dec carries the lenient/strict
-// decode semantics applied per shard.
+// interns privately; MergeFrom matches attribution by symbol name),
+// opts.Translate must be nil (one page map cannot serve concurrent
+// shards), and opts.Sampling must be exact — interval sampling is
+// stateful across the whole record stream and cannot split. dec carries
+// the lenient/strict decode semantics applied per shard.
 func MultiSimSharded(tr *trace.IndexedTrace, opts MultiOptions, shards int, dec trace.DecodeOptions) (*MultiShardedResult, error) {
 	return MultiSimShardedContext(context.Background(), tr, opts, shards, dec)
 }
@@ -68,7 +69,7 @@ func MultiSimShardedContext(ctx context.Context, tr *trace.IndexedTrace, opts Mu
 // split into min(shards, len(recs)) contiguous windows, each simulated on
 // a cold MultiSim, and the shards merge. It backs the experiments sweeps
 // and figure regeneration, where traces are already materialized. Same
-// constraints as MultiSimSharded: nil Syms, exact sampling.
+// constraints as MultiSimSharded: nil Syms, nil Translate, exact sampling.
 func MultiSimShardedRecords(ctx context.Context, recs []trace.Record, opts MultiOptions, shards int) (*MultiShardedResult, error) {
 	requested, err := checkMultiShard(&opts, &shards)
 	if err != nil {
@@ -90,10 +91,16 @@ func ShardNote(shards int) string {
 }
 
 // checkMultiShard validates the sharding constraints and resolves the
-// default shard count, returning the requested (pre-clamp) count.
+// default shard count, returning the requested (pre-clamp) count. A
+// Translate is refused at any shard count: every shard would call it from
+// its own goroutine, and pagemap.Mapper.Translate writes an unsynchronized
+// page map on first touch.
 func checkMultiShard(opts *MultiOptions, shards *int) (int, error) {
 	if opts.Syms != nil {
 		return 0, fmt.Errorf("dinero: MultiSimSharded: shared Syms table is not supported (shards intern privately)")
+	}
+	if opts.Translate != nil {
+		return 0, fmt.Errorf("dinero: MultiSimSharded: physical indexing is not shardable (shards would share one page map); run it serially")
 	}
 	if !opts.Sampling.Exact() {
 		return 0, fmt.Errorf("dinero: MultiSimSharded: sampling is not shardable (interval state spans the whole stream)")
@@ -107,16 +114,23 @@ func checkMultiShard(opts *MultiOptions, shards *int) (int, error) {
 // runShards is the one shard runner: every source feeds its own cold
 // MultiSim on its own goroutine, then the shards merge left to right,
 // recording the record-index boundaries a serial reference run must
-// Flush at. No sources (an empty trace) yields one cold, zero-fed
-// simulator and Shards == 0.
+// Flush at. A shard merged away is released: MergeFrom copied what it
+// held. No sources (an empty trace) yields one cold, zero-fed simulator
+// and Shards == 0.
 func runShards(ctx context.Context, srcs []trace.RecordSource, opts MultiOptions, requested int) (*MultiShardedResult, error) {
-	sims := make([]*MultiSim, max(len(srcs), 1))
-	for i := range sims {
+	sims := make([]*MultiSim, 0, max(len(srcs), 1))
+	releaseAll := func() {
+		for _, ms := range sims {
+			ms.Release()
+		}
+	}
+	for range cap(sims) {
 		ms, err := NewMulti(opts)
 		if err != nil {
+			releaseAll()
 			return nil, err
 		}
-		sims[i] = ms
+		sims = append(sims, ms)
 	}
 	errs := make([]error, len(srcs))
 	var wg sync.WaitGroup
@@ -130,6 +144,7 @@ func runShards(ctx context.Context, srcs []trace.RecordSource, opts MultiOptions
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
+			releaseAll()
 			if cerr := context.Cause(ctx); cerr != nil {
 				return nil, cerr
 			}
@@ -138,13 +153,15 @@ func runShards(ctx context.Context, srcs []trace.RecordSource, opts MultiOptions
 	}
 
 	res := &MultiShardedResult{Sim: sims[0], Requested: requested, Shards: len(srcs)}
-	var cum int64
+	cum := sims[0].Records()
 	for i := 1; i < len(sims); i++ {
-		cum += sims[i-1].Records()
 		res.Boundaries = append(res.Boundaries, cum)
+		cum += sims[i].Records()
 		if err := res.Sim.MergeFrom(sims[i]); err != nil {
+			releaseAll()
 			return nil, err
 		}
+		sims[i].Release()
 	}
 	return res, nil
 }

@@ -3,11 +3,13 @@ package experiments
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"tracedst/internal/cache"
 	"tracedst/internal/dinero"
+	"tracedst/internal/telemetry"
 	"tracedst/internal/trace"
 )
 
@@ -57,6 +59,39 @@ func TestSweepEnginesEquivalent(t *testing.T) {
 					sd.id, cfg.Size, multi[i], per)
 			}
 		}
+	}
+}
+
+// TestSweepSidesReuseState: a sweep side releases its simulator, serial
+// or sharded, so once each engine has run, the standard sweeps' sides
+// build on the states of the sides before them and make none, with the
+// same miss counts as before.
+func TestSweepSidesReuseState(t *testing.T) {
+	ctx := context.Background()
+	sides := loadEngineSides(t)
+	sweep := func() [][]int64 {
+		var out [][]int64
+		for _, sd := range sides {
+			serial, err := sweepMisses(ctx, sd.recs, sd.cfgs, dinero.Sampling{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, err := sweepMissesSharded(ctx, sd.recs, sd.cfgs, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, serial, sharded)
+		}
+		return out
+	}
+	want := sweep()
+	states := telemetry.Default().Counter("multisim.states")
+	before := states.Value()
+	if got := sweep(); !reflect.DeepEqual(got, want) {
+		t.Errorf("sweeps on recycled states: misses %v, want %v", got, want)
+	}
+	if made := states.Value() - before; made != 0 {
+		t.Errorf("a second round of sweeps made %d simulator states, want 0", made)
 	}
 }
 

@@ -129,6 +129,7 @@ func sweepMisses(ctx context.Context, recs []trace.Record, cfgs []cache.Config, 
 	if err != nil {
 		return nil, err
 	}
+	defer ms.Release()
 	for start := 0; start < len(recs); start += simChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -169,6 +170,7 @@ func sweepMissesSharded(ctx context.Context, recs []trace.Record, cfgs []cache.C
 	if err != nil {
 		return nil, err
 	}
+	defer res.Sim.Release()
 	reg := telemetry.Default()
 	reg.Counter("experiments.records_in").Add(res.Sim.SimulatedRecords() * int64(len(cfgs)))
 	res.PublishShardTelemetry(reg)

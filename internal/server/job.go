@@ -448,6 +448,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		j.mu.Unlock()
 		s.reg.Counter("server.records_simulated").Add(sim.Records())
 		res.PublishShardTelemetry(s.reg)
+		sim.Release()
 		s.storeResult(j, key)
 		return nil
 	}
@@ -460,6 +461,8 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 	if err != nil {
 		return err
 	}
+	// The job keeps only copies: its record count and report string.
+	defer sim.Release()
 	var eng *xform.Engine
 	if j.Rule != "" {
 		rule, err := rules.Parse(j.Rule)

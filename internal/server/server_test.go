@@ -72,7 +72,7 @@ func refReport(t *testing.T, recs []trace.Record, cfg cache.Config) string {
 
 // newTestServer starts a Server (rate limiting off unless the mutator
 // turns it on) plus an httptest front end, both torn down with the test.
-func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server, *telemetry.Registry) {
+func newTestServer(t testing.TB, mut func(*Config)) (*Server, *httptest.Server, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	cfg := Config{

@@ -364,7 +364,7 @@ type BinaryReader struct {
 	err    error
 	auxErr error // first damage seen in a record-free auxiliary block
 
-	st     *decodeState // from the first block to the stream's end; see decodeState
+	st     *decodeState // from the open to the stream's end; see decodeState
 	crcBuf [4]byte      // a field, not a local: io.ReadFull would move a local to the heap
 }
 
@@ -375,23 +375,26 @@ func NewBinaryReader(r io.Reader) *BinaryReader {
 
 // NewBinaryReaderOptions returns a BinaryReader with explicit options.
 func NewBinaryReaderOptions(r io.Reader, opts DecodeOptions) *BinaryReader {
-	br, ok := r.(*bufio.Reader)
-	if !ok || br.Size() < maxFrameHeader {
-		br = bufio.NewReaderSize(r, 256*1024)
-	}
-	return &BinaryReader{br: br, opts: opts}
+	return newBinaryReader(r, opts, getDecodeState())
+}
+
+// newBinaryReader returns a BinaryReader over r that decodes through st.
+func newBinaryReader(r io.Reader, opts DecodeOptions, st *decodeState) *BinaryReader {
+	return &BinaryReader{br: st.reader(r, maxFrameHeader, 256<<10), opts: opts, st: st}
 }
 
 // end makes err the stream's sticky result and gives the decode state
-// back.
+// back. The input is not read again.
 func (rd *BinaryReader) end(err error) error {
 	rd.err = err
 	rd.st.release()
 	rd.st = nil
+	rd.br = nil
 	return err
 }
 
-// ensurePre consumes and checks the preamble.
+// ensurePre consumes and checks the preamble. A bad preamble ends the
+// stream.
 func (rd *BinaryReader) ensurePre() error {
 	if rd.gotPre {
 		if rd.err != nil && rd.err != io.EOF {
@@ -402,22 +405,18 @@ func (rd *BinaryReader) ensurePre() error {
 	rd.gotPre = true
 	var magic [BinaryMagicLen]byte
 	if _, err := io.ReadFull(rd.br, magic[:]); err != nil {
-		rd.err = fmt.Errorf("trace: short binary preamble: %w", err)
-		return rd.err
+		return rd.end(fmt.Errorf("trace: short binary preamble: %w", err))
 	}
 	if magic != binaryMagic {
-		rd.err = fmt.Errorf("trace: bad binary magic %q", magic[:])
-		return rd.err
+		return rd.end(fmt.Errorf("trace: bad binary magic %q", magic[:]))
 	}
 	flags, err := rd.br.ReadByte()
 	if err != nil {
-		rd.err = fmt.Errorf("trace: short binary preamble: %w", err)
-		return rd.err
+		return rd.end(fmt.Errorf("trace: short binary preamble: %w", err))
 	}
 	pid, err := binary.ReadVarint(rd.br)
 	if err != nil {
-		rd.err = fmt.Errorf("trace: bad binary preamble pid: %w", err)
-		return rd.err
+		return rd.end(fmt.Errorf("trace: bad binary preamble pid: %w", err))
 	}
 	rd.hasHdr = flags&1 != 0
 	if rd.hasHdr {
@@ -459,8 +458,8 @@ func eofish(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// loadBlock reads and decodes the next block into rd.st.recs, taking a
-// decode state at the first block. io.EOF means a clean end of stream.
+// loadBlock reads and decodes the next block into rd.st.recs. io.EOF
+// means a clean end of stream.
 func (rd *BinaryReader) loadBlock() error {
 	for {
 		hdr, perr := rd.br.Peek(maxFrameHeader)
@@ -486,9 +485,6 @@ func (rd *BinaryReader) loadBlock() error {
 				return io.EOF
 			}
 			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
-		}
-		if rd.st == nil {
-			rd.st = getDecodeState()
 		}
 		// Grow geometrically: block payloads creep upward through a trace,
 		// and an exact-fit buffer would be replaced at nearly every block.

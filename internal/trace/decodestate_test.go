@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 
 	"tracedst/internal/ctype"
@@ -44,9 +46,6 @@ func respelled(k int) []Record {
 type decoder struct {
 	name string
 	open func() RecordSource
-	// readBuf is what a stream allocates for its input buffer, which is
-	// per stream.
-	readBuf int
 }
 
 // decoders returns a decoder over the indexed trace data for each of
@@ -59,9 +58,9 @@ func decoders(t *testing.T, data []byte) []decoder {
 	}
 	text := textOf(t, tr)
 	return []decoder{
-		{"BinaryReader", func() RecordSource { return NewBinaryReader(bytes.NewReader(data)) }, 256 << 10},
-		{"IndexedTrace.Source", func() RecordSource { return tr.Source(0, tr.NumBlocks(), DecodeOptions{}) }, 0},
-		{"Reader", func() RecordSource { return NewReader(bytes.NewReader(text)) }, 64 << 10},
+		{"BinaryReader", func() RecordSource { return NewBinaryReader(bytes.NewReader(data)) }},
+		{"IndexedTrace.Source", func() RecordSource { return tr.Source(0, tr.NumBlocks(), DecodeOptions{}) }},
+		{"Reader", func() RecordSource { return NewReader(bytes.NewReader(text)) }},
 	}
 }
 
@@ -303,9 +302,9 @@ func heapAllocBytes() uint64 {
 }
 
 // TestSecondStreamReusesState: a stream decoded after another over the
-// same trace has ended reuses its record buffer, payload buffer, slot
-// table and intern tables, so it makes no spelling, and allocates only
-// its input buffer and a few small objects: the reader or source itself.
+// same trace has ended reuses its read buffer, record buffer, payload
+// buffer, slot table and intern tables, so it makes no spelling, and
+// allocates only a few small objects: the reader or source itself.
 func TestSecondStreamReusesState(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -321,8 +320,8 @@ func TestSecondStreamReusesState(t *testing.T) {
 		if made := spellings.Value() - made; made != 0 {
 			t.Errorf("%s: the second stream made %d spellings, want 0", d.name, made)
 		}
-		if limit := uint64(d.readBuf + small); got > limit {
-			t.Errorf("%s: the second stream allocated %d bytes, want ≤ %d (its input buffer and %d bytes)", d.name, got, limit, small)
+		if got > small {
+			t.Errorf("%s: the second stream allocated %d bytes, want ≤ %d", d.name, got, small)
 		}
 	}
 }
@@ -476,4 +475,119 @@ func TestSecondTextValidationReusesState(t *testing.T) {
 	if got >= batch {
 		t.Errorf("the second validation allocated %d bytes, want < %d (one batch of records)", got, batch)
 	}
+}
+
+// idleStateCount is how many states the idle list holds.
+func idleStateCount() int {
+	idleStates.Lock()
+	defer idleStates.Unlock()
+	return len(idleStates.list)
+}
+
+// failedOpens are streams that end at their open: OpenReader's sniff
+// fails, or the header or preamble cannot be read. Each returns the error
+// it ended with.
+var failedOpens = map[string]func() error{
+	"OpenReader/read error": func() error {
+		_, _, err := OpenReader(iotest.ErrReader(errors.New("disk gone")), DecodeOptions{})
+		return err
+	},
+	"OpenReader/short preamble": func() error {
+		rd, _, err := OpenReader(bytes.NewReader(binaryMagic[:]), DecodeOptions{})
+		if err != nil {
+			return err
+		}
+		_, err = rd.Header()
+		return err
+	},
+	"BinaryReader/bad magic": func() error {
+		_, err := NewBinaryReader(strings.NewReader("START PID 1\n")).Header()
+		return err
+	},
+	"Reader/header read error": func() error {
+		_, err := NewReader(iotest.ErrReader(errors.New("disk gone"))).Header()
+		return err
+	},
+	"Reader/bad header": func() error {
+		_, err := NewReader(strings.NewReader("START PID x\n")).NextBatch()
+		return err
+	},
+}
+
+// TestFailedOpenGivesStateBack: a stream that ends at its open, on every
+// error path, gives its decode state back: failing again and again makes
+// one state in all, which stays idle.
+func TestFailedOpenGivesStateBack(t *testing.T) {
+	states := telemetry.Default().Counter("trace.decode.states")
+	for name, open := range failedOpens {
+		dropIdleStates()
+		before := states.Value()
+		for i := 0; i < 10; i++ {
+			if err := open(); err == nil || err == io.EOF {
+				t.Fatalf("%s: open ended with %v, want an error", name, err)
+			}
+		}
+		if got := states.Value() - before; got != 1 {
+			t.Errorf("%s: ten failed opens made %d decode states, want 1", name, got)
+		}
+		if n := idleStateCount(); n != 1 {
+			t.Errorf("%s: %d idle states after the failed opens, want 1", name, n)
+		}
+	}
+}
+
+// TestOpenReaderConcurrent: goroutines opening indexed .glb and text
+// traces through OpenReader at once, and failing opens between them, each
+// decode exactly their own trace through the states they take at open.
+func TestOpenReaderConcurrent(t *testing.T) {
+	const goroutines, rounds = 8, 20
+	var want [][]Record
+	var inputs [][]byte
+	for k := 0; k < 2; k++ {
+		recs := respelled(k)[:2000]
+		data := encodeIndexed(t, nil, recs, 100)
+		tr, err := NewIndexedBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, recs, recs)
+		inputs = append(inputs, data, textOf(t, tr))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if r%4 == 3 {
+					if err := failedOpens["OpenReader/short preamble"](); err == nil {
+						t.Error("a short preamble opened")
+					}
+					continue
+				}
+				k := (g + r) % len(inputs)
+				rd, _, err := OpenReader(bytes.NewReader(inputs[k]), DecodeOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := rd.ReadAll()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) != len(want[k]) {
+					t.Errorf("goroutine %d round %d: %d records, want %d", g, r, len(got), len(want[k]))
+					return
+				}
+				for i := range got {
+					if !got[i].Equal(&want[k][i]) {
+						t.Errorf("goroutine %d round %d: record %d = %v, want %v", g, r, i, &got[i], &want[k][i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -6,7 +6,6 @@
 package trace
 
 import (
-	"bufio"
 	"io"
 )
 
@@ -81,12 +80,11 @@ type RecordWriter interface {
 // OpenReader sniffs the format of r and returns a decoder for it plus the
 // detected format. Sniffing never consumes input, so a text stream that
 // merely resembles the magic is impossible (the magic byte 0x89 cannot open
-// a valid text trace).
+// a valid text trace). The decoder takes a decode state, whose read buffer
+// wraps r unless r is already buffered; a failed open gives it back.
 func OpenReader(r io.Reader, opts DecodeOptions) (RecordReader, FileFormat, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok || br.Size() < BinaryMagicLen {
-		br = bufio.NewReaderSize(r, 64*1024)
-	}
+	st := getDecodeState()
+	br := st.reader(r, BinaryMagicLen, textReadBuffer)
 	// Peek only errors when fewer than BinaryMagicLen bytes are available
 	// (EOF, or a short read from a faltering underlying reader). A prefix
 	// that short cannot be binary — and the shortest valid text trace
@@ -97,12 +95,13 @@ func OpenReader(r io.Reader, opts DecodeOptions) (RecordReader, FileFormat, erro
 	// not start either.
 	prefix, err := br.Peek(BinaryMagicLen)
 	if err != nil && err != io.EOF && len(prefix) == 0 {
+		st.release()
 		return nil, FormatUnknown, err
 	}
 	if DetectFormat(prefix) == FormatBinary {
-		return NewBinaryReaderOptions(br, opts), FormatBinary, nil
+		return newBinaryReader(br, opts, st), FormatBinary, nil
 	}
-	return NewReaderOptions(br, opts), FormatText, nil
+	return newReader(br, opts, st), FormatText, nil
 }
 
 // NewWriterFormat returns an encoder for the requested format

@@ -12,11 +12,16 @@ import (
 // BadLineError.Text so diagnostics can show what was skipped.
 const oversizePrefixLen = 128
 
+// textReadBuffer is the size of a text Reader's read buffer, and of the one
+// OpenReader sniffs through.
+const textReadBuffer = 64 << 10
+
 // Reader streams records from a Gleipnir trace file. Its tolerance for
-// malformed input is set by DecodeOptions; see NewReaderOptions. It parses
-// through a decode state, as the binary decoders do: the state's intern
-// tables resolve function names and access expressions, and its record
-// buffer holds NextBatch's batches.
+// malformed input is set by DecodeOptions; see NewReaderOptions. It reads
+// and parses through a decode state, as the binary decoders do: the
+// state's read buffer wraps its input, its intern tables resolve function
+// names and access expressions, and its record buffer holds NextBatch's
+// batches.
 type Reader struct {
 	br         *bufio.Reader
 	opts       DecodeOptions
@@ -26,7 +31,7 @@ type Reader struct {
 	buf        []byte
 	pending    []byte // non-header first line peeked while looking for START
 	hasPending bool
-	st         *decodeState // from the first record to the stream's end; see decodeState
+	st         *decodeState // from the open to the stream's end; see decodeState
 	line       int
 	bad        int
 	err        error
@@ -38,13 +43,20 @@ func NewReader(r io.Reader) *Reader { return NewReaderOptions(r, DecodeOptions{}
 
 // NewReaderOptions returns a Reader with explicit decode options.
 func NewReaderOptions(r io.Reader, opts DecodeOptions) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64*1024), opts: opts}
+	return newReader(r, opts, getDecodeState())
+}
+
+// newReader returns a Reader over r that decodes through st.
+func newReader(r io.Reader, opts DecodeOptions, st *decodeState) *Reader {
+	return &Reader{br: st.reader(r, textReadBuffer, textReadBuffer), opts: opts, st: st}
 }
 
 // Header returns the trace header. If the stream has no START line the
 // zero Header is returned and the first data line is preserved for Read.
+// An unreadable or malformed header ends the stream.
 func (rd *Reader) Header() (Header, error) {
 	if err := rd.ensureHeader(); err != nil && err != io.EOF {
+		rd.end()
 		return rd.header, err
 	}
 	return rd.header, nil
@@ -182,13 +194,15 @@ func (rd *Reader) Read() (Record, error) {
 }
 
 // end gives the decode state back once the stream's sticky result is set.
+// The input is not read again.
 func (rd *Reader) end() {
 	rd.st.release()
 	rd.st = nil
+	rd.br = nil
 }
 
-// read parses the next record, taking a decode state at the first one.
-// An error is sticky; the state stays taken until end.
+// read parses the next record. An error is sticky; the state stays taken
+// until end.
 func (rd *Reader) read() (Record, error) {
 	if rd.err != nil {
 		return Record{}, rd.err
@@ -222,9 +236,6 @@ func (rd *Reader) read() (Record, error) {
 			if len(text) == 0 {
 				continue
 			}
-		}
-		if rd.st == nil {
-			rd.st = getDecodeState()
 		}
 		rec, perr := rd.st.dec.intern.ParseRecord(text)
 		if perr != nil {
