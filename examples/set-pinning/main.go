@@ -72,7 +72,7 @@ func main() {
 	seen := map[uint64]bool{}
 	for i := range pinned {
 		r := &pinned[i]
-		if r.HasSym && r.Var.Root == "lSetHashingArray" {
+		if r.HasSym && r.Site.Var().Root == "lSetHashingArray" {
 			c.Access(cache.Write, r.Addr, r.Size, 1, nil)
 			b := r.Addr >> 5
 			if !seen[b] {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tracedst/internal/analysis"
+	"tracedst/internal/ctype"
 	"tracedst/internal/trace"
 )
 
@@ -11,10 +12,11 @@ import (
 // access to A has stack distance 1, so it hits in any LRU cache of at
 // least two blocks and misses in a one-block cache.
 func ExampleReuseDistances() {
+	main := trace.NewSite("main", ctype.AccessExpr{})
 	recs := []trace.Record{
-		{Op: trace.Load, Addr: 0, Size: 4, Func: "main"},  // A
-		{Op: trace.Load, Addr: 32, Size: 4, Func: "main"}, // B
-		{Op: trace.Load, Addr: 0, Size: 4, Func: "main"},  // A again
+		{Op: trace.Load, Addr: 0, Size: 4, Site: main},  // A
+		{Op: trace.Load, Addr: 32, Size: 4, Site: main}, // B
+		{Op: trace.Load, Addr: 0, Size: 4, Site: main},  // A again
 	}
 	r := analysis.ReuseDistances(recs, 32)
 	fmt.Printf("cold=%d missRatio(1)=%.2f missRatio(2)=%.2f\n",

@@ -6,13 +6,14 @@ import (
 	"testing/quick"
 
 	"tracedst/internal/cache"
+	"tracedst/internal/ctype"
 	"tracedst/internal/trace"
 	"tracedst/internal/tracer"
 	"tracedst/internal/workloads"
 )
 
 func mkAccess(addr uint64) trace.Record {
-	return trace.Record{Op: trace.Load, Addr: addr, Size: 4, Func: "main"}
+	return trace.Record{Op: trace.Load, Addr: addr, Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{})}
 }
 
 func TestReuseHandComputed(t *testing.T) {
@@ -64,7 +65,7 @@ func TestReuseImmediateRepeat(t *testing.T) {
 
 func TestReuseBlockSpanning(t *testing.T) {
 	// An 8-byte access at block boundary touches two blocks.
-	recs := []trace.Record{{Op: trace.Load, Addr: 28, Size: 8, Func: "main"}}
+	recs := []trace.Record{{Op: trace.Load, Addr: 28, Size: 8, Site: trace.NewSite("main", ctype.AccessExpr{})}}
 	r := ReuseDistances(recs, 32)
 	if r.Accesses != 2 || r.Cold != 2 {
 		t.Errorf("accesses=%d cold=%d", r.Accesses, r.Cold)
@@ -72,7 +73,7 @@ func TestReuseBlockSpanning(t *testing.T) {
 }
 
 func TestReuseMiscIgnored(t *testing.T) {
-	recs := []trace.Record{{Op: trace.Misc, Addr: 0, Size: 4, Func: "main"}}
+	recs := []trace.Record{{Op: trace.Misc, Addr: 0, Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{})}}
 	r := ReuseDistances(recs, 32)
 	if r.Accesses != 0 {
 		t.Errorf("misc counted: %+v", r)

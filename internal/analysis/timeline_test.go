@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tracedst/internal/cache"
+	"tracedst/internal/ctype"
 	"tracedst/internal/trace"
 	"tracedst/internal/tracer"
 	"tracedst/internal/workloads"
@@ -69,7 +70,7 @@ func TestMissTimelineColdStart(t *testing.T) {
 	// re-sweep is all hits: the second pass windows must have lower ratios.
 	var recs []trace.Record
 	mk := func(addr uint64) trace.Record {
-		return trace.Record{Op: trace.Load, Addr: addr, Size: 4, Func: "main"}
+		return trace.Record{Op: trace.Load, Addr: addr, Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{})}
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 64; i++ {

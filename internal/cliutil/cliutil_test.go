@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tracedst/internal/cache"
+	"tracedst/internal/ctype"
 	"tracedst/internal/telemetry"
 	"tracedst/internal/trace"
 )
@@ -267,7 +268,7 @@ func TestWriteTraceAtomic(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "out.trc")
 	h := trace.Header{PID: 7}
-	recs := []trace.Record{{Op: trace.Store, Addr: 0x601040, Size: 4, Func: "main"}}
+	recs := []trace.Record{{Op: trace.Store, Addr: 0x601040, Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{})}}
 	if err := WriteTrace(p, h, recs); err != nil {
 		t.Fatal(err)
 	}

@@ -174,14 +174,14 @@ func Resolve(t Type, path Path) (off int64, elem Type, err error) {
 // scalar (or a sub-object boundary it cannot descend past, such as a padding
 // hole, in which case it returns the path so far). This is the reverse-map
 // Valgrind's debug parser performs when it annotates a raw address with
-// "glStructArray[0].myArray[0]". A non-empty path is allocated once, at
-// exact size.
-func PathForOffset(t Type, off int64) (Path, Type, error) {
+// "glStructArray[0].myArray[0]". The path is built in buf's storage (buf
+// may be nil), as ParseAccessInto builds one, so a caller that keeps it
+// past the next use of buf copies it; an empty path is nil.
+func PathForOffset(buf Path, t Type, off int64) (Path, Type, error) {
 	if off < 0 || off >= t.Size() && !(off == 0 && t.Size() == 0) {
 		return nil, nil, fmt.Errorf("ctype: offset %d out of range for %s (size %d)", off, t, t.Size())
 	}
-	var buf [8]PathElem
-	path := Path(buf[:0])
+	path := buf[:0]
 	elem := t
 walk:
 	for {
@@ -210,5 +210,5 @@ walk:
 	if len(path) == 0 {
 		return nil, elem, nil
 	}
-	return path.Clone(), elem, nil
+	return path, elem, nil
 }

@@ -97,7 +97,7 @@ func TestResolveErrors(t *testing.T) {
 
 func TestPathForOffset(t *testing.T) {
 	_, arr := listing1Env()
-	path, elem, err := PathForOffset(arr, 64)
+	path, elem, err := PathForOffset(nil, arr, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPathForOffsetPadding(t *testing.T) {
 		{Name: "i", Type: Int},
 	})
 	// Offset 2 is in the padding hole between c and i: path stops at struct.
-	path, elem, err := PathForOffset(s, 2)
+	path, elem, err := PathForOffset(nil, s, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestPathForOffsetPadding(t *testing.T) {
 }
 
 func TestPathForOffsetOutOfRange(t *testing.T) {
-	if _, _, err := PathForOffset(Int, 4); err == nil {
+	if _, _, err := PathForOffset(nil, Int, 4); err == nil {
 		t.Error("offset 4 in int should fail")
 	}
-	if _, _, err := PathForOffset(Int, -1); err == nil {
+	if _, _, err := PathForOffset(nil, Int, -1); err == nil {
 		t.Error("negative offset should fail")
 	}
 }
@@ -140,7 +140,7 @@ func TestResolvePathRoundTrip(t *testing.T) {
 	arr := NewArray(typeA, 7)
 	f := func(rawOff uint16) bool {
 		off := int64(rawOff) % arr.Size()
-		path, elem, err := PathForOffset(arr, off)
+		path, elem, err := PathForOffset(nil, arr, off)
 		if err != nil {
 			return false
 		}

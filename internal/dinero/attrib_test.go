@@ -67,8 +67,8 @@ func TestReportSkipsPerSetSeries(t *testing.T) {
 	}
 	recs := make([]trace.Record, 200)
 	for i := range recs {
-		recs[i] = trace.Record{Op: trace.Load, Addr: 0x601040 + uint64(i)*32, Size: 4, Func: "main",
-			HasSym: true, Vis: trace.Global, Var: ctype.AccessExpr{Root: []string{"a", "b"}[i%2]}}
+		recs[i] = trace.Record{Op: trace.Load, Addr: 0x601040 + uint64(i)*32, Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{Root: []string{"a", "b"}[i%2]}),
+			HasSym: true, Vis: trace.Global}
 	}
 	sim.Process(recs)
 	sim.Report()

@@ -20,12 +20,12 @@ func benchRecords(n, nvars int) []trace.Record {
 			Op:   trace.Load,
 			Addr: uint64(0x601000 + v*4096 + (i/nvars)%64*32),
 			Size: 4,
-			Func: fmt.Sprintf("func%d", v%4),
+			Site: trace.NewSite(fmt.Sprintf("func%d", v%4), ctype.AccessExpr{}),
 		}
 		if i%8 != 7 {
 			r.HasSym = true
 			r.Vis = trace.Global
-			r.Var = ctype.AccessExpr{Root: fmt.Sprintf("glArray%d", v)}
+			r.Site = trace.NewSite(r.Site.Func(), ctype.AccessExpr{Root: fmt.Sprintf("glArray%d", v)})
 		}
 		recs[i] = r
 	}

@@ -205,3 +205,33 @@ func TestNewValidatesConfigs(t *testing.T) {
 		t.Error("bad L2 accepted")
 	}
 }
+
+// TestZeroRecordReport: a zero Record, which holds no site, simulates as a
+// Record with empty inline names did: counted, never cached, attributed
+// to no function or variable.
+func TestZeroRecordReport(t *testing.T) {
+	sim, err := New(Options{L1: cache.Config{Size: 1024, BlockSize: 32, Assoc: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Process([]trace.Record{{}})
+	want := "---Simulation begins.\n" +
+		"l1-dcache: 1024 bytes, 32-byte blocks, 1-way, LRU replacement, write-back, write-allocate\n" +
+		"l1-data\n" +
+		" Metrics               Total      Fetch       Read      Write\n" +
+		" -----------------  --------   --------   --------   --------\n" +
+		" Demand Fetches             0          0          0          0\n" +
+		" Demand Misses              0          0          0          0\n" +
+		" Demand Miss Rate      0.0000     0.0000     0.0000     0.0000\n" +
+		" Evictions                  0   (writebacks 0)\n" +
+		"\n" +
+		"Per-function statistics\n" +
+		" function                   accesses       hits     misses    miss%\n" +
+		"\n" +
+		"Per-variable statistics\n" +
+		" variable                   accesses       hits     misses    miss%\n" +
+		"---Simulation complete.\n"
+	if got := sim.Report(); got != want {
+		t.Errorf("report:\n%s\nwant:\n%s", got, want)
+	}
+}

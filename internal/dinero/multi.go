@@ -303,14 +303,14 @@ func (m *MultiSim) varID(rec *trace.Record) trace.SymID {
 	if m.trustIDs && rec.VarID != 0 {
 		return rec.VarID
 	}
-	return m.syms.Intern(rec.Var.Root)
+	return m.syms.Intern(rec.Site.Var().Root)
 }
 
 func (m *MultiSim) funcID(rec *trace.Record) trace.SymID {
 	if m.trustIDs && rec.FuncID != 0 {
 		return rec.FuncID
 	}
-	return m.syms.Intern(rec.Func)
+	return m.syms.Intern(rec.Site.Func())
 }
 
 // Feed simulates one trace record against every configuration. Loads

@@ -219,8 +219,8 @@ func TestIdleSimsBounded(t *testing.T) {
 	var recs []trace.Record
 	for v := 0; v < 5; v++ {
 		for j := 0; j < 1024; j++ {
-			recs = append(recs, trace.Record{Op: trace.Load, Addr: uint64(j) * 64 * 32, Size: 4, Func: "f",
-				HasSym: true, Vis: trace.Global, Var: ctype.AccessExpr{Root: fmt.Sprint("v", v)}})
+			recs = append(recs, trace.Record{Op: trace.Load, Addr: uint64(j) * 64 * 32, Size: 4, Site: trace.NewSite("f", ctype.AccessExpr{Root: fmt.Sprint("v", v)}),
+				HasSym: true, Vis: trace.Global})
 		}
 	}
 	big := runMulti(t, MultiOptions{Configs: []cache.Config{{Size: 2 << 20, BlockSize: 32, Assoc: 1}}}, recs, false)

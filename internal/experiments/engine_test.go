@@ -95,6 +95,25 @@ func TestSweepSidesReuseState(t *testing.T) {
 	}
 }
 
+// TestFiguresReuseState: the serial figures release their simulators, so
+// a run of every figure makes at most one simulator state — the first
+// figure's, when no state is idle — and each later figure takes the state
+// the one before it released. Figures that kept theirs made one each.
+func TestFiguresReuseState(t *testing.T) {
+	runs := telemetry.Default().Counter("multisim.runs")
+	states := telemetry.Default().Counter("multisim.states")
+	beforeRuns, before := runs.Value(), states.Value()
+	if _, err := Figures(context.Background(), RunOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if ran := runs.Value() - beforeRuns; ran < 2 {
+		t.Fatalf("the figures ran %d simulations, want several", ran)
+	}
+	if made := states.Value() - before; made > 1 {
+		t.Errorf("the figures made %d simulator states, want at most 1", made)
+	}
+}
+
 // TestSweepsSamplingCheckpointSeparation: sampled runs must not replay
 // exact stored entries (or vice versa) — their keys differ — and the
 // sampled estimates must land within the documented interval-sampling

@@ -256,6 +256,9 @@ func histogramResult(id, title string, recs []trace.Record, shards int, cfg cach
 	if err != nil {
 		return nil, err
 	}
+	// The plot copies every per-set count and the report is a string, so
+	// nothing the result keeps aliases the arrays the release hands on.
+	defer ms.Release()
 	r := &Result{
 		ID:        id,
 		Title:     title,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracedst/internal/ctype"
 	"tracedst/internal/trace"
 )
 
@@ -14,11 +15,11 @@ import (
 func encodeIndexedGLB(t *testing.T) ([]byte, []trace.Record) {
 	t.Helper()
 	recs := []trace.Record{
-		{Op: trace.Load, Addr: 0x1000, Size: 4, Func: "main"},
-		{Op: trace.Store, Addr: 0x1004, Size: 4, Func: "main"},
-		{Op: trace.Load, Addr: 0x2000, Size: 8, Func: "work"},
-		{Op: trace.Load, Addr: 0x2008, Size: 8, Func: "work"},
-		{Op: trace.Store, Addr: 0x1008, Size: 4, Func: "main"},
+		{Op: trace.Load, Addr: 0x1000, Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{})},
+		{Op: trace.Store, Addr: 0x1004, Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{})},
+		{Op: trace.Load, Addr: 0x2000, Size: 8, Site: trace.NewSite("work", ctype.AccessExpr{})},
+		{Op: trace.Load, Addr: 0x2008, Size: 8, Site: trace.NewSite("work", ctype.AccessExpr{})},
+		{Op: trace.Store, Addr: 0x1008, Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{})},
 	}
 	var buf bytes.Buffer
 	bw := trace.NewBinaryWriter(&buf)
@@ -131,7 +132,7 @@ func TestGLBFooterClassesValidateWarn(t *testing.T) {
 func TestGLBFooterClassesNoTrailerPassThrough(t *testing.T) {
 	var buf bytes.Buffer
 	bw := trace.NewBinaryWriter(&buf)
-	rec := trace.Record{Op: trace.Load, Addr: 0x10, Size: 4, Func: "f"}
+	rec := trace.Record{Op: trace.Load, Addr: 0x10, Size: 4, Site: trace.NewSite("f", ctype.AccessExpr{})}
 	if err := bw.Write(&rec); err != nil {
 		t.Fatal(err)
 	}

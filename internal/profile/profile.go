@@ -85,10 +85,11 @@ func (pr *Profiler) Add(r *trace.Record) {
 	p := pr.p
 	p.Records++
 
-	fp := p.Funcs[r.Func]
+	fn := r.Site.Func()
+	fp := p.Funcs[fn]
 	if fp == nil {
-		fp = &FuncProfile{Name: r.Func, blocks: map[uint64]bool{}}
-		p.Funcs[r.Func] = fp
+		fp = &FuncProfile{Name: fn, blocks: map[uint64]bool{}}
+		p.Funcs[fn] = fp
 	}
 	fp.Accesses++
 	switch r.Op {
@@ -106,23 +107,24 @@ func (pr *Profiler) Add(r *trace.Record) {
 	}
 
 	if r.HasSym {
-		vp := p.Vars[r.Var.Root]
+		root := r.Site.Var().Root
+		vp := p.Vars[root]
 		if vp == nil {
-			vp = &VarProfile{Name: r.Var.Root, blocks: map[uint64]bool{}, funcs: map[string]bool{}}
-			p.Vars[r.Var.Root] = vp
+			vp = &VarProfile{Name: root, blocks: map[uint64]bool{}, funcs: map[string]bool{}}
+			p.Vars[root] = vp
 		}
 		vp.Accesses++
 		vp.Bytes += int64(r.Size)
-		vp.funcs[r.Func] = true
+		vp.funcs[fn] = true
 		for b := r.Addr / FootprintBlock; b <= (r.End()-1)/FootprintBlock; b++ {
 			vp.blocks[b] = true
 		}
 	}
 
-	if pr.prevFunc != "" && pr.prevFunc != r.Func {
-		p.Transitions[[2]string{pr.prevFunc, r.Func}]++
+	if pr.prevFunc != "" && pr.prevFunc != fn {
+		p.Transitions[[2]string{pr.prevFunc, fn}]++
 	}
-	pr.prevFunc = r.Func
+	pr.prevFunc = fn
 }
 
 // AddBatch folds a record batch into the profile.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tracedst/internal/ctype"
 	"tracedst/internal/trace"
 	"tracedst/internal/tracer"
 	"tracedst/internal/workloads"
@@ -110,7 +111,7 @@ func TestProfileReport(t *testing.T) {
 }
 
 func TestProfileBlockSpanning(t *testing.T) {
-	recs := []trace.Record{{Op: trace.Load, Addr: 30, Size: 8, Func: "main"}}
+	recs := []trace.Record{{Op: trace.Load, Addr: 30, Size: 8, Site: trace.NewSite("main", ctype.AccessExpr{})}}
 	p := New(recs)
 	if p.WorkingSet != 2 || p.Funcs["main"].Footprint != 2 {
 		t.Errorf("spanning footprint = %d / %d", p.WorkingSet, p.Funcs["main"].Footprint)

@@ -20,7 +20,7 @@ func symbolRecords(n int) []trace.Record {
 	recs := workloadRecords(n)
 	for i := 0; i < n; i += 2 {
 		recs[i].HasSym, recs[i].Vis = true, trace.Global
-		recs[i].Var = ctype.AccessExpr{Root: [...]string{"a", "b", "c"}[i%3]}
+		recs[i].Site = trace.NewSite(recs[i].Site.Func(), ctype.AccessExpr{Root: [...]string{"a", "b", "c"}[i%3]})
 	}
 	return recs
 }

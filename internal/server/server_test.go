@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tracedst/internal/cache"
+	"tracedst/internal/ctype"
 	"tracedst/internal/dinero"
 	"tracedst/internal/telemetry"
 	"tracedst/internal/trace"
@@ -31,7 +32,7 @@ func workloadRecords(n int) []trace.Record {
 			Op:   op,
 			Addr: 0x10000 + uint64(i%257)*64,
 			Size: 4,
-			Func: "work",
+			Site: trace.NewSite("work", ctype.AccessExpr{}),
 		})
 	}
 	return recs

@@ -298,8 +298,8 @@ func testRecords(n int) []trace.Record {
 	recs := make([]trace.Record, n)
 	for i := range recs {
 		recs[i] = trace.Record{
-			Op: trace.Load, Addr: uint64(0x1000 + 8*i), Size: 8, Func: "f",
-			HasSym: true, Vis: trace.Global, Var: ctype.AccessExpr{Root: "a"},
+			Op: trace.Load, Addr: uint64(0x1000 + 8*i), Size: 8, Site: trace.NewSite("f", ctype.AccessExpr{Root: "a"}),
+			HasSym: true, Vis: trace.Global,
 		}
 	}
 	return recs

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"tracedst/internal/ctype"
 )
 
 // Din conversion: the classic DineroIV "din" input format, one access per
@@ -44,6 +46,10 @@ func WriteDin(w io.Writer, recs []Record) (int, error) {
 	return n, bw.Flush()
 }
 
+// dinSite is the site of every record ReadDin makes: din names no
+// function or variable, so the records say "din".
+var dinSite = NewSite("din", ctype.AccessExpr{})
+
 // ReadDin parses a din-format stream into records. Reads become Loads,
 // writes Stores, instruction fetches are mapped to Misc (this simulator
 // does not model an instruction cache). Sizes default to 4 bytes (din
@@ -64,7 +70,7 @@ func ReadDin(r io.Reader) ([]Record, error) {
 		if _, err := fmt.Sscanf(text, "%d %x", &label, &addr); err != nil {
 			return nil, fmt.Errorf("trace: din line %d: %q: %v", lineNo, text, err)
 		}
-		rec := Record{Addr: addr, Size: 4, Func: "din"}
+		rec := Record{Addr: addr, Size: 4, Site: dinSite}
 		switch label {
 		case 0:
 			rec.Op = Load

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"tracedst/internal/ctype"
 )
 
 // failWriter fails after n successful writes.
@@ -135,7 +137,7 @@ func TestFormatLargeTraceStreams(t *testing.T) {
 			Op:   Load,
 			Addr: uint64(i) * 8,
 			Size: 8,
-			Func: fmt.Sprintf("f%d", i%7),
+			Site: NewSite(fmt.Sprintf("f%d", i%7), ctype.AccessExpr{}),
 		}
 	}
 	text := Format(Header{PID: 9}, recs)

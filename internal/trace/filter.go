@@ -16,12 +16,12 @@ func Filter(recs []Record, pred Pred) []Record {
 
 // ByFunc matches records executed by the given function.
 func ByFunc(fn string) Pred {
-	return func(r *Record) bool { return r.Func == fn }
+	return func(r *Record) bool { return r.Site.Func() == fn }
 }
 
 // ByVar matches records annotated with the given root variable.
 func ByVar(root string) Pred {
-	return func(r *Record) bool { return r.HasSym && r.Var.Root == root }
+	return func(r *Record) bool { return r.HasSym && r.Site.Var().Root == root }
 }
 
 // ByOp matches records with any of the given access types.
@@ -80,9 +80,9 @@ func Roots(recs []Record) []string {
 	seen := map[string]bool{}
 	var out []string
 	for i := range recs {
-		if recs[i].HasSym && !seen[recs[i].Var.Root] {
-			seen[recs[i].Var.Root] = true
-			out = append(out, recs[i].Var.Root)
+		if root := recs[i].Site.Var().Root; recs[i].HasSym && !seen[root] {
+			seen[root] = true
+			out = append(out, root)
 		}
 	}
 	return out
@@ -93,9 +93,9 @@ func Funcs(recs []Record) []string {
 	seen := map[string]bool{}
 	var out []string
 	for i := range recs {
-		if !seen[recs[i].Func] {
-			seen[recs[i].Func] = true
-			out = append(out, recs[i].Func)
+		if fn := recs[i].Site.Func(); !seen[fn] {
+			seen[fn] = true
+			out = append(out, fn)
 		}
 	}
 	return out

@@ -123,22 +123,22 @@ func TestInternerTyped(t *testing.T) {
 	if s := in.internFunc([]byte("main")); s != "main" {
 		t.Fatalf("internFunc = %q", s)
 	}
-	v, err := in.internVar([]byte("grid[1].x"))
+	site, err := in.site([]byte("main"), []byte("grid[1].x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Root != "grid" || !v.Path.Equal(ctype.Path{{Index: 1}, {Field: "x"}}) {
-		t.Fatalf("internVar = %+v", v)
+	if v := site.Var(); site.Func() != "main" || v.Root != "grid" || !v.Path.Equal(ctype.Path{{Index: 1}, {Field: "x"}}) {
+		t.Fatalf("site = %q %+v", site.Func(), v)
 	}
 	// "main" as a variable is a scalar access expression of its own.
-	mv, err := in.internVar([]byte("main"))
-	if err != nil || mv.Root != "main" || mv.Path != nil {
-		t.Fatalf("internVar(main) = %+v, %v", mv, err)
+	ms, err := in.site([]byte("main"), []byte("main"))
+	if mv := ms.Var(); err != nil || mv.Root != "main" || mv.Path != nil {
+		t.Fatalf("site(main, main) = %+v, %v", mv, err)
 	}
 	if in.funcs.n != 1 || in.vars.n != 2 {
 		t.Errorf("funcs holds %d, vars %d; want 1 and 2", in.funcs.n, in.vars.n)
 	}
-	if _, err := in.internVar([]byte("a[")); err == nil {
+	if _, err := in.site([]byte("main"), []byte("a[")); err == nil {
 		t.Error("malformed access expression interned")
 	}
 	if in.vars.n != 2 {
@@ -154,13 +154,13 @@ func decodeFixture() []Record {
 	var recs []Record
 	for i := 0; i < 3000; i++ {
 		recs = append(recs,
-			Record{Op: Load, Addr: 0x601040 + uint64(8*i), Size: 8, Func: "walk", HasSym: true,
-				Vis: Global, Aggregate: true, Var: ctype.AccessExpr{Root: "grid", Path: ctype.Path{{Index: int64(i)}, {Field: "x"}}}},
-			Record{Op: Store, Addr: 0x7ff0001b0, Size: 4, Func: "main", HasSym: true,
-				Vis: Local, Frame: 1, Thread: 1, Var: ctype.AccessExpr{Root: "walk"}},
-			Record{Op: Modify, Addr: 0x601000 + uint64(4*(i%16)), Size: 4, Func: "walk", HasSym: true,
-				Vis: Global, Aggregate: true, Var: ctype.AccessExpr{Root: "hist", Path: ctype.Path{{Index: int64(i % 16)}}}},
-			Record{Op: Misc, Addr: 0x7ff000100, Size: 8, Func: "main"},
+			Record{Op: Load, Addr: 0x601040 + uint64(8*i), Size: 8, Site: NewSite("walk", ctype.AccessExpr{Root: "grid", Path: ctype.Path{{Index: int64(i)}, {Field: "x"}}}), HasSym: true,
+				Vis: Global, Aggregate: true},
+			Record{Op: Store, Addr: 0x7ff0001b0, Size: 4, Site: NewSite("main", ctype.AccessExpr{Root: "walk"}), HasSym: true,
+				Vis: Local, Frame: 1, Thread: 1},
+			Record{Op: Modify, Addr: 0x601000 + uint64(4*(i%16)), Size: 4, Site: NewSite("walk", ctype.AccessExpr{Root: "hist", Path: ctype.Path{{Index: int64(i % 16)}}}), HasSym: true,
+				Vis: Global, Aggregate: true},
+			Record{Op: Misc, Addr: 0x7ff000100, Size: 8, Site: NewSite("main", ctype.AccessExpr{})},
 		)
 	}
 	return recs
@@ -267,10 +267,10 @@ func TestDecodedPathsIsolated(t *testing.T) {
 	// slab; recs[2] and recs[66] both spell hist[0].
 	for _, pair := range [][2]int{{0, 2}, {2, 66}} {
 		a, b := &recs[pair[0]], &recs[pair[1]]
-		before := b.Var.Path.Clone()
-		_ = append(a.Var.Path, ctype.PathElem{Field: "clobber"})
-		if !b.Var.Path.Equal(before) {
-			t.Errorf("append to record %d's path changed record %d's: %v", pair[0], pair[1], b.Var.Path)
+		before := b.Site.Var().Path.Clone()
+		_ = append(a.Site.Var().Path, ctype.PathElem{Field: "clobber"})
+		if !b.Site.Var().Path.Equal(before) {
+			t.Errorf("append to record %d's path changed record %d's: %v", pair[0], pair[1], b.Site.Var().Path)
 		}
 	}
 }
@@ -281,9 +281,8 @@ func TestDecodedPathsIsolated(t *testing.T) {
 func TestBinaryReaderSteadyStateAllocs(t *testing.T) {
 	var recs []Record
 	for i := 0; i < 60*256; i++ {
-		recs = append(recs, Record{Op: Load, Addr: uint64(0x601000 + 8*(i%512)), Size: 8, Func: "kernel",
-			HasSym: true, Vis: Global, Aggregate: true,
-			Var: ctype.AccessExpr{Root: "m", Path: ctype.Path{{Index: int64(i % 32)}, {Index: int64(i / 32 % 16)}}}})
+		recs = append(recs, Record{Op: Load, Addr: uint64(0x601000 + 8*(i%512)), Size: 8, Site: NewSite("kernel", ctype.AccessExpr{Root: "m", Path: ctype.Path{{Index: int64(i % 32)}, {Index: int64(i / 32 % 16)}}}),
+			HasSym: true, Vis: Global, Aggregate: true})
 	}
 	rd := NewBinaryReader(bytes.NewReader(encodeBinary(t, nil, recs, 256)))
 	for i := 0; i < 4; i++ { // the population cycles every two blocks
@@ -308,9 +307,8 @@ func TestBlockDecodeDistinctAllocs(t *testing.T) {
 	const n = 8192
 	var recs []Record
 	for i := 0; i < n; i++ {
-		recs = append(recs, Record{Op: Load, Addr: uint64(0x601000 + 8*i), Size: 8, Func: "walk",
-			HasSym: true, Vis: Global, Aggregate: true,
-			Var: ctype.AccessExpr{Root: "grid", Path: ctype.Path{{Index: int64(i)}, {Field: "x"}}}})
+		recs = append(recs, Record{Op: Load, Addr: uint64(0x601000 + 8*i), Size: 8, Site: NewSite("walk", ctype.AccessExpr{Root: "grid", Path: ctype.Path{{Index: int64(i)}, {Field: "x"}}}),
+			HasSym: true, Vis: Global, Aggregate: true})
 	}
 	data := encodeBinary(t, nil, recs, 0)
 	allocs := testing.AllocsPerRun(5, func() {
@@ -335,8 +333,8 @@ func TestBlockDecodeDistinctAllocs(t *testing.T) {
 func TestBinaryWriterSteadyStateAllocs(t *testing.T) {
 	recs := decodeFixture()[:1024]
 	for i := range recs { // a bounded population
-		if recs[i].Var.Root == "grid" {
-			recs[i].Var.Path = ctype.Path{{Index: int64(i % 64)}, {Field: "x"}}
+		if recs[i].Site.Var().Root == "grid" {
+			recs[i].Site = NewSite(recs[i].Site.Func(), ctype.AccessExpr{Root: "grid", Path: ctype.Path{{Index: int64(i % 64)}, {Field: "x"}}})
 		}
 	}
 	wr := NewBinaryWriter(io.Discard)
@@ -388,8 +386,8 @@ func BenchmarkBinaryDecode(b *testing.B) {
 				var buf bytes.Buffer
 				wr := NewBinaryWriter(&buf)
 				for i := 0; i < n; i++ {
-					r := Record{Op: Load, Addr: uint64(0x601000 + 8*i), Size: 8, Func: fmt.Sprint("kernel", k),
-						HasSym: true, Vis: Global, Aggregate: true, Var: ctype.AccessExpr{Root: fmt.Sprint("a", k), Path: pop.path(i)}}
+					r := Record{Op: Load, Addr: uint64(0x601000 + 8*i), Size: 8, Site: NewSite(fmt.Sprint("kernel", k), ctype.AccessExpr{Root: fmt.Sprint("a", k), Path: pop.path(i)}),
+						HasSym: true, Vis: Global, Aggregate: true}
 					if err := wr.Write(&r); err != nil {
 						b.Fatal(err)
 					}

@@ -32,11 +32,11 @@ func TestReaderBasics(t *testing.T) {
 	if len(recs) != 6 {
 		t.Fatalf("got %d records", len(recs))
 	}
-	if recs[2].Var.Root != "glScalar" {
+	if recs[2].Site.Var().Root != "glScalar" {
 		t.Errorf("record 2 = %+v", recs[2])
 	}
-	if recs[4].Var.String() != "glStructArray[0].d1" {
-		t.Errorf("record 4 var = %q", recs[4].Var)
+	if recs[4].Site.Var().String() != "glStructArray[0].d1" {
+		t.Errorf("record 4 var = %q", recs[4].Site.Var())
 	}
 }
 

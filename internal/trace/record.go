@@ -20,6 +20,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -59,30 +60,79 @@ const (
 	Local  Visibility = 'L'
 )
 
+// Site is where an access happened in the program: the function executing
+// it and the variable it touched, spelled as an access expression. A trace
+// names the same few thousand sites over and over, so records share them
+// through one pointer instead of each carrying the names inline — the
+// paper's Transformation 2 (move the fields a hot loop rarely reads out of
+// line) applied to the record itself.
+//
+// A site is immutable: it is never written once a record holds it, so any
+// number of records, batches and goroutines may share one, as they share an
+// Interner's paths. Its names are read through Func and Var, which treat a
+// nil site as one naming nothing, so a zero Record needs no site.
+type Site struct {
+	fn string
+	v  ctype.AccessExpr
+}
+
+// NewSite returns the site of function fn accessing v. The site keeps v's
+// path, which must not be written afterwards.
+func NewSite(fn string, v ctype.AccessExpr) *Site { return &Site{fn: fn, v: v} }
+
+// Func returns the function executing the access ("" for a nil site).
+func (s *Site) Func() string {
+	if s == nil {
+		return ""
+	}
+	return s.fn
+}
+
+// Var returns the accessed variable: root name plus access path (the zero
+// expression for a nil site). The path is shared and must not be written.
+func (s *Site) Var() ctype.AccessExpr {
+	if s == nil {
+		return ctype.AccessExpr{}
+	}
+	return s.v
+}
+
+// equal reports whether two sites name the same function and variable.
+func (s *Site) equal(t *Site) bool {
+	if s == t {
+		return true
+	}
+	sv, tv := s.Var(), t.Var()
+	return s.Func() == t.Func() && sv.Root == tv.Root && sv.Path.Equal(tv.Path)
+}
+
 // Record is a single trace line.
 //
 // The one-byte fields and the 32-bit fields lead the struct so they pack
-// into one 24-byte header ahead of the address and the two string-bearing
-// fields: records are the unit every pipeline stage copies, and the packing
-// keeps a Record at 88 bytes. Frame, Thread and Size are 32-bit in every
-// trace format this package reads; the decoders reject a value that does
-// not fit (see MaxSize) instead of truncating it.
+// into one 24-byte header ahead of the address and the site: records are
+// the unit every pipeline stage copies, and with the names outlined into
+// the shared Site a Record is 40 bytes holding one pointer. Frame, Thread
+// and Size are 32-bit in every trace format this package reads; the
+// decoders reject a value that does not fit (see MaxSize) instead of
+// truncating it.
 type Record struct {
 	Op Op
 	// HasSym reports whether the debug parser could associate the access
 	// with a program variable; when false Vis, Aggregate, Frame, Thread,
-	// Var and VarID are meaningless (e.g. return-address pushes,
-	// unannotated stack traffic).
+	// the site's Var and VarID are meaningless (e.g. return-address
+	// pushes, unannotated stack traffic).
 	HasSym bool
 	// Vis is G for globals, L for locals.
 	Vis Visibility
 	// Aggregate is true when the accessed element is part of a structure or
 	// array (the trace spells the scope GS/LS instead of GV/LV).
 	Aggregate bool
-	// FuncID and VarID are interned ids for Func and Var.Root, filled by
-	// InternRecords against a SymTab. Zero means "not interned"; VarID is
-	// always zero when HasSym is false. They are derived metadata: String,
-	// Equal and the parsers ignore them.
+	// Size is the number of bytes accessed, in [0, MaxSize].
+	Size int32
+	// FuncID and VarID are interned ids for the site's Func and Var.Root,
+	// filled by InternRecords against a SymTab. Zero means "not interned";
+	// VarID is always zero when HasSym is false. They are derived
+	// metadata: String, Equal and the parsers ignore them.
 	FuncID SymID
 	VarID  SymID
 	// Frame is the stack-frame distance for locals: 0 is the executing
@@ -91,14 +141,54 @@ type Record struct {
 	// Thread is the id of the thread that executed the access (locals only;
 	// Gleipnir numbers threads from 1).
 	Thread int32
-	// Size is the number of bytes accessed, in [0, MaxSize].
-	Size int32
 
 	Addr uint64
-	// Func is the function executing the access (always present).
-	Func string
-	// Var is the accessed variable: root name plus access path.
-	Var ctype.AccessExpr
+	// Site names the function executing the access (always present in a
+	// trace line; "" for a nil site) and the accessed variable.
+	Site *Site
+}
+
+// recordJSON is a Record's JSON form: its fields in the order a Record held
+// them when it kept its names inline, Func and Var last. Stores keep
+// records as JSON (figure diffs), so entries read the same whichever
+// layout wrote them.
+type recordJSON struct {
+	Op        Op
+	HasSym    bool
+	Vis       Visibility
+	Aggregate bool
+	FuncID    SymID
+	VarID     SymID
+	Frame     int32
+	Thread    int32
+	Size      int32
+	Addr      uint64
+	Func      string
+	Var       ctype.AccessExpr
+}
+
+// MarshalJSON encodes r with its site's names inline (see recordJSON).
+func (r Record) MarshalJSON() ([]byte, error) {
+	return json.Marshal(recordJSON{
+		Op: r.Op, HasSym: r.HasSym, Vis: r.Vis, Aggregate: r.Aggregate,
+		FuncID: r.FuncID, VarID: r.VarID, Frame: r.Frame, Thread: r.Thread,
+		Size: r.Size, Addr: r.Addr, Func: r.Site.Func(), Var: r.Site.Var(),
+	})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes, giving r a site of its
+// own.
+func (r *Record) UnmarshalJSON(data []byte) error {
+	var j recordJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	*r = Record{
+		Op: j.Op, HasSym: j.HasSym, Vis: j.Vis, Aggregate: j.Aggregate,
+		FuncID: j.FuncID, VarID: j.VarID, Frame: j.Frame, Thread: j.Thread,
+		Size: j.Size, Addr: j.Addr, Site: NewSite(j.Func, j.Var),
+	}
+	return nil
 }
 
 // MaxSize is the largest access size a Record holds. Decoders reject a
@@ -122,17 +212,16 @@ func (r *Record) ScopeCode() string {
 func (r *Record) String() string { return string(r.AppendText(nil)) }
 
 // Equal reports whether two records are identical, including metadata.
+// Sites compare by what they name, not by identity.
 func (r *Record) Equal(s *Record) bool {
-	if r.Op != s.Op || r.Addr != s.Addr || r.Size != s.Size || r.Func != s.Func ||
-		r.HasSym != s.HasSym {
+	if r.Op != s.Op || r.Addr != s.Addr || r.Size != s.Size || r.HasSym != s.HasSym {
 		return false
 	}
 	if !r.HasSym {
-		return true
+		return r.Site.Func() == s.Site.Func()
 	}
 	return r.Vis == s.Vis && r.Aggregate == s.Aggregate &&
-		r.Frame == s.Frame && r.Thread == s.Thread &&
-		r.Var.Root == s.Var.Root && r.Var.Path.Equal(s.Var.Path)
+		r.Frame == s.Frame && r.Thread == s.Thread && r.Site.equal(s.Site)
 }
 
 // End returns the first address past the accessed bytes.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -9,12 +10,27 @@ import (
 )
 
 // TestRecordSize pins the packed field order: the four one-byte fields,
-// then FuncID, VarID, Frame, Thread and Size at 32 bits each, fill one
-// 24-byte header. Every pipeline stage copies records, so a reorder or a
-// widened field that reopens padding costs every stage.
+// then Size, FuncID, VarID, Frame and Thread at 32 bits each, fill one
+// 24-byte header ahead of the address and the site, and the site is the
+// one field holding a pointer. Every pipeline stage copies records, so a
+// reorder or a widened field that reopens padding costs every stage, and
+// each pointer costs a write barrier per copy and a word the collector
+// scans.
 func TestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Record{}); got != 88 {
-		t.Errorf("sizeof(Record) = %d, want 88", got)
+	if got := unsafe.Sizeof(Record{}); got != 40 {
+		t.Errorf("sizeof(Record) = %d, want 40", got)
+	}
+	var ptrs []string
+	rt := reflect.TypeOf(Record{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.Struct, reflect.Array:
+			ptrs = append(ptrs, f.Name)
+		}
+	}
+	if len(ptrs) != 1 || ptrs[0] != "Site" {
+		t.Errorf("fields that may hold pointers: %v, want [Site]", ptrs)
 	}
 }
 
@@ -24,10 +40,10 @@ func TestParseRecordGlobalScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Op != Store || r.Addr != 0x601040 || r.Size != 4 || r.Func != "main" {
+	if r.Op != Store || r.Addr != 0x601040 || r.Size != 4 || r.Site.Func() != "main" {
 		t.Errorf("got %+v", r)
 	}
-	if !r.HasSym || r.Vis != Global || r.Aggregate || r.Var.Root != "glScalar" {
+	if !r.HasSym || r.Vis != Global || r.Aggregate || r.Site.Var().Root != "glScalar" {
 		t.Errorf("symbol fields: %+v", r)
 	}
 	if got := r.String(); got != "S 000601040 4 main GV glScalar" {
@@ -40,7 +56,7 @@ func TestParseRecordLocalScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Vis != Local || r.Frame != 0 || r.Thread != 1 || r.Var.Root != "lcScalar" {
+	if r.Vis != Local || r.Frame != 0 || r.Thread != 1 || r.Site.Var().Root != "lcScalar" {
 		t.Errorf("got %+v", r)
 	}
 	if r.String() != "S 7ff0001bc 4 main LV 0 1 lcScalar" {
@@ -58,8 +74,8 @@ func TestParseRecordGlobalAggregate(t *testing.T) {
 		t.Errorf("scope: %+v", r)
 	}
 	wantPath := ctype.Path{{Index: 0}, {Field: "myArray"}, {Index: 0}}
-	if r.Var.Root != "glStructArray" || !r.Var.Path.Equal(wantPath) {
-		t.Errorf("var = %v", r.Var)
+	if r.Site.Var().Root != "glStructArray" || !r.Site.Var().Path.Equal(wantPath) {
+		t.Errorf("var = %v", r.Site.Var())
 	}
 	if r.ScopeCode() != "GS" {
 		t.Errorf("scope code = %q", r.ScopeCode())
@@ -72,7 +88,7 @@ func TestParseRecordCallerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Frame != 1 || r.Func != "foo" || !r.Aggregate {
+	if r.Frame != 1 || r.Site.Func() != "foo" || !r.Aggregate {
 		t.Errorf("got %+v", r)
 	}
 }
@@ -204,7 +220,6 @@ func TestRecordRoundTripProperty(t *testing.T) {
 			Op:   ops[int(opPick)%len(ops)],
 			Addr: uint64(addr),
 			Size: int32(size%16) + 1,
-			Func: "main",
 		}
 		r.HasSym = true
 		r.Aggregate = agg
@@ -215,10 +230,11 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		} else {
 			r.Vis = Global
 		}
-		r.Var = ctype.AccessExpr{Root: "v"}
+		v := ctype.AccessExpr{Root: "v"}
 		if agg {
-			r.Var.Path = ctype.Path{{Index: int64(idx)}, {Field: "m"}}
+			v.Path = ctype.Path{{Index: int64(idx)}, {Field: "m"}}
 		}
+		r.Site = NewSite("main", v)
 		parsed, err := ParseRecord(r.String())
 		return err == nil && parsed.Equal(&r)
 	}

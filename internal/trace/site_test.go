@@ -1,0 +1,255 @@
+package trace
+
+import (
+	"bytes"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"tracedst/internal/ctype"
+)
+
+// pairedTrace is an indexed trace of 8,192 records over 126 (function,
+// variable) spelling pairs — two alternating functions over 63 elements —
+// plus function-only records of both functions. Every record brings a
+// site of its own.
+func pairedTrace(t *testing.T) []byte {
+	fns := [2]string{"f", "g"}
+	var recs []Record
+	for i := 0; i < 2*DefaultBlockRecords; i++ {
+		k := i / 2
+		r := Record{Op: Load, Addr: uint64(0x601000 + 8*(k%63)), Size: 8, Site: NewSite(fns[i%2], ctype.AccessExpr{})}
+		if k%8 != 0 {
+			r.HasSym, r.Vis, r.Aggregate = true, Global, true
+			r.Site = NewSite(fns[i%2], ctype.AccessExpr{Root: "a", Path: ctype.Path{{Index: int64(k % 63)}}})
+		}
+		recs = append(recs, r)
+	}
+	return encodeIndexed(t, nil, recs, 0)
+}
+
+// spellingOf is a record's site spelling, the identity sites dedupe on.
+func spellingOf(r *Record) string {
+	return r.Site.Func() + " " + r.Site.Var().String()
+}
+
+// siteCensus decodes src to its end and returns how many distinct site
+// pointers and spellings its records carry, failing if one spelling came
+// with two sites.
+func siteCensus(t *testing.T, name string, src RecordSource) (map[*Site]bool, int) {
+	t.Helper()
+	sites, bySpelling := map[*Site]bool{}, map[string]*Site{}
+	for {
+		batch, err := src.NextBatch()
+		if err != nil {
+			break
+		}
+		for i := range batch {
+			r := &batch[i]
+			sites[r.Site] = true
+			key := spellingOf(r)
+			if s, ok := bySpelling[key]; ok && s != r.Site {
+				t.Fatalf("%s: spelling %q came with two sites", name, key)
+			}
+			bySpelling[key] = r.Site
+		}
+	}
+	return sites, len(bySpelling)
+}
+
+// TestDecoderSharesSites: every decoder hands out one site per (function,
+// variable) spelling pair, and a second stream of the same trace decodes
+// through the recycled state to the same sites, making none.
+func TestDecoderSharesSites(t *testing.T) {
+	for _, d := range decoders(t, pairedTrace(t)) {
+		first, spellings := siteCensus(t, d.name, d.open())
+		if spellings != 128 || len(first) != spellings {
+			t.Errorf("%s: %d sites for %d spellings, want 128 of each (126 pairs, 2 functions alone)", d.name, len(first), spellings)
+		}
+		second, _ := siteCensus(t, d.name, d.open())
+		for s := range second {
+			if !first[s] {
+				t.Errorf("%s: the second stream made site %v", d.name, s)
+				break
+			}
+		}
+	}
+}
+
+// TestSecondStreamMakesNoSite bounds a second stream's allocation where
+// its first stream made a site per pair: the sites stay with the state,
+// so the second stream allocates no more than TestSecondStreamReusesState
+// allows.
+func TestSecondStreamMakesNoSite(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	data := pairedTrace(t)
+	for _, d := range decoders(t, data) {
+		dropIdleStates()
+		exhaust(t, d.open())
+		before := heapAllocBytes()
+		exhaust(t, d.open())
+		if got := heapAllocBytes() - before; got > 1<<10 {
+			t.Errorf("%s: the second stream allocated %d bytes, want ≤ 1024", d.name, got)
+		}
+	}
+}
+
+// TestAlternatingFunctionsShareSites: a block whose records alternate two
+// functions over one variable takes two sites, not one per record, on a
+// decoder whose tables are new — in binary, where each record misses its
+// slot's cached pair, and in text.
+func TestAlternatingFunctionsShareSites(t *testing.T) {
+	sites := [2]*Site{
+		NewSite("f", ctype.AccessExpr{Root: "v"}),
+		NewSite("g", ctype.AccessExpr{Root: "v"}),
+	}
+	var recs []Record
+	var text []byte
+	for i := 0; i < DefaultBlockRecords; i++ {
+		recs = append(recs, Record{Op: Load, Addr: 0x601000, Size: 4, HasSym: true, Vis: Global, Site: sites[i%2]})
+		text = append(recs[i].AppendText(text), '\n')
+	}
+	tr, err := NewIndexedBytes(encodeIndexed(t, nil, recs, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed, n, _, err := tr.frameAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := blockDecoder{intern: NewInterner()}
+	got, err := dec.checkAndDecode(framed, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewInterner()
+	for _, line := range bytes.SplitAfter(text[:len(text)-1], []byte("\n")) {
+		r, err := in.ParseRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, r)
+	}
+	distinct := map[*Site]bool{}
+	for i := range got {
+		distinct[got[i].Site] = true
+		if want := sites[i%2]; !got[i].Equal(&recs[i%len(recs)]) || got[i].Site.Func() != want.Func() {
+			t.Fatalf("record %d = %v, want %v", i, &got[i], &recs[i%len(recs)])
+		}
+	}
+	if len(distinct) != 4 {
+		t.Errorf("%d records took %d sites, want 2 from each decoder", len(got), len(distinct))
+	}
+}
+
+// TestEqualComparesSpelling: Equal compares what sites name, not which
+// site a record holds; a nil site names what an empty one does.
+func TestEqualComparesSpelling(t *testing.T) {
+	v := ctype.AccessExpr{Root: "a", Path: ctype.Path{{Index: 3}, {Field: "x"}}}
+	a := Record{Op: Store, Addr: 0x601040, Size: 4, HasSym: true, Vis: Global, Aggregate: true, Site: NewSite("main", v)}
+	b := a
+	b.Site = NewSite("main", ctype.AccessExpr{Root: "a", Path: v.Path.Clone()})
+	if a.Site == b.Site || !a.Equal(&b) || !b.Equal(&a) {
+		t.Errorf("records with two sites of one spelling are not equal")
+	}
+	for _, other := range []*Site{
+		NewSite("other", v),
+		NewSite("main", ctype.AccessExpr{Root: "b", Path: v.Path}),
+		NewSite("main", ctype.AccessExpr{Root: "a", Path: ctype.Path{{Index: 3}, {Field: "y"}}}),
+		nil,
+	} {
+		c := a
+		c.Site = other
+		if a.Equal(&c) {
+			t.Errorf("%v equals %v", &a, &c)
+		}
+	}
+	var zero Record
+	empty := Record{Site: NewSite("", ctype.AccessExpr{})}
+	if !zero.Equal(&empty) || !empty.Equal(&zero) {
+		t.Errorf("a nil site and an empty one differ")
+	}
+}
+
+// TestZeroRecord: a zero Record, which holds no site, renders, encodes in
+// both formats and validates exactly as a Record with empty inline names
+// did.
+func TestZeroRecord(t *testing.T) {
+	var r Record
+	if got, want := r.String(), "\x00 000000000 0 "; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	var text bytes.Buffer
+	tw := NewWriter(&text)
+	if err := tw.WriteHeader(Header{PID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Write(&r); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := text.String(), "START PID 1\n\x00 000000000 0 \n"; got != want {
+		t.Errorf("text trace %q, want %q", got, want)
+	}
+	glb := encodeBinary(t, nil, []Record{r}, 0)
+	if want := "\x89GLB1\n\x00\x00\x06\x01\xe8\xdd+h\x01\x00\x03\x00\x00\x00"; string(glb) != want {
+		t.Errorf(".glb bytes %q, want %q", glb, want)
+	}
+	back, err := NewBinaryReader(bytes.NewReader(glb)).ReadAll()
+	if err != nil || len(back) != 1 {
+		t.Fatalf("decoded %d records, %v", len(back), err)
+	}
+	if want := (Record{Op: Misc}); !back[0].Equal(&want) {
+		t.Errorf("decoded %v, want a Misc record with no names", &back[0])
+	}
+	rep := ValidateRecords(Header{PID: 1}, true, []Record{r})
+	want := "FAIL: 1 records, 0 bad lines, PID 1 — 1 errors, 0 warnings\n" +
+		"  error: line 1: [region] address 000000000 outside the data/heap/stack regions\n"
+	if got := rep.Summary(); got != want {
+		t.Errorf("validation:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRecordJSON: a record's JSON form spells its names inline, in the
+// field order records kept before sites, and reads back to an equal
+// record.
+func TestRecordJSON(t *testing.T) {
+	r := Record{Op: Load, HasSym: true, Vis: Local, Aggregate: true, FuncID: 2, VarID: 3, Frame: 1, Thread: 1,
+		Size: 4, Addr: 0x7ff000010, Site: NewSite("main", ctype.AccessExpr{Root: "s", Path: ctype.Path{{Index: 1}, {Field: "x"}}})}
+	data, err := r.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"Op":76,"HasSym":true,"Vis":76,"Aggregate":true,"FuncID":2,"VarID":3,"Frame":1,"Thread":1,` +
+		`"Size":4,"Addr":34342961168,"Func":"main","Var":{"Root":"s","Path":[{"Field":"","Index":1},{"Field":"x","Index":0}]}}`
+	if string(data) != want {
+		t.Errorf("JSON %s\nwant %s", data, want)
+	}
+	var back Record
+	if err := back.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	if !back.Equal(&r) || back.FuncID != r.FuncID || back.VarID != r.VarID {
+		t.Errorf("read back %+v, want %+v", back, r)
+	}
+}
+
+// TestSitesNotCountedAsSpellings: trace.decode.spellings counts names, not
+// the sites made of them, so a pair of known names costs no spelling.
+func TestSitesNotCountedAsSpellings(t *testing.T) {
+	in := NewInterner()
+	sites := map[*Site]bool{}
+	for _, line := range []string{"L 000601000 4 f GV v", "L 000601000 4 g GV v", "L 000601000 4 f", "S 000601000 4 g GV v"} {
+		r, err := in.ParseRecord([]byte(line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites[r.Site] = true
+	}
+	if made := in.endStream(); made != 3 || len(sites) != 3 {
+		t.Errorf("lines over f, g and v made %d spellings and %d sites, want 3 and 3", made, len(sites))
+	}
+}

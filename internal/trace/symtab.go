@@ -80,9 +80,9 @@ func (t *SymTab) Len() int {
 func InternRecords(t *SymTab, recs []Record) {
 	for i := range recs {
 		r := &recs[i]
-		r.FuncID = t.Intern(r.Func)
+		r.FuncID = t.Intern(r.Site.Func())
 		if r.HasSym {
-			r.VarID = t.Intern(r.Var.Root)
+			r.VarID = t.Intern(r.Site.Var().Root)
 		} else {
 			r.VarID = 0
 		}

@@ -14,7 +14,7 @@ import (
 
 // ParseRecordBytes parses one trace line held as bytes. It accepts exactly
 // the grammar ParseRecord documents and allocates only the record's own
-// strings (Func, Var); use an Interner to amortize those across a stream.
+// site and its strings; use an Interner to amortize those across a stream.
 func ParseRecordBytes(line []byte) (Record, error) {
 	return parseRecordBytes(line, nil)
 }
@@ -28,7 +28,7 @@ func (r *Record) AppendText(dst []byte) []byte {
 	dst = append(dst, ' ')
 	dst = strconv.AppendInt(dst, int64(r.Size), 10)
 	dst = append(dst, ' ')
-	dst = append(dst, r.Func...)
+	dst = append(dst, r.Site.Func()...)
 	if !r.HasSym {
 		return dst
 	}
@@ -44,7 +44,7 @@ func (r *Record) AppendText(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, int64(r.Thread), 10)
 	}
 	dst = append(dst, ' ')
-	return r.Var.AppendText(dst)
+	return r.Site.Var().AppendText(dst)
 }
 
 // appendHex9 appends addr as lowercase hex, zero-padded to at least 9
@@ -129,13 +129,9 @@ func parseRecordBytes(line []byte, in *Interner) (Record, error) {
 		return r, fmt.Errorf("trace: bad size %q in %q", fields[2], line)
 	}
 	r.Size = size
-	if in != nil {
-		r.Func = in.internFunc(fields[3])
-	} else {
-		r.Func = string(fields[3])
-	}
+	fn := fields[3]
 	if nf == 4 {
-		return r, nil
+		return r, r.setSite(in, fn, nil, line)
 	}
 	scope := fields[4]
 	if len(scope) != 2 || (scope[0] != 'G' && scope[0] != 'L') || (scope[1] != 'V' && scope[1] != 'S') {
@@ -162,18 +158,28 @@ func parseRecordBytes(line []byte, in *Interner) (Record, error) {
 	} else if nf != 6 {
 		return r, fmt.Errorf("trace: expected variable name at end of %q", line)
 	}
-	var v ctype.AccessExpr
+	return r, r.setSite(in, fn, fields[varIdx], line)
+}
+
+// setSite gives r the site of function fn accessing the variable spelled
+// v (nil for a record without symbol information), shared through in, or
+// a site of its own when in is nil.
+func (r *Record) setSite(in *Interner, fn, v, line []byte) error {
 	var err error
 	if in != nil {
-		v, err = in.internVar(fields[varIdx])
+		r.Site, err = in.site(fn, v)
 	} else {
-		v, err = ctype.ParseAccess(string(fields[varIdx]))
+		var x ctype.AccessExpr
+		if v != nil {
+			x, err = ctype.ParseAccess(string(v))
+		}
+		r.Site = NewSite(string(fn), x)
 	}
 	if err != nil {
-		return r, fmt.Errorf("trace: %v in %q", err, line)
+		r.Site = nil
+		return fmt.Errorf("trace: %v in %q", err, line)
 	}
-	r.Var = v
-	return r, nil
+	return nil
 }
 
 // parseHex parses an unsigned hex field (no 0x prefix, no sign).

@@ -509,10 +509,10 @@ func (v *recordChecker) checkRegions(line int, r *Record) {
 	switch {
 	case r.Vis == Global && region == "stack":
 		v.rep.add(line, SevWarn, CodeRegion,
-			"global %s accessed at stack address %09x", r.Var.Root, r.Addr)
+			"global %s accessed at stack address %09x", r.Site.Var().Root, r.Addr)
 	case r.Vis == Local && region != "stack":
 		v.rep.add(line, SevWarn, CodeRegion,
-			"local %s accessed at %s address %09x", r.Var.Root, region, r.Addr)
+			"local %s accessed at %s address %09x", r.Site.Var().Root, region, r.Addr)
 	}
 }
 
@@ -524,11 +524,11 @@ func (v *recordChecker) checkOrder(line int, r *Record) {
 		return
 	}
 	if r.Frame < 0 {
-		v.rep.add(line, SevError, CodeOrder, "negative frame distance %d for %s", r.Frame, r.Var.Root)
+		v.rep.add(line, SevError, CodeOrder, "negative frame distance %d for %s", r.Frame, r.Site.Var().Root)
 	}
 	switch t := int64(r.Thread); {
 	case t < 1:
-		v.rep.add(line, SevError, CodeOrder, "thread id %d below 1 for %s", t, r.Var.Root)
+		v.rep.add(line, SevError, CodeOrder, "thread id %d below 1 for %s", t, r.Site.Var().Root)
 	case t > v.maxThread+1:
 		v.rep.add(line, SevError, CodeOrder,
 			"thread %d introduced out of order (highest so far %d)", t, v.maxThread)
@@ -545,17 +545,18 @@ func (v *recordChecker) checkSymRef(line int, r *Record) {
 	if !r.HasSym {
 		return
 	}
-	if r.Aggregate && len(r.Var.Path) == 0 {
+	x := r.Site.Var()
+	if r.Aggregate && len(x.Path) == 0 {
 		v.rep.add(line, SevWarn, CodeSymRef,
-			"aggregate scope %s for %s without an access path", r.ScopeCode(), r.Var.Root)
+			"aggregate scope %s for %s without an access path", r.ScopeCode(), x.Root)
 	}
-	if !r.Aggregate && len(r.Var.Path) > 0 {
+	if !r.Aggregate && len(x.Path) > 0 {
 		v.rep.add(line, SevWarn, CodeSymRef,
-			"scalar scope %s for %s with access path %s", r.ScopeCode(), r.Var.Root, r.Var)
+			"scalar scope %s for %s with access path %s", r.ScopeCode(), x.Root, x)
 	}
-	info, ok := v.syms[r.Var.Root]
+	info, ok := v.syms[x.Root]
 	if !ok {
-		v.syms[r.Var.Root] = &symInfo{
+		v.syms[x.Root] = &symInfo{
 			line: line, vis: r.Vis, aggregate: r.Aggregate, scalar: !r.Aggregate,
 		}
 		return
@@ -563,7 +564,7 @@ func (v *recordChecker) checkSymRef(line int, r *Record) {
 	if info.vis != r.Vis {
 		v.rep.add(line, SevError, CodeSymRef,
 			"%s seen as both %c and %c scope (first at line %d)",
-			r.Var.Root, byte(info.vis), byte(r.Vis), info.line)
+			x.Root, byte(info.vis), byte(r.Vis), info.line)
 		return
 	}
 	if r.Aggregate {
@@ -574,7 +575,7 @@ func (v *recordChecker) checkSymRef(line int, r *Record) {
 	if info.aggregate && info.scalar && !info.mixed {
 		v.rep.add(line, SevWarn, CodeSymRef,
 			"%s accessed both as scalar and as aggregate (first at line %d)",
-			r.Var.Root, info.line)
+			x.Root, info.line)
 		info.mixed = true
 	}
 }

@@ -18,8 +18,8 @@ func validatorRecords(n int) []Record {
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{
-			Op: Load, Addr: 0x601040 + uint64(i%64)*4, Size: 4, Func: "main",
-			HasSym: true, Vis: Global, Var: ctype.AccessExpr{Root: "g"},
+			Op: Load, Addr: 0x601040 + uint64(i%64)*4, Size: 4, Site: NewSite("main", ctype.AccessExpr{Root: "g"}),
+			HasSym: true, Vis: Global,
 		}
 	}
 	return recs
@@ -28,8 +28,8 @@ func validatorRecords(n int) []Record {
 // outOfOrderThread is a record the checks reject: a local access from
 // thread 3 before threads 1 and 2 were seen.
 var outOfOrderThread = Record{
-	Op: Load, Addr: 0x7ff0001b0, Size: 8, Func: "main",
-	HasSym: true, Vis: Local, Thread: 3, Var: ctype.AccessExpr{Root: "l"},
+	Op: Load, Addr: 0x7ff0001b0, Size: 8, Site: NewSite("main", ctype.AccessExpr{Root: "l"}),
+	HasSym: true, Vis: Local, Thread: 3,
 }
 
 func encodeText(t *testing.T, h Header, recs []Record) string {

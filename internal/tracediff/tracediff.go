@@ -264,7 +264,7 @@ func (d *Diff) ChangedVariables() map[string]int {
 		case Rewritten, Inserted:
 			rec := &d.B[r.B]
 			if rec.HasSym {
-				out[rec.Var.Root]++
+				out[rec.Site.Var().Root]++
 			} else {
 				out["(nosym)"]++
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tracedst/internal/ctype"
 	"tracedst/internal/rules"
 	"tracedst/internal/trace"
 	"tracedst/internal/tracer"
@@ -195,7 +196,7 @@ func TestDiffCountInvariant(t *testing.T) {
 				Op:   trace.Load,
 				Addr: uint64(w%8) * 32,
 				Size: 4,
-				Func: "main",
+				Site: trace.NewSite("main", ctype.AccessExpr{}),
 			}
 		}
 		return recs

@@ -2,6 +2,7 @@ package tracer
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestListing2Trace(t *testing.T) {
 	}
 	foundModify := false
 	for _, r := range res.Records {
-		if r.Op == trace.Modify && r.HasSym && r.Var.Root == "i" {
+		if r.Op == trace.Modify && r.HasSym && r.Site.Var().Root == "i" {
 			foundModify = true
 		}
 	}
@@ -77,9 +78,9 @@ func TestListing2Trace(t *testing.T) {
 	var retIdx = -1
 	for i := 0; i+2 < len(res.Records); i++ {
 		a, b, c := &res.Records[i], &res.Records[i+1], &res.Records[i+2]
-		if a.Op == trace.Store && !a.HasSym && a.Func == "main" && a.Size == 8 &&
-			b.Op == trace.Store && !b.HasSym && b.Func == "foo" && b.Size == 8 &&
-			c.Op == trace.Store && c.HasSym && c.Func == "foo" && c.Var.Root == "StrcParam" {
+		if a.Op == trace.Store && !a.HasSym && a.Site.Func() == "main" && a.Size == 8 &&
+			b.Op == trace.Store && !b.HasSym && b.Site.Func() == "foo" && b.Size == 8 &&
+			c.Op == trace.Store && c.HasSym && c.Site.Func() == "foo" && c.Site.Var().Root == "StrcParam" {
 			retIdx = i
 			break
 		}
@@ -142,7 +143,7 @@ func TestTrans1SoATrace(t *testing.T) {
 		if !r.HasSym {
 			continue
 		}
-		switch r.Var.String() {
+		switch r.Site.Var().String() {
 		case "lSoA.mX[0]":
 			mx0 = r.Addr
 		case "lSoA.mX[1]":
@@ -168,7 +169,7 @@ func TestTrans1AoSTrace(t *testing.T) {
 		if !r.HasSym {
 			continue
 		}
-		switch r.Var.String() {
+		switch r.Site.Var().String() {
 		case "lAoS[0].mX":
 			x0 = r.Addr
 		case "lAoS[0].mY":
@@ -196,7 +197,7 @@ func TestInstrumentationWindow(t *testing.T) {
 	// No store of the mRarelyUsed pointer fields may appear (setup loop).
 	for _, r := range res.Records {
 		if r.Op == trace.Store && r.HasSym && r.Size == 8 &&
-			strings.HasSuffix(r.Var.String(), ".mRarelyUsed") {
+			strings.HasSuffix(r.Site.Var().String(), ".mRarelyUsed") {
 			t.Errorf("setup-loop store leaked into trace: %s", r.String())
 		}
 	}
@@ -340,9 +341,9 @@ int main(void) {
 			continue
 		}
 		switch {
-		case r.Func == "g" && r.Var.Root == "x":
+		case r.Site.Func() == "g" && r.Site.Var().Root == "x":
 			xLoads++
-		case r.Func == "main" && r.Var.Root == "i":
+		case r.Site.Func() == "main" && r.Site.Var().Root == "i":
 			iLoads++
 		}
 	}
@@ -350,7 +351,7 @@ int main(void) {
 		t.Errorf("g loads x %d times, main loads i %d times; want 2 and 1:\n%s",
 			xLoads, iLoads, strings.Join(lines(res), "\n"))
 	}
-	if last := res.Records[len(res.Records)-1]; last.Op != trace.Store || last.Var.String() != "m[2][3]" {
+	if last := res.Records[len(res.Records)-1]; last.Op != trace.Store || last.Site.Var().String() != "m[2][3]" {
 		t.Errorf("last record %q, want the store to m[2][3]", last.String())
 	}
 }
@@ -456,4 +457,40 @@ func mustParse(t *testing.T, src string, defines map[string]string) *minic.Progr
 		t.Fatal(err)
 	}
 	return prog
+}
+
+// TestSitesShared: the tracer hands every record of one function, symbol
+// and element the same site, carved from a slab: tracing a sweep over an
+// array of 4,096 elements makes no allocation per element, where a path
+// and a site of its own each would make two. The memo is direct-mapped by
+// address, so an array larger than it may evict a scalar's site now and
+// then: lI loses its slot once here.
+func TestSitesShared(t *testing.T) {
+	const n = 4096
+	defs := map[string]string{"LEN": fmt.Sprint(n)}
+	res, err := Run(workloads.Trans1SoA, defs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, spellings := map[*trace.Site]bool{}, map[string]bool{}
+	for i := range res.Records {
+		r := &res.Records[i]
+		sites[r.Site] = true
+		spellings[r.Site.Func()+" "+r.Site.Var().String()] = true
+	}
+	if len(sites) > len(spellings)+2 || len(spellings) < 2*n {
+		t.Errorf("%d records hold %d sites for %d spellings, want one per spelling", len(res.Records), len(sites), len(spellings))
+	}
+	prog, err := minic.Parse(workloads.Trans1SoA, defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := RunProgram(prog, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > n/4 {
+		t.Errorf("tracing %d records over %d sites made %.0f allocations, want ≤ %d", len(res.Records), len(sites), allocs, n/4)
+	}
 }

@@ -58,7 +58,7 @@ func TestMatMulComputesProduct(t *testing.T) {
 	roots := map[string]bool{}
 	for i := range res.Records {
 		if res.Records[i].HasSym {
-			roots[res.Records[i].Var.Root] = true
+			roots[res.Records[i].Site.Var().Root] = true
 		}
 	}
 	for _, want := range []string{"A", "B", "C", "s"} {
@@ -104,8 +104,8 @@ func TestStencilBoundaries(t *testing.T) {
 	// dst[0] and dst[N-1] are never written.
 	for i := range res.Records {
 		r := &res.Records[i]
-		if r.Op == trace.Store && r.HasSym && r.Var.Root == "dst" {
-			idx := r.Var.Path[0].Index
+		if r.Op == trace.Store && r.HasSym && r.Site.Var().Root == "dst" {
+			idx := r.Site.Var().Path[0].Index
 			if idx == 0 || idx == 15 {
 				t.Errorf("boundary element dst[%d] written", idx)
 			}
@@ -153,7 +153,7 @@ func TestHistogramIndirectWrites(t *testing.T) {
 	mods := 0
 	for i := range res.Records {
 		r := &res.Records[i]
-		if r.Op == trace.Modify && r.HasSym && r.Var.Root == "hist" {
+		if r.Op == trace.Modify && r.HasSym && r.Site.Var().Root == "hist" {
 			mods++
 		}
 	}
@@ -180,8 +180,8 @@ func TestBinSearchFindsKeys(t *testing.T) {
 	// The traced window must show keys accesses from find at depth 1.
 	sawFind := false
 	for i := range res.Records {
-		if res.Records[i].Func == "find" && res.Records[i].HasSym &&
-			res.Records[i].Var.Root == "keys" {
+		if res.Records[i].Site.Func() == "find" && res.Records[i].HasSym &&
+			res.Records[i].Site.Var().Root == "keys" {
 			sawFind = true
 			break
 		}

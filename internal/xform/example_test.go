@@ -33,7 +33,7 @@ struct lAoS { int mX; double mY; }[4];
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(out[0].Var.String())
+	fmt.Println(out[0].Site.Var().String())
 	// Output: lAoS[2].mX
 }
 
@@ -64,7 +64,7 @@ struct lS2 { int mFrequentlyUsed; * mRarelyUsed:pool; }[4];
 		panic(err)
 	}
 	for _, r := range out {
-		fmt.Println(r.Op.String(), r.Var.String())
+		fmt.Println(r.Op.String(), r.Site.Var().String())
 	}
 	// Output:
 	// L lS2[1].mRarelyUsed

@@ -55,7 +55,7 @@ func TestHeapStructureTransformation(t *testing.T) {
 	sawHeap := false
 	for i := range res.Records {
 		r := &res.Records[i]
-		if r.HasSym && r.Var.Root == "heap_main_1" {
+		if r.HasSym && r.Site.Var().Root == "heap_main_1" {
 			sawHeap = true
 			if r.Vis != trace.Global {
 				t.Errorf("heap record not globally visible: %s", r.String())
@@ -77,7 +77,7 @@ func TestHeapStructureTransformation(t *testing.T) {
 	var text strings.Builder
 	for i := range got {
 		if got[i].HasSym {
-			text.WriteString(got[i].Var.String())
+			text.WriteString(got[i].Site.Var().String())
 			text.WriteByte('\n')
 		}
 	}
@@ -95,7 +95,7 @@ func TestHeapStructureTransformation(t *testing.T) {
 		if !got[i].HasSym {
 			continue
 		}
-		switch got[i].Var.String() {
+		switch got[i].Site.Var().String() {
 		case "heapSoA.mX[0]":
 			x0 = got[i].Addr
 		case "heapSoA.mX[1]":

@@ -95,8 +95,8 @@ func TestArrayPaddingViaStrideRule(t *testing.T) {
 
 	// Index mapping sanity: addresses must follow the formula exactly.
 	for i := range padded {
-		if padded[i].HasSym && padded[i].Var.Root == "mPadded" {
-			idx := padded[i].Var.Path[0].Index
+		if padded[i].HasSym && padded[i].Site.Var().Root == "mPadded" {
+			idx := padded[i].Site.Var().Path[0].Index
 			base, _ := eng.OutBase("mPadded")
 			if padded[i].Addr != base+uint64(idx*4) {
 				t.Fatalf("address inconsistent at index %d", idx)

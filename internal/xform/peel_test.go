@@ -123,7 +123,7 @@ func TestPeelTransform(t *testing.T) {
 	text := strings.Builder{}
 	for i := range got {
 		if got[i].HasSym {
-			text.WriteString(got[i].Var.String())
+			text.WriteString(got[i].Site.Var().String())
 			text.WriteByte('\n')
 		}
 	}
@@ -142,7 +142,7 @@ func TestPeelTransform(t *testing.T) {
 		if !got[i].HasSym {
 			continue
 		}
-		switch got[i].Var.String() {
+		switch got[i].Site.Var().String() {
 		case "lHot[0].hot":
 			h0 = got[i].Addr
 		case "lHot[1].hot":
@@ -189,8 +189,8 @@ struct gY { int y; }[4];
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out[0].Var.String() != "gX[0].x" {
-		t.Errorf("out = %s", out[0].Var.String())
+	if out[0].Site.Var().String() != "gX[0].x" {
+		t.Errorf("out = %s", out[0].Site.Var().String())
 	}
 	x, _ := eng.OutBase("gX")
 	y, ok := eng.OutBase("gY")

@@ -60,7 +60,7 @@ func TestFieldReorderingRemap(t *testing.T) {
 	var h0, h1 uint64
 	for i := range got {
 		if got[i].HasSym {
-			switch got[i].Var.String() {
+			switch got[i].Site.Var().String() {
 			case "lRec2[0].hot":
 				h0 = got[i].Addr
 			case "lRec2[1].hot":

@@ -42,7 +42,7 @@ func varStrings(recs []trace.Record) []string {
 	var out []string
 	for i := range recs {
 		if recs[i].HasSym {
-			out = append(out, recs[i].Var.String())
+			out = append(out, recs[i].Site.Var().String())
 		} else {
 			out = append(out, "-")
 		}
@@ -74,9 +74,9 @@ func TestTrans1Fig5(t *testing.T) {
 			t.Fatalf("record %d: op/size %c/%d vs reference %c/%d", i, g.Op, g.Size, r.Op, r.Size)
 		}
 		// Variable naming must match the reference exactly for lAoS records.
-		if r.HasSym && strings.HasPrefix(r.Var.Root, "lAoS") {
-			if !g.HasSym || g.Var.String() != r.Var.String() {
-				t.Fatalf("record %d: %q vs reference %q", i, g.Var.String(), r.Var.String())
+		if r.HasSym && strings.HasPrefix(r.Site.Var().Root, "lAoS") {
+			if !g.HasSym || g.Site.Var().String() != r.Site.Var().String() {
+				t.Fatalf("record %d: %q vs reference %q", i, g.Site.Var().String(), r.Site.Var().String())
 			}
 		}
 	}
@@ -84,7 +84,7 @@ func TestTrans1Fig5(t *testing.T) {
 	// layout: mY 8 bytes after mX, consecutive structs 16 bytes apart.
 	addrOf := func(recs []trace.Record, v string) uint64 {
 		for i := range recs {
-			if recs[i].HasSym && recs[i].Var.String() == v {
+			if recs[i].HasSym && recs[i].Site.Var().String() == v {
 				return recs[i].Addr
 			}
 		}
@@ -161,9 +161,9 @@ func TestTrans2Fig8(t *testing.T) {
 	// Find the first transformed nested write: must be preceded by the
 	// pointer load, exactly as the green lines of Fig 8.
 	for i := 1; i < len(got); i++ {
-		if got[i].HasSym && got[i].Var.String() == "lStorageForRarelyUsed[0].mY" {
+		if got[i].HasSym && got[i].Site.Var().String() == "lStorageForRarelyUsed[0].mY" {
 			prev := &got[i-1]
-			if prev.Op != trace.Load || prev.Var.String() != "lS2[0].mRarelyUsed" || prev.Size != 8 {
+			if prev.Op != trace.Load || prev.Site.Var().String() != "lS2[0].mRarelyUsed" || prev.Size != 8 {
 				t.Errorf("pointer load missing before pool access: %s", prev.String())
 			}
 			if got[i].Op != trace.Store || got[i].Size != 8 {
@@ -223,7 +223,7 @@ func TestTrans2Layout(t *testing.T) {
 	var y0, y1 uint64
 	for i := range got {
 		if got[i].HasSym {
-			switch got[i].Var.String() {
+			switch got[i].Site.Var().String() {
 			case "lStorageForRarelyUsed[0].mY":
 				y0 = got[i].Addr
 			case "lStorageForRarelyUsed[1].mY":
@@ -253,7 +253,7 @@ func TestTrans3Fig9(t *testing.T) {
 	// loads, with lI reusing its real trace address.
 	idx := -1
 	for i := range got {
-		if got[i].HasSym && got[i].Var.String() == "lSetHashingArray[0]" {
+		if got[i].HasSym && got[i].Site.Var().String() == "lSetHashingArray[0]" {
 			idx = i
 			break
 		}
@@ -263,7 +263,7 @@ func TestTrans3Fig9(t *testing.T) {
 	}
 	names := []string{}
 	for _, r := range got[idx-4 : idx] {
-		names = append(names, r.Var.Root)
+		names = append(names, r.Site.Var().Root)
 		if r.Op != trace.Load {
 			t.Errorf("injected op = %c", r.Op)
 		}
@@ -277,7 +277,7 @@ func TestTrans3Fig9(t *testing.T) {
 	// The injected lI load must reuse lI's true address.
 	var liAddr uint64
 	for i := range orig {
-		if orig[i].HasSym && orig[i].Var.Root == "lI" {
+		if orig[i].HasSym && orig[i].Site.Var().Root == "lI" {
 			liAddr = orig[i].Addr
 			break
 		}
@@ -292,8 +292,8 @@ func TestTrans3Fig9(t *testing.T) {
 
 	// Index mapping: element 9 lands at formula position 129.
 	for i := range got {
-		if got[i].HasSym && got[i].Var.Root == "lSetHashingArray" {
-			j := got[i].Var.Path[0].Index
+		if got[i].HasSym && got[i].Site.Var().Root == "lSetHashingArray" {
+			j := got[i].Site.Var().Path[0].Index
 			base, _ := eng.OutBase("lSetHashingArray")
 			if got[i].Addr != base+uint64(j*4) {
 				t.Fatalf("address %#x inconsistent with index %d", got[i].Addr, j)
@@ -320,7 +320,7 @@ func TestTrans3SetPinning(t *testing.T) {
 	}
 	sets := map[uint64]bool{}
 	for i := range got {
-		if got[i].HasSym && got[i].Var.Root == "lSetHashingArray" {
+		if got[i].HasSym && got[i].Site.Var().Root == "lSetHashingArray" {
 			sets[(got[i].Addr>>5)&15] = true
 		}
 	}
@@ -382,8 +382,8 @@ func TestMultipleRules(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if o1[0].Var.Root != "lAoS" || o2[0].Var.Root != "lS2" {
-		t.Errorf("multi-rule roots = %s, %s", o1[0].Var.Root, o2[0].Var.Root)
+	if o1[0].Site.Var().Root != "lAoS" || o2[0].Site.Var().Root != "lS2" {
+		t.Errorf("multi-rule roots = %s, %s", o1[0].Site.Var().Root, o2[0].Site.Var().Root)
 	}
 }
 
@@ -503,9 +503,9 @@ func TestRemapBijective(t *testing.T) {
 			}
 			got := out[len(out)-1]
 			if prev, dup := seen[got.Addr]; dup {
-				t.Fatalf("address collision: %s and %s at %#x", prev, got.Var.String(), got.Addr)
+				t.Fatalf("address collision: %s and %s at %#x", prev, got.Site.Var().String(), got.Addr)
 			}
-			seen[got.Addr] = got.Var.String()
+			seen[got.Addr] = got.Site.Var().String()
 		}
 	}
 	if len(seen) != 32 {

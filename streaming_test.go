@@ -19,6 +19,7 @@ import (
 
 	"tracedst/internal/cache"
 	"tracedst/internal/cliutil"
+	"tracedst/internal/ctype"
 	"tracedst/internal/dinero"
 	"tracedst/internal/trace"
 )
@@ -185,10 +186,14 @@ func writeBigTrace(t *testing.T, nrecs int) string {
 	bw := trace.NewBinaryWriter(f)
 	bw.EnableIndex()
 	rec := trace.Record{Op: trace.Load, Size: 4}
+	sites := make([]*trace.Site, 97)
+	for i := range sites {
+		sites[i] = trace.NewSite(fmt.Sprintf("fn%d", i), ctype.AccessExpr{})
+	}
 	for i := 0; i < nrecs; i++ {
 		// Vary function and address so the string table and delta encoder
 		// both do real work.
-		rec.Func = fmt.Sprintf("fn%d", i%97)
+		rec.Site = sites[i%97]
 		rec.Addr = 0x601000 + uint64(i%4096)*64
 		if i%3 == 0 {
 			rec.Op = trace.Store

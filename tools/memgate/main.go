@@ -25,6 +25,7 @@ import (
 
 	"tracedst/internal/cache"
 	"tracedst/internal/cliutil"
+	"tracedst/internal/ctype"
 	"tracedst/internal/dinero"
 	"tracedst/internal/trace"
 )
@@ -176,7 +177,7 @@ func generate(path string, target int64, block int) (nrecs, size int64, err erro
 	// check runs every 1024 records to keep the loop tight.
 	for cw.n < target || i == 0 {
 		for j := 0; j < 1024; j++ {
-			rec.Func = funcNames[i%uint64(len(funcNames))]
+			rec.Site = funcSites[i%uint64(len(funcSites))]
 			rec.Addr = 0x601000 + (i%4096)*64
 			if i%3 == 0 {
 				rec.Op = trace.Store
@@ -200,12 +201,14 @@ func generate(path string, target int64, block int) (nrecs, size int64, err erro
 	return int64(i), cw.n, nil
 }
 
-var funcNames = func() []string {
-	names := make([]string, 97)
-	for i := range names {
-		names[i] = fmt.Sprintf("workload_fn_%02d", i)
+// funcSites are the sites of the generated records: one per function,
+// none naming a variable.
+var funcSites = func() []*trace.Site {
+	sites := make([]*trace.Site, 97)
+	for i := range sites {
+		sites[i] = trace.NewSite(fmt.Sprintf("workload_fn_%02d", i), ctype.AccessExpr{})
 	}
-	return names
+	return sites
 }()
 
 type countingWriter struct {

@@ -22,6 +22,13 @@
 //	out, _  := eng.TransformAll(res.Records)
 //	sim, _  := tracedst.Simulate(out, tracedst.Paper32KDirect())
 //	fmt.Print(sim.Report())
+//
+// A Record keeps its names out of line: records of one function and
+// access expression share one immutable Site, read through its Func and
+// Var accessors.
+//
+//	r := out[0]
+//	fmt.Println(r.Site.Func(), r.Site.Var())
 package tracedst
 
 import (
@@ -41,6 +48,9 @@ import (
 type (
 	// Record is one Gleipnir trace line.
 	Record = trace.Record
+	// Site is the function and variable a Record names, shared by every
+	// record of that spelling.
+	Site = trace.Site
 	// Header is the trace-file preamble.
 	Header = trace.Header
 	// TraceOptions configure trace collection.

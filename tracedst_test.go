@@ -123,6 +123,6 @@ int main(void) {
 	GLEIPNIR_STOP_INSTRUMENTATION;
 	return g;
 }`, nil, tracedst.TraceOptions{})
-	fmt.Println(res.Records[len(res.Records)-1].Var.Root)
+	fmt.Println(res.Records[len(res.Records)-1].Site.Var().Root)
 	// Output: g
 }
