@@ -83,7 +83,7 @@ type RecordWriter interface {
 // a valid text trace). The decoder takes a decode state, whose read buffer
 // wraps r unless r is already buffered; a failed open gives it back.
 func OpenReader(r io.Reader, opts DecodeOptions) (RecordReader, FileFormat, error) {
-	st := getDecodeState()
+	st := getDecodeState(0)
 	br := st.reader(r, BinaryMagicLen, textReadBuffer)
 	// Peek only errors when fewer than BinaryMagicLen bytes are available
 	// (EOF, or a short read from a faltering underlying reader). A prefix

@@ -247,6 +247,14 @@ func (t *IndexedTrace) ShardRanges(n int) [][2]int {
 	return ranges
 }
 
+// rangeKey names blocks [lo, hi) of t to getDecodeState, so that a source
+// over the same blocks of a trace of the same size (a shard of a trace
+// decoded again) takes the state that decoded them before. Two inputs
+// that share a key only share a preference.
+func (t *IndexedTrace) rangeKey(lo, hi int) uint64 {
+	return uint64(t.index.Records)<<32 ^ uint64(lo)<<16 ^ uint64(hi) | 1
+}
+
 // blockRangeSource decodes a contiguous block range out of the mapping.
 type blockRangeSource struct {
 	t    *IndexedTrace
@@ -274,7 +282,7 @@ func (s *blockRangeSource) NextBatch() ([]Record, error) {
 			return nil, s.end(err)
 		}
 		if s.st == nil {
-			s.st = getDecodeState()
+			s.st = getDecodeState(s.t.rangeKey(i, s.hi))
 		}
 		recs, derr := s.st.dec.checkAndDecode(framed, recCount, s.st.recs[:0])
 		s.st.recs = recs

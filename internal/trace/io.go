@@ -43,7 +43,7 @@ func NewReader(r io.Reader) *Reader { return NewReaderOptions(r, DecodeOptions{}
 
 // NewReaderOptions returns a Reader with explicit decode options.
 func NewReaderOptions(r io.Reader, opts DecodeOptions) *Reader {
-	return newReader(r, opts, getDecodeState())
+	return newReader(r, opts, getDecodeState(0))
 }
 
 // newReader returns a Reader over r that decodes through st.

@@ -67,7 +67,7 @@ func (t *IndexedTrace) decodeAll(workers int) (recs []Record, ok bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := getDecodeState()
+			st := getDecodeState(0)
 			defer st.release()
 			for i := int(next.Add(1) - 1); i < nb && !failed.Load(); i = int(next.Add(1) - 1) {
 				framed, n, end, err := t.frameAt(i)
