@@ -41,8 +41,9 @@ func (m MissClass) String() string {
 
 // OwnerID labels the program variable that filled a line, for eviction
 // attribution. The cache never interprets it beyond equality; callers that
-// track variables by name intern them (e.g. via trace.SymTab) and pass the
-// resulting integer. NoOwner (zero) means "unknown".
+// track variables by name intern them (dinero.MultiSim keeps a symbol
+// table of its own) and pass the resulting integer. NoOwner (zero) means
+// "unknown".
 type OwnerID int32
 
 // NoOwner is the OwnerID of an unattributed access.

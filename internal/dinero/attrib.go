@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"tracedst/internal/cache"
-	"tracedst/internal/trace"
 )
 
 // attrib is one configuration's attribution state: the per-variable series,
@@ -12,11 +11,11 @@ import (
 // owns one per configuration, whichever engine runs it, so both engines
 // share the same bookkeeping (and the same report) down to the byte.
 type attrib struct {
-	syms  *trace.SymTab
+	syms  *symTab
 	nsets int
-	st    *simState // where its series' pages come from
+	st    *simState // where its series, totals and pages come from
 
-	// varsByID / funcsByID are indexed by trace.SymID; nil entries are
+	// varsByID / funcsByID are indexed by symID; nil entries are
 	// symbols the simulation never touched.
 	varsByID  []*VarSeries
 	funcsByID []*FuncStats
@@ -27,12 +26,12 @@ type attrib struct {
 	conflicts [][]int64
 }
 
-func newAttrib(syms *trace.SymTab, nsets int) attrib {
+func newAttrib(syms *symTab, nsets int) attrib {
 	return attrib{syms: syms, nsets: nsets}
 }
 
 // bumpConflict counts one eviction of victim's line by evictor's fill.
-func (a *attrib) bumpConflict(evictor trace.SymID, victim cache.OwnerID) {
+func (a *attrib) bumpConflict(evictor symID, victim cache.OwnerID) {
 	i, j := int(evictor), int(victim)
 	a.conflicts = growTo(a.conflicts, i+1)
 	row := growTo(a.conflicts[i], j+1)
@@ -58,37 +57,38 @@ func growTo[T any](s []T, n int) []T {
 	return s
 }
 
-// varAt returns id's series, creating it on first sight. Only a new id
-// stores the grown table back, so the per-access lookup of a known id
-// writes no slice header.
-func (a *attrib) varAt(id trace.SymID) *VarSeries {
+// varAt returns id's series, taking it from the state on first sight.
+// Only a new id stores the grown table back, so the per-access lookup of
+// a known id writes no slice header.
+func (a *attrib) varAt(id symID) *VarSeries {
 	if int(id) < len(a.varsByID) {
 		if vs := a.varsByID[id]; vs != nil {
 			return vs
 		}
 	}
 	a.varsByID = growTo(a.varsByID, int(id)+1)
-	vs := newVarSeries(a.syms.Name(id), a.nsets, a.st)
+	vs := a.st.varSeries(a.syms.name(id), a.nsets)
 	a.varsByID[id] = vs
 	return vs
 }
 
-// funcAt returns id's totals, creating them on first sight (see varAt).
-func (a *attrib) funcAt(id trace.SymID) *FuncStats {
+// funcAt returns id's totals, taking them from the state on first sight
+// (see varAt).
+func (a *attrib) funcAt(id symID) *FuncStats {
 	if int(id) < len(a.funcsByID) {
 		if fs := a.funcsByID[id]; fs != nil {
 			return fs
 		}
 	}
 	a.funcsByID = growTo(a.funcsByID, int(id)+1)
-	fs := &FuncStats{Name: a.syms.Name(id)}
+	fs := a.st.funcStats(a.syms.name(id))
 	a.funcsByID[id] = fs
 	return fs
 }
 
 // varNamed returns the series for one variable (nil when unseen).
 func (a *attrib) varNamed(name string) *VarSeries {
-	id, ok := a.syms.Lookup(name)
+	id, ok := a.syms.ids[name]
 	if !ok || int(id) >= len(a.varsByID) {
 		return nil
 	}
@@ -102,7 +102,7 @@ func (a *attrib) varNamed(name string) *VarSeries {
 // noteBlock attributes one block-granular outcome: per-variable and
 // per-function tallies, the variable's per-set series, and — when the fill
 // displaced another variable's line — the conflict matrix.
-func (a *attrib) noteBlock(vid, fid trace.SymID, set int, hit bool, owner, evicted cache.OwnerID) {
+func (a *attrib) noteBlock(vid, fid symID, set int, hit bool, owner, evicted cache.OwnerID) {
 	vs := a.varAt(vid)
 	fs := a.funcAt(fid)
 	vs.Accesses++
@@ -186,8 +186,8 @@ func (a *attrib) conflictList() []Conflict {
 				continue
 			}
 			out = append(out, Conflict{
-				Evictor: a.syms.Name(trace.SymID(i)),
-				Victim:  a.syms.Name(trace.SymID(j)),
+				Evictor: a.syms.name(symID(i)),
+				Victim:  a.syms.name(symID(j)),
 				Count:   n,
 			})
 		}
@@ -214,7 +214,7 @@ func (a *attrib) mergeFrom(other *attrib) {
 		if vs == nil {
 			continue
 		}
-		dst := a.varAt(a.syms.Intern(vs.Name))
+		dst := a.varAt(a.syms.intern(vs.Name))
 		dst.Accesses += vs.Accesses
 		dst.Hits += vs.Hits
 		dst.Misses += vs.Misses
@@ -246,7 +246,7 @@ func (a *attrib) mergeFrom(other *attrib) {
 		if fs == nil {
 			continue
 		}
-		dst := a.funcAt(a.syms.Intern(fs.Name))
+		dst := a.funcAt(a.syms.intern(fs.Name))
 		dst.Accesses += fs.Accesses
 		dst.Hits += fs.Hits
 		dst.Misses += fs.Misses
@@ -256,8 +256,8 @@ func (a *attrib) mergeFrom(other *attrib) {
 			if n == 0 {
 				continue
 			}
-			ev := a.syms.Intern(other.syms.Name(trace.SymID(i)))
-			vi := a.syms.Intern(other.syms.Name(trace.SymID(j)))
+			ev := a.syms.intern(other.syms.name(symID(i)))
+			vi := a.syms.intern(other.syms.name(symID(j)))
 			a.bumpConflict(ev, cache.OwnerID(vi)) // grows the cell
 			a.conflicts[int(ev)][int(vi)] += n - 1
 		}

@@ -42,7 +42,7 @@ func TestAttribGrowthAmortized(t *testing.T) {
 	allocs = testing.AllocsPerRun(1, func() {
 		a := newAttrib(nil, 1)
 		for i := 0; i < n; i++ {
-			a.bumpConflict(trace.SymID(i), 0)
+			a.bumpConflict(symID(i), 0)
 		}
 	})
 	if allocs > n+2*logN+1 {

@@ -5,12 +5,11 @@
 // paper's figures, and a variable×variable eviction matrix exposes
 // "conflicts between program structures".
 //
-// The per-access hot path is allocation-lean: symbols are interned into
-// integer ids (trace.SymTab) so attribution is a slice index instead of a
-// string-map lookup, cache outcomes land in a reusable buffer, and per-set
-// series grow lazily in 64-set pages. Feeding records that were interned
-// (trace.InternRecords) against the table passed in Options.Syms skips
-// string handling entirely.
+// The per-access hot path is allocation-lean: each simulator interns the
+// names it attributes to into integer ids of its own, resolved once per
+// trace.Site through a memo keyed by the site pointer (records carry no
+// ids), so attribution is a slice index; cache outcomes land in a
+// reusable buffer, and per-set series grow lazily in 64-set pages.
 package dinero
 
 import (
@@ -35,14 +34,6 @@ type Options struct {
 	// physically indexed (shared) caches, the paper's §VI remedy for
 	// virtual-address-only traces.
 	Translate func(uint64) uint64
-	// Syms, when non-nil, is the intern table the simulator attributes
-	// against. Records whose FuncID/VarID were filled by
-	// trace.InternRecords against this same table are attributed without
-	// touching their string fields — the fast path for parallel sweeps
-	// sharing one immutable record slice. When nil the simulator creates a
-	// private table and interns per record, and any ids carried on records
-	// are ignored (they belong to some other table).
-	Syms *trace.SymTab
 }
 
 // perSetPage is the lazy-allocation granule of a variable's per-set series.
@@ -67,15 +58,6 @@ type VarSeries struct {
 	nsets int
 	dirty bool
 	st    *simState // where new pages come from
-}
-
-func newVarSeries(name string, nsets int, st *simState) *VarSeries {
-	return &VarSeries{
-		Name:  name,
-		nsets: nsets,
-		pages: make([][]cache.SetStats, (nsets+perSetPage-1)/perSetPage),
-		st:    st,
-	}
 }
 
 // touch records one block outcome for set.
@@ -137,7 +119,7 @@ type Simulator struct{ m *MultiSim }
 // New builds a simulator.
 func New(opts Options) (*Simulator, error) {
 	m, err := newMulti(MultiOptions{
-		Configs: []cache.Config{opts.L1}, L2: opts.L2, Translate: opts.Translate, Syms: opts.Syms,
+		Configs: []cache.Config{opts.L1}, L2: opts.L2, Translate: opts.Translate,
 	}, true)
 	if err != nil {
 		return nil, err

@@ -51,8 +51,6 @@ type MultiOptions struct {
 	// Translate maps virtual addresses before they reach any cache; it
 	// runs once per access, shared by every configuration.
 	Translate func(uint64) uint64
-	// Syms is the shared intern table (see Options.Syms).
-	Syms *trace.SymTab
 	// Sampling selects the approximation tier; zero value is exact.
 	Sampling Sampling
 	// StatsOnly skips per-variable/per-function attribution and the
@@ -66,18 +64,18 @@ type MultiOptions struct {
 
 // MultiSim evaluates N cache configurations over one pass of a trace. It
 // is the one trace-consuming front end: Simulator is a one-config
-// MultiSim. Record iteration, op dispatch, address translation and symbol
-// resolution happen once per access; each configuration then updates its
-// own state on one of two engines. Configurations inside the kernel
+// MultiSim. Record iteration, op dispatch and address translation happen
+// once per access, and symbol ids once per site while the site memo holds
+// it (see resolve); each configuration then updates its own state on one
+// of two engines. Configurations inside the kernel
 // envelope (single-level, no prefetch, no classification) share
 // cache.MultiSim's flat state; the rest run on bare cache.Cache levels.
 // Exact-mode results are byte-identical to N independent Simulator runs —
 // Report(i) renders through the same code path over the same counters.
 type MultiSim struct {
-	cfgs     []cache.Config
-	syms     *trace.SymTab
-	trustIDs bool
-	nosymID  trace.SymID
+	cfgs    []cache.Config
+	syms    *symTab
+	nosymID symID
 
 	translate func(uint64) uint64
 	sampling  Sampling
@@ -100,16 +98,17 @@ type MultiSim struct {
 	out []cache.Outcome
 
 	// The access the kernel is simulating, for visitBlock.
-	curVid trace.SymID
-	curFid trace.SymID
+	curVid symID
+	curFid symID
 	curOwn cache.OwnerID
 
 	fed     int64 // records seen (including skipped windows)
 	simFed  int64 // records in simulated windows
 	ignored int64 // non-memory ops in simulated windows
 
-	// st holds the attribution's pages across runs; a Simulator, which is
-	// never released, has one of its own. See Release.
+	// st holds the attribution's series, pages and site memo across runs;
+	// a Simulator, which is never released, has one of its own. See
+	// Release.
 	st       *simState
 	released bool
 }
@@ -139,17 +138,12 @@ func newMulti(opts MultiOptions, reference bool) (*MultiSim, error) {
 			nk++
 		}
 	}
-	syms := opts.Syms
-	trust := syms != nil
-	if syms == nil {
-		syms = trace.NewSymTab()
-	}
+	syms := newSymTab()
 	n := len(opts.Configs)
 	m := &MultiSim{
 		cfgs:      append([]cache.Config(nil), opts.Configs...),
 		syms:      syms,
-		trustIDs:  trust,
-		nosymID:   syms.Intern(NoSymbol),
+		nosymID:   syms.intern(NoSymbol),
 		translate: opts.Translate,
 		sampling:  sm,
 		window:    int64(sm.WindowLen()),
@@ -189,6 +183,9 @@ func newMulti(opts MultiOptions, reference bool) (*MultiSim, error) {
 	} else {
 		m.st = getSimState()
 	}
+	if !m.statsOnly && m.st.memo == nil {
+		m.st.memo = new(siteMemo)
+	}
 	for i := range m.at {
 		m.at[i].st = m.st
 	}
@@ -196,10 +193,12 @@ func newMulti(opts MultiOptions, reference bool) (*MultiSim, error) {
 }
 
 // Release hands the simulator's state to the next NewMulti: the kernel's
-// arrays and the attribution's 64-set pages. Neither the simulator nor
-// anything read from it that shares that state may be used afterwards:
-// Stats(i).PerSet shares the kernel's array, and a *VarSeries shares its
-// pages. Values copied out before — a report, a miss count — stay valid.
+// arrays, the attribution's series, function totals and 64-set pages, and
+// the site memo, cleared. Neither the simulator nor anything read from it
+// that shares that state may be used afterwards: Stats(i).PerSet shares
+// the kernel's array, and a *VarSeries or *FuncStats is handed to the
+// next run. Values copied out before — a report, a miss count, a
+// VarSeries' PerSet slice — stay valid.
 // A released MultiSim panics on use, and a second Release does nothing.
 // No goroutine may still be feeding it.
 func (m *MultiSim) Release() {
@@ -209,9 +208,7 @@ func (m *MultiSim) Release() {
 	if m.kernel != nil {
 		m.kernel.Release()
 	}
-	for i := range m.at {
-		m.st.reclaim(&m.at[i])
-	}
+	m.st.reclaim(m.at)
 	putSimState(m.st)
 	*m = MultiSim{released: true}
 }
@@ -296,23 +293,6 @@ func (m *MultiSim) visitBlock(cfg, set int, hit bool, evicted cache.OwnerID) {
 	m.at[cfg].noteBlock(m.curVid, m.curFid, set, hit, m.curOwn, evicted)
 }
 
-func (m *MultiSim) varID(rec *trace.Record) trace.SymID {
-	if !rec.HasSym {
-		return m.nosymID
-	}
-	if m.trustIDs && rec.VarID != 0 {
-		return rec.VarID
-	}
-	return m.syms.Intern(rec.Site.Var().Root)
-}
-
-func (m *MultiSim) funcID(rec *trace.Record) trace.SymID {
-	if m.trustIDs && rec.FuncID != 0 {
-		return rec.FuncID
-	}
-	return m.syms.Intern(rec.Site.Func())
-}
-
 // Feed simulates one trace record against every configuration. Loads
 // access the caches once; stores likewise; modifies perform a read
 // followed by a write (the two halves of the RMW). Other records are
@@ -362,8 +342,7 @@ func (m *MultiSim) apply(rec *trace.Record, kind cache.Kind) {
 		}
 		return
 	}
-	vid := m.varID(rec)
-	fid := m.funcID(rec)
+	vid, fid := m.resolve(rec)
 	owner := cache.OwnerID(vid)
 	if m.kernel != nil {
 		m.curVid, m.curFid, m.curOwn = vid, fid, owner
@@ -467,8 +446,8 @@ func (m *MultiSim) ScaledStats(i int) cache.Stats {
 // MergeFrom folds another MultiSim's accumulated state into this one:
 // per-config raw statistics at every level, full attribution
 // (per-variable series with per-set counters, per-function stats,
-// conflict matrices — matched by symbol name, so the two sides may use
-// different intern tables) and record counters. It is the reduce step of
+// conflict matrices — matched by symbol name, as each side has a symbol
+// table of its own) and record counters. It is the reduce step of
 // sharded simulation: merging cold shards equals one serial run with
 // Flush at each shard boundary. Both sides must have the same
 // configurations in the same order on the same engines, and exact

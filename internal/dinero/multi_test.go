@@ -41,40 +41,32 @@ func multiTestConfigs() []cache.Config {
 
 // TestMultiSimReportsMatchSerial is the core exactness contract: one
 // multi-config pass must produce, for every configuration, a report
-// byte-identical to an independent Simulator run — on both the interned
-// fast path and the string-interning fallback path.
+// byte-identical to an independent Simulator run.
 func TestMultiSimReportsMatchSerial(t *testing.T) {
 	cfgs := multiTestConfigs()
-	for _, shared := range []bool{true, false} {
-		recs := multiRecords(30000, 16)
-		var tab *trace.SymTab
-		if shared {
-			tab = trace.NewSymTab()
-			trace.InternRecords(tab, recs)
-		}
-		ms, err := NewMulti(MultiOptions{Configs: cfgs, Syms: tab})
+	recs := multiRecords(30000, 16)
+	ms, err := NewMulti(MultiOptions{Configs: cfgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms.Process(recs)
+	for i, cfg := range cfgs {
+		ref, err := New(Options{L1: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms.Process(recs)
-		for i, cfg := range cfgs {
-			ref, err := New(Options{L1: cfg, Syms: tab})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Process(recs)
-			if got, want := ms.Report(i), ref.Report(); got != want {
-				t.Errorf("shared=%v config %d (%+v): multi report != serial report\n--- multi ---\n%s\n--- serial ---\n%s",
-					shared, i, cfg, got, want)
-			}
-			if got, want := ms.Stats(i), ref.L1().Stats(); got.Misses() != want.Misses() || got.Accesses() != want.Accesses() {
-				t.Errorf("shared=%v config %d: stats diverge (multi %d/%d, serial %d/%d)",
-					shared, i, got.Misses(), got.Accesses(), want.Misses(), want.Accesses())
-			}
+		ref.Process(recs)
+		if got, want := ms.Report(i), ref.Report(); got != want {
+			t.Errorf("config %d (%+v): multi report != serial report\n--- multi ---\n%s\n--- serial ---\n%s",
+				i, cfg, got, want)
 		}
-		if ms.Records() != int64(len(recs)) || ms.SimulatedRecords() != int64(len(recs)) {
-			t.Errorf("shared=%v: records %d simulated %d, want %d", shared, ms.Records(), ms.SimulatedRecords(), len(recs))
+		if got, want := ms.Stats(i), ref.L1().Stats(); got.Misses() != want.Misses() || got.Accesses() != want.Accesses() {
+			t.Errorf("config %d: stats diverge (multi %d/%d, serial %d/%d)",
+				i, got.Misses(), got.Accesses(), want.Misses(), want.Accesses())
 		}
+	}
+	if ms.Records() != int64(len(recs)) || ms.SimulatedRecords() != int64(len(recs)) {
+		t.Errorf("records %d simulated %d, want %d", ms.Records(), ms.SimulatedRecords(), len(recs))
 	}
 }
 
@@ -252,9 +244,7 @@ func TestMultiSimFeedZeroAllocs(t *testing.T) {
 		{Size: 4096, BlockSize: 32, Assoc: 64, Repl: cache.ReplRoundRobin},
 	}
 	recs := multiRecords(4096, 16)
-	tab := trace.NewSymTab()
-	trace.InternRecords(tab, recs)
-	ms, err := NewMulti(MultiOptions{Configs: cfgs, Syms: tab})
+	ms, err := NewMulti(MultiOptions{Configs: cfgs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +267,7 @@ func BenchmarkMultiSimFeed(b *testing.B) {
 		cfgs = append(cfgs, cache.Config{Size: size, BlockSize: 32, Assoc: 1})
 	}
 	recs := multiRecords(4096, 16)
-	tab := trace.NewSymTab()
-	trace.InternRecords(tab, recs)
-	ms, err := NewMulti(MultiOptions{Configs: cfgs, Syms: tab})
+	ms, err := NewMulti(MultiOptions{Configs: cfgs})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,9 +287,7 @@ func BenchmarkMultiSimFeedStatsOnly(b *testing.B) {
 		cfgs = append(cfgs, cache.Config{Size: size, BlockSize: 32, Assoc: 1})
 	}
 	recs := multiRecords(4096, 16)
-	tab := trace.NewSymTab()
-	trace.InternRecords(tab, recs)
-	ms, err := NewMulti(MultiOptions{Configs: cfgs, Syms: tab, StatsOnly: true})
+	ms, err := NewMulti(MultiOptions{Configs: cfgs, StatsOnly: true})
 	if err != nil {
 		b.Fatal(err)
 	}

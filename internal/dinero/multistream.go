@@ -36,10 +36,10 @@ type MultiShardedResult struct {
 
 // MultiSimSharded streams an indexed binary trace through min(shards,
 // blocks) workers over disjoint block ranges, each feeding a cold
-// MultiSim, and merges the shards. opts.Syms must be nil (each shard
-// interns privately; MergeFrom matches attribution by symbol name),
-// opts.Translate must be nil (one page map cannot serve concurrent
-// shards), and opts.Sampling must be exact — interval sampling is
+// MultiSim, and merges the shards (each shard interns privately;
+// MergeFrom matches attribution by symbol name). opts.Translate must be
+// nil (one page map cannot serve concurrent shards), and opts.Sampling
+// must be exact — interval sampling is
 // stateful across the whole record stream and cannot split. dec carries
 // the lenient/strict decode semantics applied per shard.
 func MultiSimSharded(tr *trace.IndexedTrace, opts MultiOptions, shards int, dec trace.DecodeOptions) (*MultiShardedResult, error) {
@@ -69,7 +69,7 @@ func MultiSimShardedContext(ctx context.Context, tr *trace.IndexedTrace, opts Mu
 // split into min(shards, len(recs)) contiguous windows, each simulated on
 // a cold MultiSim, and the shards merge. It backs the experiments sweeps
 // and figure regeneration, where traces are already materialized. Same
-// constraints as MultiSimSharded: nil Syms, nil Translate, exact sampling.
+// constraints as MultiSimSharded: nil Translate, exact sampling.
 func MultiSimShardedRecords(ctx context.Context, recs []trace.Record, opts MultiOptions, shards int) (*MultiShardedResult, error) {
 	requested, err := checkMultiShard(&opts, &shards)
 	if err != nil {
@@ -96,9 +96,6 @@ func ShardNote(shards int) string {
 // its own goroutine, and pagemap.Mapper.Translate writes an unsynchronized
 // page map on first touch.
 func checkMultiShard(opts *MultiOptions, shards *int) (int, error) {
-	if opts.Syms != nil {
-		return 0, fmt.Errorf("dinero: MultiSimSharded: shared Syms table is not supported (shards intern privately)")
-	}
 	if opts.Translate != nil {
 		return 0, fmt.Errorf("dinero: MultiSimSharded: physical indexing is not shardable (shards would share one page map); run it serially")
 	}

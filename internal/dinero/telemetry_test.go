@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tracedst/internal/telemetry"
-	"tracedst/internal/trace"
 )
 
 // TestFeedZeroAllocsWithTelemetry guards the hot-path contract of the
@@ -26,9 +25,7 @@ func TestFeedZeroAllocsWithTelemetry(t *testing.T) {
 	}()
 
 	recs := benchRecords(4096, 16)
-	tab := trace.NewSymTab()
-	trace.InternRecords(tab, recs)
-	s, err := New(Options{L1: benchL1(), Syms: tab})
+	s, err := New(Options{L1: benchL1()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,9 +66,8 @@ func (r *Result) notef(format string, args ...interface{}) {
 // memoTrace caches one workload's record slice behind a sync.Once, so a
 // full Sweeps+Figures run traces (and transforms) each workload exactly
 // once however many figures share it, including when figures run
-// concurrently. Records are interned against sharedSyms on first
-// resolution; afterwards the slice is immutable and may be shared across
-// goroutines. The slice's content hash, which keys its results in a
+// concurrently. Once made, the slice is immutable and may be shared
+// across goroutines. The slice's content hash, which keys its results in a
 // store, is memoized the same way but computed only when first asked for,
 // so a run without a store hashes nothing.
 type memoTrace struct {
@@ -86,7 +85,6 @@ func (m *memoTrace) get() ([]trace.Record, error) {
 	m.once.Do(func() {
 		m.recs, m.err = m.gen()
 		if m.err == nil {
-			trace.InternRecords(sharedSyms, m.recs)
 			m.err = validateRecords(m.recs)
 		}
 	})
@@ -223,9 +221,8 @@ func transformedTrace(orig *memoTrace, ruleSrc string) *memoTrace {
 }
 
 // simulate runs records once through the single-pass multi-config engine
-// for the given configs, attributing against the shared intern table (the
-// records' ids were issued by it) and publishing the finished pass's
-// counters to the default registry. Exact-mode MultiSim reports and
+// for the given configs and publishes the finished pass's counters to the
+// default registry. Exact-mode MultiSim reports and
 // per-variable series are byte-identical to independent Simulator runs,
 // so figures built from it print exactly as before. With shards above 1
 // the pass runs on the sharded full-attribution engine instead (cold
@@ -241,7 +238,7 @@ func simulate(recs []trace.Record, shards int, cfgs ...cache.Config) (*dinero.Mu
 		res.PublishShardTelemetry(reg)
 		return res.Sim, nil
 	}
-	ms, err := dinero.NewMulti(dinero.MultiOptions{Configs: cfgs, Syms: sharedSyms})
+	ms, err := dinero.NewMulti(dinero.MultiOptions{Configs: cfgs})
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func TestFigureMultiSimParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := dinero.New(dinero.Options{L1: c.cfg, Syms: sharedSyms})
+			ref, err := dinero.New(dinero.Options{L1: c.cfg})
 			if err != nil {
 				t.Fatal(err)
 			}

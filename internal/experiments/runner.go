@@ -11,14 +11,7 @@ import (
 	"tracedst/internal/dinero"
 	"tracedst/internal/simcache"
 	"tracedst/internal/telemetry"
-	"tracedst/internal/trace"
 )
-
-// sharedSyms is the intern table every experiment trace and simulator
-// shares: traces are interned once when memoized, after which record slices
-// are immutable and safe to share across the worker pool, and simulators
-// attribute by integer id without touching strings.
-var sharedSyms = trace.NewSymTab()
 
 // RunOptions bundles everything that shapes a resilient batch run: worker
 // count, failure policy, and the store (nil = no persistence).

@@ -96,7 +96,7 @@ const simChunk = 1 << 16
 // simulated, outcomes, page allocations) to the default registry — after
 // the hot loop, so the per-access path stays allocation-free.
 func missesAt(ctx context.Context, recs []trace.Record, cfg cache.Config) (int64, error) {
-	sim, err := dinero.New(dinero.Options{L1: cfg, Syms: sharedSyms})
+	sim, err := dinero.New(dinero.Options{L1: cfg})
 	if err != nil {
 		return 0, err
 	}
@@ -124,7 +124,7 @@ func missesAt(ctx context.Context, recs []trace.Record, cfg cache.Config) (int64
 // missesAt so cancellation interrupts mid-trace.
 func sweepMisses(ctx context.Context, recs []trace.Record, cfgs []cache.Config, sm dinero.Sampling) ([]int64, error) {
 	ms, err := dinero.NewMulti(dinero.MultiOptions{
-		Configs: cfgs, Syms: sharedSyms, Sampling: sm, StatsOnly: true,
+		Configs: cfgs, Sampling: sm, StatsOnly: true,
 	})
 	if err != nil {
 		return nil, err
@@ -156,9 +156,7 @@ func sweepMisses(ctx context.Context, recs []trace.Record, cfgs []cache.Config, 
 // (dinero.MultiSimShardedRecords). The merged misses equal a serial
 // sweepMisses run that calls Flush at every shard boundary (see
 // dinero.MultiSim.Flush for why — replacement decisions compare stamps,
-// which survive the merge). Exact sampling only; shard simulators intern
-// privately because the sharded engine rejects a shared Syms table
-// (dinero's checkMultiShard), and stats-only sweeps never read it.
+// which survive the merge). Exact sampling only.
 func sweepMissesSharded(ctx context.Context, recs []trace.Record, cfgs []cache.Config, shards int) ([]int64, error) {
 	if shards > len(recs) {
 		shards = len(recs)

@@ -17,6 +17,9 @@
 // and thread ("there is no need to identify the frame of the corresponding
 // variable"); locals carry the frame id (0 = the executing function's own
 // frame, 1 = the caller's, …) and the thread id.
+//
+// Records of one spelling share a Site holding the function and access
+// expression, and carry no symbol ids: dinero resolves ids once per site.
 package trace
 
 import (
@@ -109,18 +112,18 @@ func (s *Site) equal(t *Site) bool {
 // Record is a single trace line.
 //
 // The one-byte fields and the 32-bit fields lead the struct so they pack
-// into one 24-byte header ahead of the address and the site: records are
+// into one 16-byte header ahead of the address and the site: records are
 // the unit every pipeline stage copies, and with the names outlined into
-// the shared Site a Record is 40 bytes holding one pointer. Frame, Thread
+// the shared Site a Record is 32 bytes holding one pointer. Frame, Thread
 // and Size are 32-bit in every trace format this package reads; the
 // decoders reject a value that does not fit (see MaxSize) instead of
 // truncating it.
 type Record struct {
 	Op Op
 	// HasSym reports whether the debug parser could associate the access
-	// with a program variable; when false Vis, Aggregate, Frame, Thread,
-	// the site's Var and VarID are meaningless (e.g. return-address
-	// pushes, unannotated stack traffic).
+	// with a program variable; when false Vis, Aggregate, Frame, Thread
+	// and the site's Var are meaningless (e.g. return-address pushes,
+	// unannotated stack traffic).
 	HasSym bool
 	// Vis is G for globals, L for locals.
 	Vis Visibility
@@ -129,12 +132,6 @@ type Record struct {
 	Aggregate bool
 	// Size is the number of bytes accessed, in [0, MaxSize].
 	Size int32
-	// FuncID and VarID are interned ids for the site's Func and Var.Root,
-	// filled by InternRecords against a SymTab. Zero means "not interned";
-	// VarID is always zero when HasSym is false. They are derived
-	// metadata: String, Equal and the parsers ignore them.
-	FuncID SymID
-	VarID  SymID
 	// Frame is the stack-frame distance for locals: 0 is the executing
 	// function's own frame, 1 its caller's, and so on. Unused for globals.
 	Frame int32
@@ -151,14 +148,13 @@ type Record struct {
 // recordJSON is a Record's JSON form: its fields in the order a Record held
 // them when it kept its names inline, Func and Var last. Stores keep
 // records as JSON (figure diffs), so entries read the same whichever
-// layout wrote them.
+// layout wrote them; the FuncID and VarID an older layout wrote are
+// ignored.
 type recordJSON struct {
 	Op        Op
 	HasSym    bool
 	Vis       Visibility
 	Aggregate bool
-	FuncID    SymID
-	VarID     SymID
 	Frame     int32
 	Thread    int32
 	Size      int32
@@ -171,8 +167,8 @@ type recordJSON struct {
 func (r Record) MarshalJSON() ([]byte, error) {
 	return json.Marshal(recordJSON{
 		Op: r.Op, HasSym: r.HasSym, Vis: r.Vis, Aggregate: r.Aggregate,
-		FuncID: r.FuncID, VarID: r.VarID, Frame: r.Frame, Thread: r.Thread,
-		Size: r.Size, Addr: r.Addr, Func: r.Site.Func(), Var: r.Site.Var(),
+		Frame: r.Frame, Thread: r.Thread, Size: r.Size, Addr: r.Addr,
+		Func: r.Site.Func(), Var: r.Site.Var(),
 	})
 }
 
@@ -185,8 +181,8 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 	}
 	*r = Record{
 		Op: j.Op, HasSym: j.HasSym, Vis: j.Vis, Aggregate: j.Aggregate,
-		FuncID: j.FuncID, VarID: j.VarID, Frame: j.Frame, Thread: j.Thread,
-		Size: j.Size, Addr: j.Addr, Site: NewSite(j.Func, j.Var),
+		Frame: j.Frame, Thread: j.Thread, Size: j.Size, Addr: j.Addr,
+		Site: NewSite(j.Func, j.Var),
 	}
 	return nil
 }

@@ -10,15 +10,15 @@ import (
 )
 
 // TestRecordSize pins the packed field order: the four one-byte fields,
-// then Size, FuncID, VarID, Frame and Thread at 32 bits each, fill one
-// 24-byte header ahead of the address and the site, and the site is the
-// one field holding a pointer. Every pipeline stage copies records, so a
+// then Size, Frame and Thread at 32 bits each, fill one 16-byte header
+// ahead of the address and the site, and the site is the one field
+// holding a pointer. Every pipeline stage copies records, so a
 // reorder or a widened field that reopens padding costs every stage, and
 // each pointer costs a write barrier per copy and a word the collector
 // scans.
 func TestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Record{}); got != 40 {
-		t.Errorf("sizeof(Record) = %d, want 40", got)
+	if got := unsafe.Sizeof(Record{}); got != 32 {
+		t.Errorf("sizeof(Record) = %d, want 32", got)
 	}
 	var ptrs []string
 	rt := reflect.TypeOf(Record{})

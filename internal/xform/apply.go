@@ -36,9 +36,8 @@ func (e *Engine) applyRemap(dst []trace.Record, st *ruleState, r *rules.StructRe
 
 // rewritten returns rec relocated to addr as an aggregate access of size
 // bytes to root+path, through a site of the engine's (see site; path may
-// be scratch). The new root drops rec's VarID, which names the old one. A
-// size the record cannot hold is an error: rule types, not the trace,
-// decide it.
+// be scratch). A size the record cannot hold is an error: rule types, not
+// the trace, decide it.
 func (e *Engine) rewritten(rec *trace.Record, root string, path ctype.Path, addr uint64, size int64) (trace.Record, error) {
 	if size > trace.MaxSize {
 		return trace.Record{}, fmt.Errorf("xform: %d-byte access to %s exceeds the %d-byte record limit", size, root, trace.MaxSize)
@@ -47,7 +46,6 @@ func (e *Engine) rewritten(rec *trace.Record, root string, path ctype.Path, addr
 	out.Addr = addr
 	out.Size = int32(size)
 	out.Site = e.site(rec.Site.Func(), root, path, addr)
-	out.VarID = 0
 	out.Aggregate = true
 	return out, nil
 }
@@ -237,13 +235,12 @@ func (e *Engine) applyPeel(dst []trace.Record, st *ruleState, r *rules.PeelRule,
 // their real addresses; unseen ones (stride temporaries like ITEMSPERLINE)
 // get stable synthetic stack slots. Every inject runs in the model's
 // function, so it takes a site of the engine's naming the model's function
-// and the variable, and the model's FuncID; New has range-checked its size.
+// and the variable; New has range-checked its size.
 func (e *Engine) appendInjects(dst []trace.Record, model *trace.Record, injs []rules.InjectAccess) []trace.Record {
 	for _, inj := range injs {
 		var rec trace.Record
 		if prev, ok := e.lastScalar[inj.Var]; ok {
 			rec = prev
-			rec.FuncID = model.FuncID
 		} else {
 			addr, ok := e.synthAddr[inj.Var]
 			if !ok {
@@ -252,7 +249,6 @@ func (e *Engine) appendInjects(dst []trace.Record, model *trace.Record, injs []r
 				e.synthAddr[inj.Var] = addr
 			}
 			rec = trace.Record{
-				FuncID: model.FuncID,
 				HasSym: true,
 				Vis:    trace.Local,
 				Frame:  0,

@@ -96,10 +96,14 @@ func TestBatchPathsAgree(t *testing.T) {
 	}
 }
 
-// TestRewrittenRecordsCarryNoStaleIDs: a trace interned before the
-// transform and simulated by an engine that trusts record ids must report
-// exactly what a run resolving every name reports. A record whose root
-// or function xform changes must not keep the old name's id.
+// TestRewrittenRecordsCarryNoStaleIDs: a transformed trace shares with
+// the original the sites of the records xform leaves alone, and takes
+// sites of the engine's for those it rewrites or injects; a simulator
+// resolves each site's ids once and memoizes them by site. A simulator
+// that runs the transformed trace on the state of one released after the
+// original must report exactly what a run over the transformed trace's
+// text reports, where every name is parsed afresh: no record may be
+// attributed through ids resolved for another site or another run.
 func TestRewrittenRecordsCarryNoStaleIDs(t *testing.T) {
 	cases := []struct {
 		name, src, rule string
@@ -110,20 +114,31 @@ func TestRewrittenRecordsCarryNoStaleIDs(t *testing.T) {
 		{"stride", workloads.Trans3Contiguous, workloads.RuleTrans3, map[string]string{"LEN": "1024"}},
 		{"peel", peelProgram, peelRule, nil},
 	}
-	report := func(t *testing.T, syms *trace.SymTab, recs []trace.Record) string {
+	report := func(t *testing.T, recs []trace.Record) string {
 		t.Helper()
-		ms, err := dinero.NewMulti(dinero.MultiOptions{Configs: []cache.Config{cache.Paper32KDirect()}, Syms: syms})
+		ms, err := dinero.NewMulti(dinero.MultiOptions{Configs: []cache.Config{cache.Paper32KDirect()}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ms.Release()
 		ms.Process(recs)
 		return ms.Report(0)
+	}
+	reparsed := func(t *testing.T, recs []trace.Record) []trace.Record {
+		t.Helper()
+		out := make([]trace.Record, len(recs))
+		for i := range recs {
+			r, err := trace.ParseRecord(recs[i].String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = r
+		}
+		return out
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			orig := traceOf(t, c.src, c.defs)
-			syms := trace.NewSymTab()
-			trace.InternRecords(syms, orig)
 			for _, p := range []struct {
 				name string
 				run  func(*Engine, []trace.Record) ([]trace.Record, error)
@@ -132,9 +147,10 @@ func TestRewrittenRecordsCarryNoStaleIDs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if trusted, fresh := report(t, syms, out), report(t, nil, out); trusted != fresh {
-					t.Errorf("%s: report trusting ids differs from one resolving names:\n--- ids ---\n%s\n--- names ---\n%s",
-						p.name, trusted, fresh)
+				report(t, orig)
+				if got, want := report(t, out), report(t, reparsed(t, out)); got != want {
+					t.Errorf("%s: report over shared sites differs from one over parsed names:\n--- sites ---\n%s\n--- parsed ---\n%s",
+						p.name, got, want)
 				}
 			}
 		})

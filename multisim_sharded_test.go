@@ -93,15 +93,10 @@ func TestMultiSimShardedGoldenAllWorkloads(t *testing.T) {
 }
 
 // TestMultiSimShardedRejects pins the shardability preconditions at the
-// entry point: shared symbol tables and sampling refuse up front rather
-// than producing silently wrong merges.
+// entry point: sampling refuses up front rather than producing a silently
+// wrong merge.
 func TestMultiSimShardedRejects(t *testing.T) {
 	recs := traceWorkload(t, sortedWorkloads()[0])
-	tab := trace.NewSymTab()
-	if _, err := dinero.MultiSimShardedRecords(context.Background(), recs,
-		dinero.MultiOptions{Configs: goldenConfigs, Syms: tab}, 2); err == nil {
-		t.Error("shared Syms table: want error")
-	}
 	if _, err := dinero.MultiSimShardedRecords(context.Background(), recs,
 		dinero.MultiOptions{Configs: goldenConfigs, Sampling: dinero.Sampling{Interval: 4}, StatsOnly: true}, 2); err == nil {
 		t.Error("interval sampling: want error")

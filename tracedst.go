@@ -25,7 +25,8 @@
 //
 // A Record keeps its names out of line: records of one function and
 // access expression share one immutable Site, read through its Func and
-// Var accessors.
+// Var accessors. A Record carries no symbol ids; the simulator resolves
+// them once per Site.
 //
 //	r := out[0]
 //	fmt.Println(r.Site.Func(), r.Site.Var())
