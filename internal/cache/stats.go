@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -56,22 +57,62 @@ func (s Stats) MissRatio() float64 {
 // Report renders a DineroIV-flavoured statistics block.
 func (s Stats) Report(name string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", name)
-	fmt.Fprintf(&b, " Metrics               Total      Fetch       Read      Write\n")
-	fmt.Fprintf(&b, " -----------------  --------   --------   --------   --------\n")
-	fmt.Fprintf(&b, " Demand Fetches     %9d  %9d  %9d  %9d\n", s.Accesses(), int64(0), s.Reads, s.Writes)
-	fmt.Fprintf(&b, " Demand Misses      %9d  %9d  %9d  %9d\n", s.Misses(), int64(0), s.ReadMisses, s.WriteMisses)
-	fmt.Fprintf(&b, " Demand Miss Rate   %9.4f  %9.4f  %9.4f  %9.4f\n",
-		s.MissRatio(), 0.0, ratio(s.ReadMisses, s.Reads), ratio(s.WriteMisses, s.Writes))
-	fmt.Fprintf(&b, " Evictions          %9d   (writebacks %d)\n", s.Evictions, s.Writebacks)
+	b.Grow(ReportBytes)
+	s.WriteReport(&b, name)
+	return b.String()
+}
+
+// ReportBytes is about the length of a Report: its six fixed lines with
+// counts in their columns, and room for a name.
+const ReportBytes = 384
+
+// WriteReport writes the block Report returns to b, formatting the numbers
+// without boxing them.
+func (s Stats) WriteReport(b *strings.Builder, name string) {
+	var buf [32]byte
+	b.WriteString(name)
+	b.WriteString("\n Metrics               Total      Fetch       Read      Write\n")
+	b.WriteString(" -----------------  --------   --------   --------   --------\n")
+	// Each row is an 18-byte label, then columns of two spaces and a
+	// number right-aligned in 9.
+	b.WriteString(" Demand Fetches   ")
+	for _, v := range [4]int64{s.Accesses(), 0, s.Reads, s.Writes} {
+		writeCol(b, strconv.AppendInt(buf[:0], v, 10), 9)
+	}
+	b.WriteString("\n Demand Misses    ")
+	for _, v := range [4]int64{s.Misses(), 0, s.ReadMisses, s.WriteMisses} {
+		writeCol(b, strconv.AppendInt(buf[:0], v, 10), 9)
+	}
+	b.WriteString("\n Demand Miss Rate ")
+	for _, v := range [4]float64{s.MissRatio(), 0, ratio(s.ReadMisses, s.Reads), ratio(s.WriteMisses, s.Writes)} {
+		writeCol(b, strconv.AppendFloat(buf[:0], v, 'f', 4, 64), 9)
+	}
+	b.WriteString("\n Evictions        ")
+	writeCol(b, strconv.AppendInt(buf[:0], s.Evictions, 10), 9)
+	b.WriteString("   (writebacks ")
+	b.Write(strconv.AppendInt(buf[:0], s.Writebacks, 10))
+	b.WriteString(")\n")
 	if s.Prefetches > 0 {
-		fmt.Fprintf(&b, " Prefetches         %9d   (fills %d)\n", s.Prefetches, s.PrefetchFills)
+		b.WriteString(" Prefetches       ")
+		writeCol(b, strconv.AppendInt(buf[:0], s.Prefetches, 10), 9)
+		b.WriteString("   (fills ")
+		b.Write(strconv.AppendInt(buf[:0], s.PrefetchFills, 10))
+		b.WriteString(")\n")
 	}
 	if s.Compulsory+s.Capacity+s.Conflict > 0 {
-		fmt.Fprintf(&b, " Miss Classes        compulsory %d   capacity %d   conflict %d\n",
+		fmt.Fprintf(b, " Miss Classes        compulsory %d   capacity %d   conflict %d\n",
 			s.Compulsory, s.Capacity, s.Conflict)
 	}
-	return b.String()
+}
+
+// writeCol writes two spaces, then p right-aligned in w bytes, as fmt's
+// "  %*d" and "  %*.*f" write a number.
+func writeCol(b *strings.Builder, p []byte, w int) {
+	b.WriteString("  ")
+	for n := len(p); n < w; n++ {
+		b.WriteByte(' ')
+	}
+	b.Write(p)
 }
 
 // Merge adds other's counters into s, element-wise for the per-set tally

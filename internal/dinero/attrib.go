@@ -1,7 +1,9 @@
 package dinero
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"tracedst/internal/cache"
 )
@@ -134,7 +136,7 @@ func (a *attrib) pageAllocs() int64 {
 // vars returns all variable series, materialized and sorted by descending
 // access count, then name.
 func (a *attrib) vars() []*VarSeries {
-	out := a.sortedVars()
+	out := a.sortedVars(nil)
 	for _, vs := range out {
 		vs.materialize()
 	}
@@ -143,64 +145,93 @@ func (a *attrib) vars() []*VarSeries {
 
 // sortedVars is vars without materializing the per-set series, for
 // readers of the totals alone (the report): the dense PerSet slices cost
-// 16 bytes per set per variable.
-func (a *attrib) sortedVars() []*VarSeries {
-	out := make([]*VarSeries, 0, len(a.varsByID))
-	for _, vs := range a.varsByID {
-		if vs != nil {
-			out = append(out, vs)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Accesses != out[j].Accesses {
-			return out[i].Accesses > out[j].Accesses
-		}
-		return out[i].Name < out[j].Name
-	})
+// 16 bytes per set per variable. It reuses dst's storage.
+func (a *attrib) sortedVars(dst []*VarSeries) []*VarSeries {
+	out := appendNonNil(dst[:0], a.varsByID)
+	slices.SortFunc(out, func(x, y *VarSeries) int { return byAccesses(x.Accesses, y.Accesses, x.Name, y.Name) })
 	return out
 }
 
-// funcs returns per-function stats sorted by descending access count.
-func (a *attrib) funcs() []*FuncStats {
-	out := make([]*FuncStats, 0, len(a.funcsByID))
-	for _, fs := range a.funcsByID {
-		if fs != nil {
-			out = append(out, fs)
+// funcs returns per-function stats sorted by descending access count,
+// reusing dst's storage.
+func (a *attrib) funcs(dst []*FuncStats) []*FuncStats {
+	out := appendNonNil(dst[:0], a.funcsByID)
+	slices.SortFunc(out, func(x, y *FuncStats) int { return byAccesses(x.Accesses, y.Accesses, x.Name, y.Name) })
+	return out
+}
+
+// appendNonNil appends the non-nil entries of byID to dst, growing it at
+// most once, to fit.
+func appendNonNil[T any](dst, byID []*T) []*T {
+	n := 0
+	for _, p := range byID {
+		if p != nil {
+			n++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Accesses != out[j].Accesses {
-			return out[i].Accesses > out[j].Accesses
+	dst = slices.Grow(dst, n)
+	for _, p := range byID {
+		if p != nil {
+			dst = append(dst, p)
 		}
-		return out[i].Name < out[j].Name
+	}
+	return dst
+}
+
+// byAccesses orders rows by descending access count, then by name.
+func byAccesses(xAcc, yAcc int64, xName, yName string) int {
+	if c := cmp.Compare(yAcc, xAcc); c != 0 {
+		return c
+	}
+	return strings.Compare(xName, yName)
+}
+
+// conflictCell is one nonzero cell of the eviction matrix.
+type conflictCell struct {
+	count           int64
+	evictor, victim symID
+}
+
+// sortedConflicts returns the eviction matrix's nonzero cells sorted by
+// descending count, then by evictor and victim name, reusing dst's
+// storage: the rows of conflictList, at 16 bytes a row instead of a
+// Conflict's 40.
+func (a *attrib) sortedConflicts(dst []conflictCell) []conflictCell {
+	n := 0
+	for _, row := range a.conflicts {
+		for _, c := range row {
+			if c != 0 {
+				n++
+			}
+		}
+	}
+	out := slices.Grow(dst[:0], n)
+	for i, row := range a.conflicts {
+		for j, c := range row {
+			if c != 0 {
+				out = append(out, conflictCell{c, symID(i), symID(j)})
+			}
+		}
+	}
+	slices.SortFunc(out, func(x, y conflictCell) int {
+		if c := cmp.Compare(y.count, x.count); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.syms.name(x.evictor), a.syms.name(y.evictor)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.syms.name(x.victim), a.syms.name(y.victim))
 	})
 	return out
 }
 
 // conflictList returns the eviction matrix sorted by descending count.
 func (a *attrib) conflictList() []Conflict {
-	var out []Conflict
-	for i, row := range a.conflicts {
-		for j, n := range row {
-			if n == 0 {
-				continue
-			}
-			out = append(out, Conflict{
-				Evictor: a.syms.name(symID(i)),
-				Victim:  a.syms.name(symID(j)),
-				Count:   n,
-			})
-		}
+	cells := a.sortedConflicts(nil)
+	out := make([]Conflict, len(cells))
+	for i, c := range cells {
+		out[i] = Conflict{Evictor: a.syms.name(c.evictor), Victim: a.syms.name(c.victim), Count: c.count}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].Evictor != out[j].Evictor {
-			return out[i].Evictor < out[j].Evictor
-		}
-		return out[i].Victim < out[j].Victim
-	})
 	return out
 }
 

@@ -72,7 +72,7 @@ func TestReportSkipsPerSetSeries(t *testing.T) {
 	}
 	sim.Process(recs)
 	sim.Report()
-	for _, vs := range sim.m.at[0].sortedVars() {
+	for _, vs := range sim.m.at[0].sortedVars(nil) {
 		if vs.PerSet != nil {
 			t.Fatalf("Report materialized %s's per-set series", vs.Name)
 		}

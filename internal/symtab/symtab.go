@@ -8,6 +8,7 @@ package symtab
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"tracedst/internal/ctype"
@@ -109,6 +110,16 @@ func (sc *scope) lookup(addr uint64) (*Symbol, bool) {
 	return nil, false
 }
 
+// extent returns the bytes from the scope's first symbol to the end of its
+// last.
+func (sc *scope) extent() int64 {
+	if len(sc.syms) == 0 {
+		return 0
+	}
+	first, last := sc.syms[0], sc.syms[len(sc.syms)-1]
+	return int64(last.Addr-first.Addr) + last.Size()
+}
+
 func (sc *scope) remove(addr uint64) bool {
 	i := sort.Search(len(sc.syms), func(i int) bool { return sc.syms[i].Addr >= addr })
 	if i < len(sc.syms) && sc.syms[i].Addr == addr {
@@ -132,7 +143,7 @@ type Table struct {
 	heap    scope
 	frames  []*frameScope
 	// paths memoizes the access paths Describe computed, one entry per
-	// slot (see pathFor); allocated on first use.
+	// slot (see pathFor); allocated on first use, MemoSlots long.
 	paths []pathMemo
 	// scratch is the buffer pathFor builds a path in; memoized paths are
 	// carved from slab.
@@ -148,10 +159,30 @@ type pathMemo struct {
 	path ctype.Path
 }
 
-// pathMemoSlots is the number of memoized paths, a power of two. Slots are
-// chosen by address, so an array of up to this many 4-byte elements, or
-// half as many 8-byte ones, keeps all of its paths.
-const pathMemoSlots = 1 << 12
+// Address-keyed memo sizes, in slots (see MemoSlots).
+const (
+	minMemoSlots = 1 << 12
+	maxMemoSlots = 1 << 16
+)
+
+// MemoSlots returns the slot count for a memo keyed by address, as the
+// table's path memo and the tracer's site memo are: a power of two of
+// slots, one per 4-byte word, covering twice the program's global and heap
+// data, within [4,096, 65,536] slots. A slot is chosen by an address's
+// word, so data that fits keeps one slot per word: an array swept again
+// and again, as a matrix product sweeps its operands, finds what the last
+// sweep memoized. The global data's first slot sits at the data base's
+// offset and the stack's top words just below it, so the memo covers the
+// data twice over to hold both. A program with little data pays what a
+// 4,096-slot memo costs; stack arrays do not count, since a stack array
+// is mostly swept once per call. A nil table answers the least size.
+func (t *Table) MemoSlots() int {
+	if t == nil {
+		return minMemoSlots
+	}
+	words := (t.globals.extent() + t.heap.extent()) / 4
+	return 1 << bits.Len64(uint64(min(max(2*words, minMemoSlots), maxMemoSlots)-1))
+}
 
 // New returns an empty table.
 func New() *Table { return &Table{} }
@@ -265,19 +296,21 @@ func (t *Table) Describe(addr uint64, currentDepth int) (Ref, bool) {
 // symbol covering addr. It reuses the path it returned last time for the
 // same type and offset if addr's memo slot still holds it, so records of
 // one element share one path; a new path is carved from the slab, and
-// paths are never written to once returned.
+// paths are never written to once returned. The memo grows, empty, to
+// MemoSlots when the program's data has outgrown it.
 // The memo is keyed by type identity, not by symbol, since a heap block is
 // retyped when its pointer is first stored (minic's storeTo).
 func (t *Table) pathFor(addr uint64, ty ctype.Type, off int64) ctype.Path {
 	if !ctype.IsAggregate(ty) {
 		return nil
 	}
-	if t.paths == nil {
-		t.paths = make([]pathMemo, pathMemoSlots)
-	}
-	m := &t.paths[(addr>>2)&(pathMemoSlots-1)]
-	if m.off == off && m.t == ty {
+	m := t.pathSlot(addr)
+	if m != nil && m.off == off && m.t == ty {
 		return m.path
+	}
+	if n := t.MemoSlots(); n > len(t.paths) {
+		t.paths = make([]pathMemo, n)
+		m = t.pathSlot(addr)
 	}
 	path, _, err := ctype.PathForOffset(t.scratch, ty, off)
 	if err != nil {
@@ -290,6 +323,14 @@ func (t *Table) pathFor(addr uint64, ty ctype.Type, off int64) ctype.Path {
 	}
 	*m = pathMemo{t: ty, off: off, path: path}
 	return path
+}
+
+// pathSlot returns addr's slot of the path memo (nil before its first use).
+func (t *Table) pathSlot(addr uint64) *pathMemo {
+	if t.paths == nil {
+		return nil
+	}
+	return &t.paths[(addr>>2)&uint64(len(t.paths)-1)]
 }
 
 // Globals returns the registered globals in address order (for reports).

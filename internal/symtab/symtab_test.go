@@ -221,3 +221,42 @@ func TestLocalSlotReuse(t *testing.T) {
 		t.Error("global overlap accepted")
 	}
 }
+
+// TestMemoSlots: the address-keyed memos cover twice the program's global
+// and heap data, between 4,096 and 65,536 slots; stack data does not
+// count. The path memo grows to that size, empty, when data outgrows it,
+// and still answers each element's path.
+func TestMemoSlots(t *testing.T) {
+	var none *Table
+	if got := none.MemoSlots(); got != 1<<12 {
+		t.Errorf("nil table: %d slots, want 4096", got)
+	}
+	tb := New()
+	matrix := ctype.NewArray(ctype.NewArray(ctype.Double, 48), 48) // 18 KiB
+	for i, name := range []string{"A", "B", "C"} {
+		if _, err := tb.AddGlobal(name, 0x601040+uint64(i)*18432, matrix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.PushFrame("main")
+	if _, err := tb.AddLocal("big", 0x7fe000000, ctype.NewArray(ctype.Int, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.MemoSlots(); got != 1<<15 {
+		t.Errorf("three 18 KiB globals: %d slots, want 32768 (2 × 13,824 words, rounded up)", got)
+	}
+	ref, ok := tb.Describe(0x601040+2*18432+8*50, 0)
+	if !ok || ref.Expr.String() != "C[1][2]" || len(tb.paths) != 1<<15 {
+		t.Errorf("Describe = %v, %v with %d path slots", ref.Expr, ok, len(tb.paths))
+	}
+	if _, err := tb.AddHeap("heap_main_1", 0x1000000, ctype.NewArray(ctype.Char, 1<<20), "main"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.MemoSlots(); got != 1<<16 {
+		t.Errorf("a 1 MiB heap block: %d slots, want the 65536 cap", got)
+	}
+	ref, ok = tb.Describe(0x1000000+3, 0)
+	if !ok || ref.Expr.String() != "heap_main_1[3]" || len(tb.paths) != 1<<16 {
+		t.Errorf("Describe = %v, %v with %d path slots", ref.Expr, ok, len(tb.paths))
+	}
+}

@@ -278,8 +278,8 @@ func (wr *BinaryWriter) Write(r *Record) error {
 	b = binary.AppendUvarint(b, wr.index(sp.fn))
 	if r.HasSym {
 		if r.Vis == Local {
-			b = binary.AppendVarint(b, int64(r.Frame))
-			b = binary.AppendVarint(b, int64(r.Thread))
+			b = binary.AppendVarint(b, int64(r.Site.Frame()))
+			b = binary.AppendVarint(b, int64(r.Site.Thread()))
 		}
 		if sp.v == nil {
 			wr.scratch = r.Site.Var().AppendText(wr.scratch[:0])
@@ -584,15 +584,17 @@ type blockDecoder struct {
 // strSlot is one entry of a block's string table. Records name entries by
 // index, as a function name, a variable spelling, or both; the site a
 // record takes is resolved through the Interner by the first record of the
-// block that names the pair and reused by the next ones, so an entry costs
-// one lookup per block however many records name it with one function.
+// block that names the function, variable, frame and thread, and reused by
+// the next ones, so an entry costs one lookup per block however many
+// records name it with one function, frame and thread.
 type strSlot struct {
 	raw []byte // the entry's bytes, aliasing the payload
 	// fnSite is the site of records naming the entry as their function and
 	// no variable.
 	fnSite *Site
 	// varSite is the site of the last record naming the entry as its
-	// variable, whose function entry was varFn.
+	// variable, whose function entry was varFn; the site holds that
+	// record's frame and thread.
 	varSite *Site
 	varFn   uint64
 }
@@ -655,19 +657,19 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 			r.HasSym = true
 			r.Vis = Global
 			r.Aggregate = tag&tagAggregate != 0
+			var frame, thread int64
 			if tag&tagLocal != 0 {
 				r.Vis = Local
-				frame, n := binary.Varint(p)
+				frame, n = binary.Varint(p)
 				if n <= 0 || frame != int64(int32(frame)) {
 					return recs, fmt.Errorf("bad frame in record %d", i)
 				}
 				p = p[n:]
-				thread, n := binary.Varint(p)
+				thread, n = binary.Varint(p)
 				if n <= 0 || thread != int64(int32(thread)) {
 					return recs, fmt.Errorf("bad thread in record %d", i)
 				}
 				p = p[n:]
-				r.Frame, r.Thread = int32(frame), int32(thread)
 			}
 			vidx, n := binary.Uvarint(p)
 			if n <= 0 || vidx >= uint64(len(d.slots)) {
@@ -675,8 +677,8 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 			}
 			p = p[n:]
 			v := &d.slots[vidx]
-			if v.varSite == nil || v.varFn != fidx {
-				site, err := d.intern.site(f.raw, v.raw)
+			if s := v.varSite; s == nil || v.varFn != fidx || s.frame != int32(frame) || s.thread != int32(thread) {
+				site, err := d.intern.site(f.raw, v.raw, int32(frame), int32(thread))
 				if err != nil {
 					return recs, fmt.Errorf("bad variable in record %d: %v", i, err)
 				}
@@ -688,7 +690,7 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 		} else {
 			if f.fnSite == nil {
 				// A function-only site cannot fail: only a variable parses.
-				f.fnSite, _ = d.intern.site(f.raw, nil)
+				f.fnSite, _ = d.intern.site(f.raw, nil, 0, 0)
 			}
 			r.Site = f.fnSite
 		}

@@ -181,6 +181,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add("S 0006010e0 8 foo GS glStructArray[0].d1\nM 7ff0001b8 4 main LV 0 1 i\n")
 	f.Add("START PID -7\nX 7ff0001a8 8 foo\nS 7ff0001b0 8 main LS 2 3 a[1].b[9]\n")
 	f.Add("junk\nS 000601040 4 main GV glScalar\n")
+	// One spelling in two frames and on two threads, as a recursive
+	// function's locals are.
+	f.Add("START PID 1\nS 7ff0004b0 4 fact LV 0 1 n\nL 7ff000490 4 fact LV 1 1 n\n" +
+		"S 7ff0004b0 4 fact LV 0 2 n\nL 7ff000490 4 fact LV 1 2 n\nL 7ff0004b0 4 fact LV 0 1 n\n")
+	f.Add("S 7ff000060 8 foo LS 1 1 a[0].d1\nS 7ff000060 8 foo LS 0 1 a[0].d1\nS 7ff000060 8 foo LS 1 3 a[0].d1\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, src string) {
 		// Differential check: the zero-alloc byte parser and the string

@@ -123,7 +123,7 @@ func TestInternerTyped(t *testing.T) {
 	if s := in.internFunc([]byte("main")); s != "main" {
 		t.Fatalf("internFunc = %q", s)
 	}
-	site, err := in.site([]byte("main"), []byte("grid[1].x"))
+	site, err := in.site([]byte("main"), []byte("grid[1].x"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +131,14 @@ func TestInternerTyped(t *testing.T) {
 		t.Fatalf("site = %q %+v", site.Func(), v)
 	}
 	// "main" as a variable is a scalar access expression of its own.
-	ms, err := in.site([]byte("main"), []byte("main"))
+	ms, err := in.site([]byte("main"), []byte("main"), 0, 0)
 	if mv := ms.Var(); err != nil || mv.Root != "main" || mv.Path != nil {
 		t.Fatalf("site(main, main) = %+v, %v", mv, err)
 	}
 	if in.funcs.n != 1 || in.vars.n != 2 {
 		t.Errorf("funcs holds %d, vars %d; want 1 and 2", in.funcs.n, in.vars.n)
 	}
-	if _, err := in.site([]byte("main"), []byte("a[")); err == nil {
+	if _, err := in.site([]byte("main"), []byte("a["), 0, 0); err == nil {
 		t.Error("malformed access expression interned")
 	}
 	if in.vars.n != 2 {
@@ -156,8 +156,8 @@ func decodeFixture() []Record {
 		recs = append(recs,
 			Record{Op: Load, Addr: 0x601040 + uint64(8*i), Size: 8, Site: NewSite("walk", ctype.AccessExpr{Root: "grid", Path: ctype.Path{{Index: int64(i)}, {Field: "x"}}}), HasSym: true,
 				Vis: Global, Aggregate: true},
-			Record{Op: Store, Addr: 0x7ff0001b0, Size: 4, Site: NewSite("main", ctype.AccessExpr{Root: "walk"}), HasSym: true,
-				Vis: Local, Frame: 1, Thread: 1},
+			Record{Op: Store, Addr: 0x7ff0001b0, Size: 4, Site: NewLocalSite("main", ctype.AccessExpr{Root: "walk"}, 1, 1), HasSym: true,
+				Vis: Local},
 			Record{Op: Modify, Addr: 0x601000 + uint64(4*(i%16)), Size: 4, Site: NewSite("walk", ctype.AccessExpr{Root: "hist", Path: ctype.Path{{Index: int64(i % 16)}}}), HasSym: true,
 				Vis: Global, Aggregate: true},
 			Record{Op: Misc, Addr: 0x7ff000100, Size: 8, Site: NewSite("main", ctype.AccessExpr{})},

@@ -18,8 +18,9 @@
 // variable"); locals carry the frame id (0 = the executing function's own
 // frame, 1 = the caller's, …) and the thread id.
 //
-// Records of one spelling share a Site holding the function and access
-// expression, and carry no symbol ids: dinero resolves ids once per site.
+// Records of one spelling share a Site holding the function, the access
+// expression and, for a local, the frame and thread columns; records carry
+// no symbol ids: dinero resolves ids once per site.
 package trace
 
 import (
@@ -64,24 +65,40 @@ const (
 )
 
 // Site is where an access happened in the program: the function executing
-// it and the variable it touched, spelled as an access expression. A trace
-// names the same few thousand sites over and over, so records share them
-// through one pointer instead of each carrying the names inline — the
-// paper's Transformation 2 (move the fields a hot loop rarely reads out of
-// line) applied to the record itself.
+// it, the variable it touched, spelled as an access expression, and for a
+// local the frame and thread that own the variable. A trace names the same
+// few thousand sites over and over, so records share them through one
+// pointer instead of each carrying the names inline — the paper's
+// Transformation 2 (move the fields a hot loop rarely reads out of line)
+// applied to the record itself. The frame and thread are the annotation
+// Gleipnir writes after the scope column; only the codecs, the validator,
+// the tracer and the transformation engine read them.
 //
 // A site is immutable: it is never written once a record holds it, so any
 // number of records, batches and goroutines may share one, as they share an
-// Interner's paths. Its names are read through Func and Var, which treat a
-// nil site as one naming nothing, so a zero Record needs no site.
+// Interner's paths. Its fields are read through Func, Var, Frame and
+// Thread, which treat a nil site as one naming nothing, so a zero Record
+// needs no site.
 type Site struct {
 	fn string
 	v  ctype.AccessExpr
+	// frame and thread are a local's stack-frame distance and thread id;
+	// 0 for a global or a record without symbol information.
+	frame, thread int32
 }
 
-// NewSite returns the site of function fn accessing v. The site keeps v's
-// path, which must not be written afterwards.
+// NewSite returns the site of function fn accessing v, with no frame or
+// thread: the site of a global, or of a record without symbol information.
+// The site keeps v's path, which must not be written afterwards.
 func NewSite(fn string, v ctype.AccessExpr) *Site { return &Site{fn: fn, v: v} }
+
+// NewLocalSite returns the site of function fn accessing v, a local of the
+// frame at distance frame from fn's own (0 is fn's own frame, 1 its
+// caller's) on thread thread. The site keeps v's path, which must not be
+// written afterwards.
+func NewLocalSite(fn string, v ctype.AccessExpr, frame, thread int32) *Site {
+	return &Site{fn: fn, v: v, frame: frame, thread: thread}
+}
 
 // Func returns the function executing the access ("" for a nil site).
 func (s *Site) Func() string {
@@ -100,29 +117,49 @@ func (s *Site) Var() ctype.AccessExpr {
 	return s.v
 }
 
-// equal reports whether two sites name the same function and variable.
+// Frame returns the stack-frame distance of a local: 0 is the executing
+// function's own frame, 1 its caller's, and so on (0 for a nil site).
+func (s *Site) Frame() int32 {
+	if s == nil {
+		return 0
+	}
+	return s.frame
+}
+
+// Thread returns the id of the thread that owns a local (Gleipnir numbers
+// threads from 1; 0 for a nil site).
+func (s *Site) Thread() int32 {
+	if s == nil {
+		return 0
+	}
+	return s.thread
+}
+
+// equal reports whether two sites name the same function, variable, frame
+// and thread.
 func (s *Site) equal(t *Site) bool {
 	if s == t {
 		return true
 	}
 	sv, tv := s.Var(), t.Var()
-	return s.Func() == t.Func() && sv.Root == tv.Root && sv.Path.Equal(tv.Path)
+	return s.Func() == t.Func() && s.Frame() == t.Frame() && s.Thread() == t.Thread() &&
+		sv.Root == tv.Root && sv.Path.Equal(tv.Path)
 }
 
 // Record is a single trace line.
 //
-// The one-byte fields and the 32-bit fields lead the struct so they pack
-// into one 16-byte header ahead of the address and the site: records are
-// the unit every pipeline stage copies, and with the names outlined into
-// the shared Site a Record is 32 bytes holding one pointer. Frame, Thread
-// and Size are 32-bit in every trace format this package reads; the
-// decoders reject a value that does not fit (see MaxSize) instead of
-// truncating it.
+// The one-byte fields and the size lead the struct so they pack into one
+// 8-byte header ahead of the address and the site: records are the unit
+// every pipeline stage copies, and with the names, the frame and the
+// thread outlined into the shared Site a Record is 24 bytes holding one
+// pointer. Size, and the site's frame and thread, are 32-bit in every
+// trace format this package reads; the decoders reject a value that does
+// not fit (see MaxSize) instead of truncating it.
 type Record struct {
 	Op Op
 	// HasSym reports whether the debug parser could associate the access
-	// with a program variable; when false Vis, Aggregate, Frame, Thread
-	// and the site's Var are meaningless (e.g. return-address pushes,
+	// with a program variable; when false Vis, Aggregate and the site's
+	// Var, Frame and Thread are meaningless (e.g. return-address pushes,
 	// unannotated stack traffic).
 	HasSym bool
 	// Vis is G for globals, L for locals.
@@ -132,24 +169,19 @@ type Record struct {
 	Aggregate bool
 	// Size is the number of bytes accessed, in [0, MaxSize].
 	Size int32
-	// Frame is the stack-frame distance for locals: 0 is the executing
-	// function's own frame, 1 its caller's, and so on. Unused for globals.
-	Frame int32
-	// Thread is the id of the thread that executed the access (locals only;
-	// Gleipnir numbers threads from 1).
-	Thread int32
 
 	Addr uint64
 	// Site names the function executing the access (always present in a
-	// trace line; "" for a nil site) and the accessed variable.
+	// trace line; "" for a nil site), the accessed variable and, for a
+	// local, the frame and thread that own it.
 	Site *Site
 }
 
 // recordJSON is a Record's JSON form: its fields in the order a Record held
-// them when it kept its names inline, Func and Var last. Stores keep
-// records as JSON (figure diffs), so entries read the same whichever
-// layout wrote them; the FuncID and VarID an older layout wrote are
-// ignored.
+// them when it kept its names, frame and thread inline, Func and Var last.
+// Stores keep records as JSON (figure diffs), so entries read the same
+// whichever layout wrote them; the FuncID and VarID an older layout wrote
+// are ignored.
 type recordJSON struct {
 	Op        Op
 	HasSym    bool
@@ -163,11 +195,11 @@ type recordJSON struct {
 	Var       ctype.AccessExpr
 }
 
-// MarshalJSON encodes r with its site's names inline (see recordJSON).
+// MarshalJSON encodes r with its site's fields inline (see recordJSON).
 func (r Record) MarshalJSON() ([]byte, error) {
 	return json.Marshal(recordJSON{
 		Op: r.Op, HasSym: r.HasSym, Vis: r.Vis, Aggregate: r.Aggregate,
-		Frame: r.Frame, Thread: r.Thread, Size: r.Size, Addr: r.Addr,
+		Frame: r.Site.Frame(), Thread: r.Site.Thread(), Size: r.Size, Addr: r.Addr,
 		Func: r.Site.Func(), Var: r.Site.Var(),
 	})
 }
@@ -181,8 +213,8 @@ func (r *Record) UnmarshalJSON(data []byte) error {
 	}
 	*r = Record{
 		Op: j.Op, HasSym: j.HasSym, Vis: j.Vis, Aggregate: j.Aggregate,
-		Frame: j.Frame, Thread: j.Thread, Size: j.Size, Addr: j.Addr,
-		Site: NewSite(j.Func, j.Var),
+		Size: j.Size, Addr: j.Addr,
+		Site: NewLocalSite(j.Func, j.Var, j.Frame, j.Thread),
 	}
 	return nil
 }
@@ -208,7 +240,8 @@ func (r *Record) ScopeCode() string {
 func (r *Record) String() string { return string(r.AppendText(nil)) }
 
 // Equal reports whether two records are identical, including metadata.
-// Sites compare by what they name, not by identity.
+// Sites compare by what they name, frame and thread included, not by
+// identity.
 func (r *Record) Equal(s *Record) bool {
 	if r.Op != s.Op || r.Addr != s.Addr || r.Size != s.Size || r.HasSym != s.HasSym {
 		return false
@@ -216,8 +249,7 @@ func (r *Record) Equal(s *Record) bool {
 	if !r.HasSym {
 		return r.Site.Func() == s.Site.Func()
 	}
-	return r.Vis == s.Vis && r.Aggregate == s.Aggregate &&
-		r.Frame == s.Frame && r.Thread == s.Thread && r.Site.equal(s.Site)
+	return r.Vis == s.Vis && r.Aggregate == s.Aggregate && r.Site.equal(s.Site)
 }
 
 // End returns the first address past the accessed bytes.

@@ -10,15 +10,14 @@ import (
 )
 
 // TestRecordSize pins the packed field order: the four one-byte fields,
-// then Size, Frame and Thread at 32 bits each, fill one 16-byte header
-// ahead of the address and the site, and the site is the one field
-// holding a pointer. Every pipeline stage copies records, so a
-// reorder or a widened field that reopens padding costs every stage, and
-// each pointer costs a write barrier per copy and a word the collector
-// scans.
+// then Size at 32 bits, fill one 8-byte header ahead of the address and
+// the site, and the site is the one field holding a pointer. Every
+// pipeline stage copies records, so a reorder or a widened field that
+// reopens padding costs every stage, and each pointer costs a write
+// barrier per copy and a word the collector scans.
 func TestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Record{}); got != 32 {
-		t.Errorf("sizeof(Record) = %d, want 32", got)
+	if got := unsafe.Sizeof(Record{}); got != 24 {
+		t.Errorf("sizeof(Record) = %d, want 24", got)
 	}
 	var ptrs []string
 	rt := reflect.TypeOf(Record{})
@@ -56,7 +55,7 @@ func TestParseRecordLocalScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Vis != Local || r.Frame != 0 || r.Thread != 1 || r.Site.Var().Root != "lcScalar" {
+	if r.Vis != Local || r.Site.Frame() != 0 || r.Site.Thread() != 1 || r.Site.Var().Root != "lcScalar" {
 		t.Errorf("got %+v", r)
 	}
 	if r.String() != "S 7ff0001bc 4 main LV 0 1 lcScalar" {
@@ -88,7 +87,7 @@ func TestParseRecordCallerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Frame != 1 || r.Site.Func() != "foo" || !r.Aggregate {
+	if r.Site.Frame() != 1 || r.Site.Func() != "foo" || !r.Aggregate {
 		t.Errorf("got %+v", r)
 	}
 }
@@ -223,18 +222,17 @@ func TestRecordRoundTripProperty(t *testing.T) {
 		}
 		r.HasSym = true
 		r.Aggregate = agg
-		if local {
-			r.Vis = Local
-			r.Frame = int32(frame % 4)
-			r.Thread = 1
-		} else {
-			r.Vis = Global
-		}
 		v := ctype.AccessExpr{Root: "v"}
 		if agg {
 			v.Path = ctype.Path{{Index: int64(idx)}, {Field: "m"}}
 		}
-		r.Site = NewSite("main", v)
+		if local {
+			r.Vis = Local
+			r.Site = NewLocalSite("main", v, int32(frame%4), 1)
+		} else {
+			r.Vis = Global
+			r.Site = NewSite("main", v)
+		}
 		parsed, err := ParseRecord(r.String())
 		return err == nil && parsed.Equal(&r)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -28,9 +29,10 @@ func pairedTrace(t *testing.T) []byte {
 	return encodeIndexed(t, nil, recs, 0)
 }
 
-// spellingOf is a record's site spelling, the identity sites dedupe on.
+// spellingOf is a record's site spelling with its frame and thread, the
+// identity sites dedupe on.
 func spellingOf(r *Record) string {
-	return r.Site.Func() + " " + r.Site.Var().String()
+	return fmt.Sprint(r.Site.Func(), " ", r.Site.Var().String(), " ", r.Site.Frame(), " ", r.Site.Thread())
 }
 
 // siteCensus decodes src to its end and returns how many distinct site
@@ -143,6 +145,112 @@ func TestAlternatingFunctionsShareSites(t *testing.T) {
 	}
 }
 
+// framedRecords are 64 locals of one function and variable spelling that
+// take turns in two frames on two threads — each record differs from the
+// one before it in frame, and every other one in thread — then a global
+// of the same spelling.
+func framedRecords() []Record {
+	v := ctype.AccessExpr{Root: "n"}
+	var recs []Record
+	for i := 0; i < 64; i++ {
+		frame, thread := int32(i%2), int32(1+i/2%2)
+		recs = append(recs, Record{Op: Load, Addr: 0x7ff0004b0 - 0x20*uint64(frame), Size: 4,
+			HasSym: true, Vis: Local, Site: NewLocalSite("fact", v, frame, thread)})
+	}
+	return append(recs, Record{Op: Store, Addr: 0x601040, Size: 4, HasSym: true, Vis: Global, Site: NewSite("fact", v)})
+}
+
+// checkFramed fails unless got holds framedRecords' frames and threads,
+// record for record, through sites that name each spelling, frame and
+// thread once.
+func checkFramed(t *testing.T, name string, got []Record) {
+	t.Helper()
+	want := framedRecords()
+	checkRecords(t, name, got, want)
+	sites := map[*Site]bool{}
+	for i := range got {
+		if g, w := got[i].Site, want[i].Site; g.Frame() != w.Frame() || g.Thread() != w.Thread() {
+			t.Fatalf("%s: record %d in frame %d on thread %d, want %d and %d", name, i, g.Frame(), g.Thread(), w.Frame(), w.Thread())
+		}
+		sites[got[i].Site] = true
+	}
+	if len(sites) != 5 {
+		t.Errorf("%s: %d records took %d sites, want 5 (two frames × two threads, and the global)", name, len(got), len(sites))
+	}
+}
+
+// TestFrameAndThreadRoundTrip: records that share a function and variable
+// spelling but differ in frame or thread are not equal, and keep their
+// frame and thread through text, .glb (every decoder) and JSON.
+func TestFrameAndThreadRoundTrip(t *testing.T) {
+	recs := framedRecords()
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if recs[i].Equal(&recs[j]) != (i == j) {
+				t.Errorf("Equal(%v, %v) = %v", &recs[i], &recs[j], !(i == j))
+			}
+		}
+	}
+	if !recs[0].Equal(&recs[4]) {
+		t.Errorf("%v and %v, one frame and thread, differ", &recs[0], &recs[4])
+	}
+	for _, d := range decoders(t, encodeIndexed(t, nil, recs, 0)) {
+		got, err := ReadSource(d.open())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFramed(t, d.name, got)
+	}
+	got := make([]Record, len(recs))
+	for i := range recs {
+		data, err := recs[i].MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got[i].UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkFramed(t, "JSON", dedupeSites(got))
+}
+
+// dedupeSites gives records of one spelling, frame and thread one site,
+// as a decoder would.
+func dedupeSites(recs []Record) []Record {
+	bySpelling := map[string]*Site{}
+	for i := range recs {
+		key := spellingOf(&recs[i])
+		if s, ok := bySpelling[key]; ok {
+			recs[i].Site = s
+		}
+		bySpelling[key] = recs[i].Site
+	}
+	return recs
+}
+
+// TestSlotCacheAlternatingFrames: in one .glb block whose variable slot
+// alternates frames and threads record by record, the block decoder's
+// slot cache hands each record the site of its own frame and thread.
+func TestSlotCacheAlternatingFrames(t *testing.T) {
+	tr, err := NewIndexedBytes(encodeIndexed(t, nil, framedRecords(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumBlocks() != 1 {
+		t.Fatalf("%d blocks, want 1", tr.NumBlocks())
+	}
+	framed, n, _, err := tr.frameAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := blockDecoder{intern: NewInterner()}
+	got, err := dec.checkAndDecode(framed, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFramed(t, "blockDecoder", got)
+}
+
 // TestEqualComparesSpelling: Equal compares what sites name, not which
 // site a record holds; a nil site names what an empty one does.
 func TestEqualComparesSpelling(t *testing.T) {
@@ -218,8 +326,8 @@ func TestZeroRecord(t *testing.T) {
 // record. JSON written when records carried symbol ids still reads: the
 // ids are ignored.
 func TestRecordJSON(t *testing.T) {
-	r := Record{Op: Load, HasSym: true, Vis: Local, Aggregate: true, Frame: 1, Thread: 1,
-		Size: 4, Addr: 0x7ff000010, Site: NewSite("main", ctype.AccessExpr{Root: "s", Path: ctype.Path{{Index: 1}, {Field: "x"}}})}
+	r := Record{Op: Load, HasSym: true, Vis: Local, Aggregate: true,
+		Size: 4, Addr: 0x7ff000010, Site: NewLocalSite("main", ctype.AccessExpr{Root: "s", Path: ctype.Path{{Index: 1}, {Field: "x"}}}, 1, 1)}
 	data, err := r.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)

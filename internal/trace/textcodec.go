@@ -39,9 +39,9 @@ func (r *Record) AppendText(dst []byte) []byte {
 	dst = append(dst, ' ', byte(r.Vis), sc)
 	if r.Vis == Local {
 		dst = append(dst, ' ')
-		dst = strconv.AppendInt(dst, int64(r.Frame), 10)
+		dst = strconv.AppendInt(dst, int64(r.Site.Frame()), 10)
 		dst = append(dst, ' ')
-		dst = strconv.AppendInt(dst, int64(r.Thread), 10)
+		dst = strconv.AppendInt(dst, int64(r.Site.Thread()), 10)
 	}
 	dst = append(dst, ' ')
 	return r.Site.Var().AppendText(dst)
@@ -131,7 +131,7 @@ func parseRecordBytes(line []byte, in *Interner) (Record, error) {
 	r.Size = size
 	fn := fields[3]
 	if nf == 4 {
-		return r, r.setSite(in, fn, nil, line)
+		return r, r.setSite(in, fn, nil, 0, 0, line)
 	}
 	scope := fields[4]
 	if len(scope) != 2 || (scope[0] != 'G' && scope[0] != 'L') || (scope[1] != 'V' && scope[1] != 'S') {
@@ -141,39 +141,38 @@ func parseRecordBytes(line []byte, in *Interner) (Record, error) {
 	r.Vis = Visibility(scope[0])
 	r.Aggregate = scope[1] == 'S'
 	varIdx := 5
+	var frame, thread int32
 	if r.Vis == Local {
 		if nf != 8 {
 			return r, fmt.Errorf("trace: local record needs frame, thread, var: %q", line)
 		}
-		frame, ok := parseInt32(fields[5])
-		if !ok {
+		if frame, ok = parseInt32(fields[5]); !ok {
 			return r, fmt.Errorf("trace: bad frame %q in %q", fields[5], line)
 		}
-		thread, ok := parseInt32(fields[6])
-		if !ok {
+		if thread, ok = parseInt32(fields[6]); !ok {
 			return r, fmt.Errorf("trace: bad thread %q in %q", fields[6], line)
 		}
-		r.Frame, r.Thread = frame, thread
 		varIdx = 7
 	} else if nf != 6 {
 		return r, fmt.Errorf("trace: expected variable name at end of %q", line)
 	}
-	return r, r.setSite(in, fn, fields[varIdx], line)
+	return r, r.setSite(in, fn, fields[varIdx], frame, thread, line)
 }
 
 // setSite gives r the site of function fn accessing the variable spelled
-// v (nil for a record without symbol information), shared through in, or
-// a site of its own when in is nil.
-func (r *Record) setSite(in *Interner, fn, v, line []byte) error {
+// v (nil for a record without symbol information) in frame and thread (0
+// but for a local), shared through in, or a site of its own when in is
+// nil.
+func (r *Record) setSite(in *Interner, fn, v []byte, frame, thread int32, line []byte) error {
 	var err error
 	if in != nil {
-		r.Site, err = in.site(fn, v)
+		r.Site, err = in.site(fn, v, frame, thread)
 	} else {
 		var x ctype.AccessExpr
 		if v != nil {
 			x, err = ctype.ParseAccess(string(v))
 		}
-		r.Site = NewSite(string(fn), x)
+		r.Site = NewLocalSite(string(fn), x, frame, thread)
 	}
 	if err != nil {
 		r.Site = nil

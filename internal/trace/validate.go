@@ -523,10 +523,10 @@ func (v *recordChecker) checkOrder(line int, r *Record) {
 	if !r.HasSym || r.Vis != Local {
 		return
 	}
-	if r.Frame < 0 {
-		v.rep.add(line, SevError, CodeOrder, "negative frame distance %d for %s", r.Frame, r.Site.Var().Root)
+	if f := r.Site.Frame(); f < 0 {
+		v.rep.add(line, SevError, CodeOrder, "negative frame distance %d for %s", f, r.Site.Var().Root)
 	}
-	switch t := int64(r.Thread); {
+	switch t := int64(r.Site.Thread()); {
 	case t < 1:
 		v.rep.add(line, SevError, CodeOrder, "thread id %d below 1 for %s", t, r.Site.Var().Root)
 	case t > v.maxThread+1:

@@ -28,8 +28,8 @@ func validatorRecords(n int) []Record {
 // outOfOrderThread is a record the checks reject: a local access from
 // thread 3 before threads 1 and 2 were seen.
 var outOfOrderThread = Record{
-	Op: Load, Addr: 0x7ff0001b0, Size: 8, Site: NewSite("main", ctype.AccessExpr{Root: "l"}),
-	HasSym: true, Vis: Local, Thread: 3,
+	Op: Load, Addr: 0x7ff0001b0, Size: 8, Site: NewLocalSite("main", ctype.AccessExpr{Root: "l"}, 0, 3),
+	HasSym: true, Vis: Local,
 }
 
 func encodeText(t *testing.T, h Header, recs []Record) string {

@@ -79,26 +79,13 @@ type Tracer struct {
 	// Dropped counts events suppressed while instrumentation was off.
 	Dropped int
 
-	// sites memoizes the sites Access made, one entry per slot (see
-	// site); siteSlab is the storage they are carved from.
-	sites    []siteMemo
+	// sites memoizes the sites Access made, one per slot chosen by
+	// address, as symtab chooses paths, and fnSite the last one naming no
+	// variable (see site); siteSlab is the storage they are carved from.
+	sites    []*trace.Site
+	fnSite   *trace.Site
 	siteSlab slab.Slab[trace.Site]
 }
-
-// siteMemo is one site Access made: function fn accessing root ("" for an
-// access without symbol information) through path, identified by its
-// first element (nil for no path). Symtab's memo hands records of one
-// element the same carved path, and a site holds its path, so the
-// identity stays the path's for as long as the memo holds the site.
-type siteMemo struct {
-	fn, root string
-	path     *ctype.PathElem
-	site     *trace.Site
-}
-
-// siteMemoSlots is the number of memoized sites, a power of two, chosen by
-// address as symtab chooses paths.
-const siteMemoSlots = 1 << 12
 
 var _ minic.Listener = (*Tracer)(nil)
 
@@ -141,6 +128,7 @@ func (t *Tracer) Access(op minic.AccessOp, addr uint64, size int64, fn string, d
 		Size: int32(size),
 	}
 	var v ctype.AccessExpr
+	var frame, thread int32
 	if t.interp != nil {
 		if ref, ok := t.interp.Syms.Describe(addr, depth); ok && !hideSymbol(op, ref) {
 			rec.HasSym = true
@@ -149,8 +137,7 @@ func (t *Tracer) Access(op minic.AccessOp, addr uint64, size int64, fn string, d
 			switch ref.Sym.Kind {
 			case symtab.KindLocal:
 				rec.Vis = trace.Local
-				rec.Frame = int32(ref.FrameDistance)
-				rec.Thread = t.opts.Thread
+				frame, thread = int32(ref.FrameDistance), t.opts.Thread
 			default:
 				// Globals and heap blocks are globally visible: no frame or
 				// thread column ("there is no need to identify the frame of
@@ -159,30 +146,48 @@ func (t *Tracer) Access(op minic.AccessOp, addr uint64, size int64, fn string, d
 			}
 		}
 	}
-	rec.Site = t.site(addr, fn, v)
+	rec.Site = t.site(addr, fn, v, frame, thread)
 	if len(t.Records) == cap(t.Records) {
 		t.grow()
 	}
 	t.Records = append(t.Records, rec)
 }
 
-// site returns the site of fn accessing v at addr: the one addr's memo
-// slot holds for the same function, root and path, else a new one carved
-// from the slab, which takes the slot.
-func (t *Tracer) site(addr uint64, fn string, v ctype.AccessExpr) *trace.Site {
-	if t.sites == nil {
-		t.sites = make([]siteMemo, siteMemoSlots)
+// site returns the site of fn accessing v at addr in frame and thread (0
+// but for a local): the one addr's memo slot holds for the same function,
+// variable, frame and thread, else a new one carved from the slab, which
+// takes the slot. The memo grows, empty, to the symbol table's MemoSlots
+// when the program's data has outgrown it. An access without symbol
+// information names only its function, whatever its address, so one its
+// slot misses takes the last such site if it names the same function.
+func (t *Tracer) site(addr uint64, fn string, v ctype.AccessExpr, frame, thread int32) *trace.Site {
+	var m **trace.Site
+	if t.sites != nil {
+		m = &t.sites[(addr>>2)&uint64(len(t.sites)-1)]
+		if s := *m; s != nil && s.Func() == fn && s.Frame() == frame && s.Thread() == thread {
+			if sv := s.Var(); sv.Root == v.Root && sv.Path.Equal(v.Path) {
+				return s
+			}
+		}
 	}
-	var path *ctype.PathElem
-	if len(v.Path) > 0 {
-		path = &v.Path[0]
+	var syms *symtab.Table
+	if t.interp != nil {
+		syms = t.interp.Syms
 	}
-	m := &t.sites[(addr>>2)&(siteMemoSlots-1)]
-	if m.site != nil && m.path == path && m.fn == fn && m.root == v.Root {
-		return m.site
+	if n := syms.MemoSlots(); n > len(t.sites) {
+		t.sites = make([]*trace.Site, n)
+		m = &t.sites[(addr>>2)&uint64(n-1)]
 	}
-	*m = siteMemo{fn: fn, root: v.Root, path: path, site: t.siteSlab.New(*trace.NewSite(fn, v))}
-	return m.site
+	switch {
+	case v.Root != "":
+		*m = t.siteSlab.New(*trace.NewLocalSite(fn, v, frame, thread))
+	case t.fnSite != nil && t.fnSite.Func() == fn:
+		*m = t.fnSite
+	default:
+		*m = t.siteSlab.New(*trace.NewSite(fn, v))
+		t.fnSite = *m
+	}
+	return *m
 }
 
 // count returns the number of records collected and not drained.

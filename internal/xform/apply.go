@@ -35,9 +35,9 @@ func (e *Engine) applyRemap(dst []trace.Record, st *ruleState, r *rules.StructRe
 }
 
 // rewritten returns rec relocated to addr as an aggregate access of size
-// bytes to root+path, through a site of the engine's (see site; path may
-// be scratch). A size the record cannot hold is an error: rule types, not
-// the trace, decide it.
+// bytes to root+path, through a site of the engine's carrying rec's frame
+// and thread (see site; path may be scratch). A size the record cannot
+// hold is an error: rule types, not the trace, decide it.
 func (e *Engine) rewritten(rec *trace.Record, root string, path ctype.Path, addr uint64, size int64) (trace.Record, error) {
 	if size > trace.MaxSize {
 		return trace.Record{}, fmt.Errorf("xform: %d-byte access to %s exceeds the %d-byte record limit", size, root, trace.MaxSize)
@@ -45,7 +45,7 @@ func (e *Engine) rewritten(rec *trace.Record, root string, path ctype.Path, addr
 	out := *rec
 	out.Addr = addr
 	out.Size = int32(size)
-	out.Site = e.site(rec.Site.Func(), root, path, addr)
+	out.Site = e.site(rec.Site.Func(), root, path, rec.Site.Frame(), rec.Site.Thread(), addr)
 	out.Aggregate = true
 	return out, nil
 }
@@ -233,14 +233,18 @@ func (e *Engine) applyPeel(dst []trace.Record, st *ruleState, r *rules.PeelRule,
 // appendInjects appends the rule's inject list to dst as records placed
 // before the transformed access model. Variables seen in the trace reuse
 // their real addresses; unseen ones (stride temporaries like ITEMSPERLINE)
-// get stable synthetic stack slots. Every inject runs in the model's
-// function, so it takes a site of the engine's naming the model's function
-// and the variable; New has range-checked its size.
+// get stable synthetic stack slots: locals of the model's own frame on the
+// model's thread (thread 1 when the model names none). Every inject runs
+// in the model's function, so it takes a site of the engine's naming the
+// model's function and the variable, with the frame and thread of the
+// record it copies; New has range-checked its size.
 func (e *Engine) appendInjects(dst []trace.Record, model *trace.Record, injs []rules.InjectAccess) []trace.Record {
 	for _, inj := range injs {
 		var rec trace.Record
+		var frame, thread int32
 		if prev, ok := e.lastScalar[inj.Var]; ok {
 			rec = prev
+			frame, thread = prev.Site.Frame(), prev.Site.Thread()
 		} else {
 			addr, ok := e.synthAddr[inj.Var]
 			if !ok {
@@ -248,19 +252,13 @@ func (e *Engine) appendInjects(dst []trace.Record, model *trace.Record, injs []r
 				e.synthNext += 16
 				e.synthAddr[inj.Var] = addr
 			}
-			rec = trace.Record{
-				HasSym: true,
-				Vis:    trace.Local,
-				Frame:  0,
-				Thread: model.Thread,
+			rec = trace.Record{HasSym: true, Vis: trace.Local, Addr: addr}
+			if thread = model.Site.Thread(); thread == 0 {
+				thread = 1
 			}
-			if rec.Thread == 0 {
-				rec.Thread = 1
-			}
-			rec.Addr = addr
 		}
 		// A scalar kept in lastScalar has no path, as an unseen variable.
-		rec.Site = e.site(model.Site.Func(), inj.Var, nil, rec.Addr)
+		rec.Site = e.site(model.Site.Func(), inj.Var, nil, frame, thread, rec.Addr)
 		rec.Op = trace.Op(inj.Op)
 		rec.Size = int32(inj.Size)
 		dst = append(dst, rec)

@@ -168,8 +168,8 @@ func TestBatchPathsDivisionByZero(t *testing.T) {
 	var recs []trace.Record
 	for i := int64(0); i < 8; i++ {
 		recs = append(recs, trace.Record{
-			Op: trace.Store, Addr: 0x7ff000300 + uint64(4*i), Size: 4, Site: trace.NewSite("main", ctype.AccessExpr{Root: "lA", Path: ctype.Path{{Index: i}}}),
-			HasSym: true, Vis: trace.Local, Aggregate: true, Thread: 1,
+			Op: trace.Store, Addr: 0x7ff000300 + uint64(4*i), Size: 4, Site: trace.NewLocalSite("main", ctype.AccessExpr{Root: "lA", Path: ctype.Path{{Index: i}}}, 0, 1),
+			HasSym: true, Vis: trace.Local, Aggregate: true,
 		})
 	}
 	var errs [3]error
@@ -204,8 +204,8 @@ func TestOversizedAccessIsAnError(t *testing.T) {
 	big := ctype.NewArray(ctype.Char, trace.MaxSize+1)
 	rule := &rules.StrideRule{InVar: "lA", Elem: big, InLen: 2, OutVar: "lB", OutLen: 2, Formula: f}
 	rec := trace.Record{
-		Op: trace.Load, Addr: 0x7ff000300, Size: 1, Site: trace.NewSite("main", ctype.AccessExpr{Root: "lA", Path: ctype.Path{{Index: 0}}}),
-		HasSym: true, Vis: trace.Local, Aggregate: true, Thread: 1,
+		Op: trace.Load, Addr: 0x7ff000300, Size: 1, Site: trace.NewLocalSite("main", ctype.AccessExpr{Root: "lA", Path: ctype.Path{{Index: 0}}}, 0, 1),
+		HasSym: true, Vis: trace.Local, Aggregate: true,
 	}
 	for k, run := range []func(*Engine, []trace.Record) ([]trace.Record, error){
 		(*Engine).TransformAll, viaSource, viaTransform,

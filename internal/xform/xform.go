@@ -242,18 +242,19 @@ func (e *Engine) outBound(recs []trace.Record) int {
 }
 
 // site returns a site naming fn accessing root with path (which may be
-// scratch), for a record rewritten or injected at addr. Records of one
-// spelling share their address, so the site made last at addr's memo slot
-// serves the next record of its spelling; otherwise site makes one, which
-// takes the slot.
-func (e *Engine) site(fn, root string, path ctype.Path, addr uint64) *trace.Site {
+// scratch) in frame and thread, for a record rewritten or injected at
+// addr. Records of one spelling share their address, so the site made last
+// at addr's memo slot serves the next record of its spelling; otherwise
+// site makes one, which takes the slot.
+func (e *Engine) site(fn, root string, path ctype.Path, frame, thread int32, addr uint64) *trace.Site {
 	m := &e.memo[(addr>>2)&uint64(len(e.memo)-1)]
-	if s := *m; s != nil {
-		if v := s.Var(); s.Func() == fn && v.Root == root && v.Path.Equal(path) {
+	if s := *m; s != nil && s.Func() == fn && s.Frame() == frame && s.Thread() == thread {
+		if v := s.Var(); v.Root == root && v.Path.Equal(path) {
 			return s
 		}
 	}
-	*m = e.sites.New(*trace.NewSite(fn, ctype.AccessExpr{Root: root, Path: e.paths.Copy(path)}))
+	x := ctype.AccessExpr{Root: root, Path: e.paths.Copy(path)}
+	*m = e.sites.New(*trace.NewLocalSite(fn, x, frame, thread))
 	return *m
 }
 
