@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -77,5 +79,34 @@ func TestScaledIdentity(t *testing.T) {
 	out.PerSet[0].Hits = 99
 	if s.PerSet[0].Hits != 2 {
 		t.Fatal("Scaled(1) aliases the input's PerSet slice")
+	}
+}
+
+// TestReportMatchesFmt: WriteReport formats its numbers by hand, and
+// writes what the fmt verbs it replaced wrote, byte for byte, for counts
+// that fit their columns and counts that do not.
+func TestReportMatchesFmt(t *testing.T) {
+	for _, v := range []int64{0, 7, 255, 123456789, 9876543210, 1 << 62, -12} {
+		s := Stats{Reads: v, ReadMisses: v / 3, Writes: 2 * v, WriteMisses: v / 7, Evictions: v, Writebacks: v / 2,
+			Prefetches: v, PrefetchFills: v / 5, Compulsory: v / 11, Capacity: v / 13, Conflict: v / 17}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s\n", "l1-data")
+		fmt.Fprintf(&b, " Metrics               Total      Fetch       Read      Write\n")
+		fmt.Fprintf(&b, " -----------------  --------   --------   --------   --------\n")
+		fmt.Fprintf(&b, " Demand Fetches     %9d  %9d  %9d  %9d\n", s.Accesses(), int64(0), s.Reads, s.Writes)
+		fmt.Fprintf(&b, " Demand Misses      %9d  %9d  %9d  %9d\n", s.Misses(), int64(0), s.ReadMisses, s.WriteMisses)
+		fmt.Fprintf(&b, " Demand Miss Rate   %9.4f  %9.4f  %9.4f  %9.4f\n",
+			s.MissRatio(), 0.0, ratio(s.ReadMisses, s.Reads), ratio(s.WriteMisses, s.Writes))
+		fmt.Fprintf(&b, " Evictions          %9d   (writebacks %d)\n", s.Evictions, s.Writebacks)
+		if s.Prefetches > 0 {
+			fmt.Fprintf(&b, " Prefetches         %9d   (fills %d)\n", s.Prefetches, s.PrefetchFills)
+		}
+		if s.Compulsory+s.Capacity+s.Conflict > 0 {
+			fmt.Fprintf(&b, " Miss Classes        compulsory %d   capacity %d   conflict %d\n",
+				s.Compulsory, s.Capacity, s.Conflict)
+		}
+		if got := s.Report("l1-data"); got != b.String() {
+			t.Errorf("counts %d:\n%q\nwant\n%q", v, got, b.String())
+		}
 	}
 }

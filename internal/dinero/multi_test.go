@@ -1,7 +1,9 @@
 package dinero
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"tracedst/internal/cache"
@@ -297,4 +299,27 @@ func BenchmarkMultiSimFeedStatsOnly(b *testing.B) {
 		ms.Feed(&recs[i%len(recs)])
 	}
 	b.ReportMetric(float64(b.N*len(cfgs))*1e9/float64(b.Elapsed().Nanoseconds()), "cfgrec/s")
+}
+
+// TestReportRowsMatchFmt: Report formats its table and conflict rows by
+// hand, and writes what the fmt verbs it replaced wrote, byte for byte:
+// names padded by runes, names and counts wider than their columns, and
+// negative counts.
+func TestReportRowsMatchFmt(t *testing.T) {
+	names := []string{"", "lI", "glStructArray[0].myArray", "a_variable_name_wider_than_24", "größe", "変数変数変数変数変数変数変数変数変数変数変数変数変数"}
+	counts := []int64{0, 1, 999, 12345678901, -3, 1 << 62}
+	for _, name := range names {
+		for _, c := range counts {
+			var b strings.Builder
+			writeReportRow(&b, name, c, c/2, c/3)
+			if want := fmt.Sprintf(" %-24s %10d %10d %10d %7.2f%%\n", name, c, c/2, c/3, pct(c/3, c)); b.String() != want {
+				t.Errorf("row %q %d:\n%q\nwant\n%q", name, c, b.String(), want)
+			}
+			b.Reset()
+			writeConflictRow(&b, name, names[len(names)-1], c)
+			if want := fmt.Sprintf(" %-24s evicted %-24s %8d times\n", name, names[len(names)-1], c); b.String() != want {
+				t.Errorf("conflict %q %d:\n%q\nwant\n%q", name, c, b.String(), want)
+			}
+		}
+	}
 }

@@ -44,10 +44,10 @@ type decodeState struct {
 // never holds more states than once decoded at the same time. Idle states
 // stay out of the collector's reach: each keeps its buffers — among them a
 // 64 KiB read buffer, 256 KiB once a BinaryReader opened outside
-// OpenReader grew it, and a 128 KiB batch of 4,096 records — and at most
+// OpenReader grew it, and a 96 KiB batch of 4,096 records — and at most
 // maxInternedStrings entries per intern table, which for a table of
 // one-element access expressions, with the sites that hold them, is about
-// 129 MiB (docs/service.md).
+// 137 MiB (docs/service.md).
 var idleStates struct {
 	sync.Mutex
 	list []*decodeState

@@ -24,12 +24,13 @@
 //	fmt.Print(sim.Report())
 //
 // A Record keeps its names out of line: records of one function and
-// access expression share one immutable Site, read through its Func and
-// Var accessors. A Record carries no symbol ids; the simulator resolves
-// them once per Site.
+// access expression, and for a local one frame and thread, share one
+// immutable Site, read through its Func, Var, Frame and Thread
+// accessors. A Record carries no symbol ids; the simulator resolves them
+// once per Site.
 //
 //	r := out[0]
-//	fmt.Println(r.Site.Func(), r.Site.Var())
+//	fmt.Println(r.Site.Func(), r.Site.Var(), r.Site.Frame(), r.Site.Thread())
 package tracedst
 
 import (
@@ -49,8 +50,8 @@ import (
 type (
 	// Record is one Gleipnir trace line.
 	Record = trace.Record
-	// Site is the function and variable a Record names, shared by every
-	// record of that spelling.
+	// Site is the function and variable a Record names, with a local's
+	// frame and thread, shared by every record of that spelling.
 	Site = trace.Site
 	// Header is the trace-file preamble.
 	Header = trace.Header
