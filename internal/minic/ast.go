@@ -208,7 +208,8 @@ type FuncDecl struct {
 	Line   int
 }
 
-// Program is a parsed translation unit.
+// Program is a parsed translation unit, compiled (see compile.go). It is
+// not changed after Parse, so several Interps may run it at once.
 type Program struct {
 	// Env holds struct tags and typedefs defined by the program.
 	Env *ctype.Env
@@ -216,4 +217,6 @@ type Program struct {
 	Globals []VarDecl
 	// Funcs by name.
 	Funcs map[string]*FuncDecl
+
+	code *compiled
 }

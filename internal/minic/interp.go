@@ -65,6 +65,15 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded
 // (mask+1) steps, cheap enough to hide in the statement dispatch cost.
 const ctxCheckMask = 1023
 
+// runError carries a run-time error from the compiled code that detects it
+// up to Run, which returns it: compiled code raises an error with fail and
+// returns no error values of its own.
+type runError struct{ err error }
+
+func fail(err error) { panic(runError{err}) }
+
+func failf(format string, args ...any) { fail(fmt.Errorf(format, args...)) }
+
 // Interp executes a parsed Program against a fresh address space, reporting
 // every data access to the Listener. Within one outermost lvalue
 // computation, a repeated load of an address is reported once, mirroring
@@ -73,6 +82,9 @@ const ctxCheckMask = 1023
 // within one address computation, and a call starts its own, so a call
 // ends that scope: a callee's loads are deduplicated only within its own
 // lvalue computations.
+//
+// The program runs as the code Parse compiled it to (see compile.go); the
+// Interp holds the state of one run.
 type Interp struct {
 	prog  *Program
 	Space *memmodel.AddressSpace
@@ -92,10 +104,23 @@ type Interp struct {
 	loadedFrom int
 
 	heapSeq int
-	// zzqAddr is the hidden _zzq_result local used by the GLEIPNIR macros.
-	zzqAddr map[string]uint64
-	// globalsByName resolves identifier references to global symbols.
-	globalsByName map[string]*symtab.Symbol
+	// zzq holds each function's hidden _zzq_result slot, used by the
+	// GLEIPNIR macros, by function index; 0 until its first START.
+	zzq []uint64
+	// globals holds each global's address, in declaration order.
+	globals []uint64
+
+	// frame is the running call's stack frame and locals the binding slots
+	// of the calls in progress: the running call's start at base, one per
+	// declaration of its function, each the address of the local it last
+	// bound (0 while unbound).
+	frame  *memmodel.Frame
+	locals []uint64
+	base   int
+	// args stacks the argument values of the calls being set up, and ret
+	// holds the value of the return statement last executed.
+	args []Value
+	ret  Value
 }
 
 // NewInterp returns an interpreter for prog reporting to lis (which may be
@@ -105,30 +130,29 @@ func NewInterp(prog *Program, lis Listener) *Interp {
 		lis = nopListener{}
 	}
 	return &Interp{
-		prog:          prog,
-		Space:         memmodel.NewAddressSpace(),
-		Syms:          symtab.New(),
-		lis:           lis,
-		StepLimit:     DefaultStepLimit,
-		loadedFrom:    -1,
-		zzqAddr:       map[string]uint64{},
-		globalsByName: map[string]*symtab.Symbol{},
+		prog:       prog,
+		Space:      memmodel.NewAddressSpace(),
+		Syms:       symtab.New(),
+		lis:        lis,
+		StepLimit:  DefaultStepLimit,
+		loadedFrom: -1,
+		zzq:        make([]uint64, len(prog.code.funcs)),
+		globals:    make([]uint64, len(prog.Globals)),
 	}
 }
 
 // Run lays out the globals and executes main. The returned value is main's
 // return value (0 if main returns void or falls off the end).
-func (in *Interp) Run() (int64, error) {
-	for _, g := range in.prog.Globals {
+func (in *Interp) Run() (ret int64, err error) {
+	for i, g := range in.prog.Globals {
 		addr, err := in.Space.Data.Alloc(g.Type.Size(), g.Type.Align())
 		if err != nil {
 			return 0, err
 		}
-		sym, err := in.Syms.AddGlobal(g.Name, addr, g.Type)
-		if err != nil {
+		if _, err := in.Syms.AddGlobal(g.Name, addr, g.Type); err != nil {
 			return 0, err
 		}
-		in.globalsByName[g.Name] = sym
+		in.globals[i] = addr
 		if g.Init != nil {
 			// Static initialisation happens before execution: no events.
 			n, err := constEval(g.Init)
@@ -148,18 +172,22 @@ func (in *Interp) Run() (int64, error) {
 			}
 		}
 	}
-	mainFn := in.prog.Funcs["main"]
+	defer func() {
+		if r := recover(); r != nil {
+			re, ok := r.(runError)
+			if !ok {
+				panic(r)
+			}
+			err = re.err
+		}
+	}()
+	mainFn := in.prog.code.main
 	// Synthesize argc = 0, argv = NULL (and zero values for any further
 	// parameters) for the standard main signatures.
-	args := make([]Value, len(mainFn.Params))
-	for i, prm := range mainFn.Params {
-		args[i] = Value{T: prm.Type}
+	for _, prm := range mainFn.decl.Params {
+		in.args = append(in.args, Value{T: prm.Type})
 	}
-	v, err := in.call(mainFn, args)
-	if err != nil {
-		return 0, err
-	}
-	return v.Int(), nil
+	return in.call(mainFn, in.args).Int(), nil
 }
 
 // Steps returns the number of statements executed.
@@ -194,408 +222,98 @@ func (in *Interp) access(op AccessOp, addr uint64, size int64) {
 	in.lis.Access(op, addr, size, in.curFn(), in.depth())
 }
 
-// ---------------------------------------------------------------------------
-// function calls
-
-type ctrl int
-
-const (
-	ctrlNone ctrl = iota
-	ctrlBreak
-	ctrlContinue
-	ctrlReturn
-)
-
-// execState carries the per-invocation environment.
-type execState struct {
-	frame *memmodel.Frame
-	// vars binds the names declared in the call's open blocks, innermost
-	// last, so looking a name up from the end finds the declaration that
-	// shadows the others.
-	vars   []binding
-	scopes []blockScope
-	ret    Value
-}
-
-// binding is one declared name.
-type binding struct {
-	name string
-	sym  *symtab.Symbol
-}
-
-// blockScope is one C block scope: where its bindings start in vars, plus
-// the frame mark taken at entry, so exiting the block releases its locals'
-// stack space (loops re-declaring block locals reuse the same slots, as
-// compiled code does).
-type blockScope struct {
-	start int
-	mark  uint64
-}
-
-func (st *execState) pushScope() {
-	st.scopes = append(st.scopes, blockScope{start: len(st.vars), mark: st.frame.Mark()})
-}
-
-func (st *execState) popScope() {
-	sc := st.scopes[len(st.scopes)-1]
-	st.frame.Release(sc.mark)
-	st.vars = st.vars[:sc.start]
-	st.scopes = st.scopes[:len(st.scopes)-1]
-}
-
-func (st *execState) define(name string, sym *symtab.Symbol) {
-	st.vars = append(st.vars, binding{name: name, sym: sym})
-}
-
-func (st *execState) lookup(name string) (*symtab.Symbol, bool) {
-	for i := len(st.vars) - 1; i >= 0; i-- {
-		if st.vars[i].name == name {
-			return st.vars[i].sym, true
-		}
+// step counts one executed statement against the budget, polling the
+// context every ctxCheckMask+1 steps.
+func (in *Interp) step() {
+	in.steps++
+	if in.steps > in.StepLimit || in.ctx != nil && in.steps&ctxCheckMask == 0 {
+		in.checkStep()
 	}
-	return nil, false
 }
 
-// call invokes fd with already-evaluated argument values, emitting the call
+func (in *Interp) checkStep() {
+	if in.steps > in.StepLimit {
+		fail(&BudgetError{Limit: in.StepLimit})
+	}
+	if err := in.ctx.Err(); err != nil {
+		failf("minic: interrupted after %d steps: %w", in.steps, err)
+	}
+}
+
+// alloc reserves a local of type t in the running call's frame and
+// registers its symbol.
+func (in *Interp) alloc(name string, t ctype.Type) uint64 {
+	addr, err := in.frame.Alloc(t.Size(), t.Align())
+	if err != nil {
+		fail(err)
+	}
+	if _, err := in.Syms.AddLocal(name, addr, t); err != nil {
+		fail(err)
+	}
+	return addr
+}
+
+// call invokes fn with already-evaluated argument values, emitting the call
 // protocol the paper's traces show: a return-address push attributed to the
 // caller, a frame-pointer save attributed to the callee, then one store per
 // parameter.
-func (in *Interp) call(fd *FuncDecl, args []Value) (Value, error) {
+func (in *Interp) call(fn *function, args []Value) Value {
+	fd := fn.decl
 	if len(args) != len(fd.Params) {
-		return Value{}, fmt.Errorf("minic: %s called with %d args, want %d", fd.Name, len(args), len(fd.Params))
+		failf("minic: %s called with %d args, want %d", fd.Name, len(args), len(fd.Params))
 	}
 	// The callee starts with no lvalue computation in progress; the
 	// caller's resumes when it returns.
 	loaded, loadedFrom := len(in.loaded), in.loadedFrom
 	in.loadedFrom = -1
-	defer func() { in.loaded, in.loadedFrom = in.loaded[:loaded], loadedFrom }()
 
 	frame := in.Space.Stack.Push(fd.Name)
-
 	if len(in.fnStack) > 0 {
 		// Return-address push, attributed to the caller (paper listing 2
 		// line 18: "S 7ff000050 8 main").
 		ra, err := frame.Alloc(8, 8)
 		if err != nil {
-			return Value{}, err
+			fail(err)
 		}
 		in.access(OpStore, ra, 8)
 	}
 
 	in.fnStack = append(in.fnStack, fd.Name)
 	in.Syms.PushFrame(fd.Name)
-	st := &execState{frame: frame}
-	st.pushScope()
+	callerFrame, callerBase := in.frame, in.base
+	in.frame, in.base = frame, len(in.locals)
+	in.locals = append(in.locals, make([]uint64, fn.slots)...)
 
 	if len(in.fnStack) > 1 {
 		// Saved frame pointer, attributed to the callee (line 19:
 		// "S 7ff000048 8 foo").
 		bp, err := frame.Alloc(8, 8)
 		if err != nil {
-			return Value{}, err
+			fail(err)
 		}
 		in.access(OpStore, bp, 8)
 	}
 
 	for i, prm := range fd.Params {
-		addr, err := frame.Alloc(prm.Type.Size(), prm.Type.Align())
-		if err != nil {
-			return Value{}, err
-		}
-		sym, err := in.Syms.AddLocal(prm.Name, addr, prm.Type)
-		if err != nil {
-			return Value{}, err
-		}
-		st.define(prm.Name, sym)
+		addr := in.alloc(prm.Name, prm.Type)
+		in.locals[in.base+i] = addr
 		v, err := convert(args[i], prm.Type)
 		if err != nil {
-			return Value{}, err
+			fail(err)
 		}
 		in.writeScalar(addr, prm.Type, v)
 		in.access(OpStore, addr, prm.Type.Size())
 	}
 
-	c, err := in.execBlock(st, fd.Body)
+	c := fn.body(in)
 	in.Syms.PopFrame()
 	in.Space.Stack.Pop()
 	in.fnStack = in.fnStack[:len(in.fnStack)-1]
-	if err != nil {
-		return Value{}, err
-	}
+	in.locals = in.locals[:in.base]
+	in.frame, in.base = callerFrame, callerBase
+	in.loaded, in.loadedFrom = in.loaded[:loaded], loadedFrom
 	if c == ctrlReturn {
-		return st.ret, nil
+		return in.ret
 	}
-	return IntValue(0), nil
-}
-
-// ---------------------------------------------------------------------------
-// statements
-
-func (in *Interp) step() error {
-	in.steps++
-	if in.steps > in.StepLimit {
-		return &BudgetError{Limit: in.StepLimit}
-	}
-	if in.ctx != nil && in.steps&ctxCheckMask == 0 {
-		if err := in.ctx.Err(); err != nil {
-			return fmt.Errorf("minic: interrupted after %d steps: %w", in.steps, err)
-		}
-	}
-	return nil
-}
-
-func (in *Interp) execBlock(st *execState, b *Block) (ctrl, error) {
-	st.pushScope()
-	defer st.popScope()
-	for _, s := range b.Stmts {
-		c, err := in.execStmt(st, s)
-		if err != nil || c != ctrlNone {
-			return c, err
-		}
-	}
-	return ctrlNone, nil
-}
-
-func (in *Interp) execStmt(st *execState, s Stmt) (ctrl, error) {
-	if err := in.step(); err != nil {
-		return ctrlNone, err
-	}
-	switch n := s.(type) {
-	case *Block:
-		return in.execBlock(st, n)
-	case *DeclStmt:
-		for _, d := range n.Decls {
-			if err := in.declareLocal(st, d); err != nil {
-				return ctrlNone, err
-			}
-		}
-		return ctrlNone, nil
-	case *ExprStmt:
-		_, err := in.evalExpr(st, n.X)
-		return ctrlNone, err
-	case *Gleipnir:
-		return ctrlNone, in.execGleipnir(st, n.On)
-	case *Return:
-		if n.X != nil {
-			v, err := in.evalExpr(st, n.X)
-			if err != nil {
-				return ctrlNone, err
-			}
-			st.ret = v
-		}
-		return ctrlReturn, nil
-	case *Break:
-		return ctrlBreak, nil
-	case *Continue:
-		return ctrlContinue, nil
-	case *If:
-		cond, err := in.evalExpr(st, n.Cond)
-		if err != nil {
-			return ctrlNone, err
-		}
-		if cond.Bool() {
-			return in.execStmt(st, n.Then)
-		}
-		if n.Else != nil {
-			return in.execStmt(st, n.Else)
-		}
-		return ctrlNone, nil
-	case *Switch:
-		cond, err := in.evalExpr(st, n.Cond)
-		if err != nil {
-			return ctrlNone, err
-		}
-		v := cond.Int()
-		start := -1
-		for i, cs := range n.Cases {
-			for _, cv := range cs.Vals {
-				if cv == v {
-					start = i
-					break
-				}
-			}
-			if start >= 0 {
-				break
-			}
-		}
-		if start < 0 {
-			for i, cs := range n.Cases {
-				if cs.Default {
-					start = i
-					break
-				}
-			}
-		}
-		if start < 0 {
-			return ctrlNone, nil
-		}
-		// Fall through successive arms until a break.
-		for i := start; i < len(n.Cases); i++ {
-			for _, s := range n.Cases[i].Body {
-				c, err := in.execStmt(st, s)
-				if err != nil {
-					return ctrlNone, err
-				}
-				switch c {
-				case ctrlBreak:
-					return ctrlNone, nil
-				case ctrlReturn, ctrlContinue:
-					return c, nil
-				}
-			}
-		}
-		return ctrlNone, nil
-	case *While:
-		for {
-			if err := in.step(); err != nil {
-				return ctrlNone, err
-			}
-			cond, err := in.evalExpr(st, n.Cond)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if !cond.Bool() {
-				return ctrlNone, nil
-			}
-			c, err := in.execStmt(st, n.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-		}
-	case *DoWhile:
-		for {
-			if err := in.step(); err != nil {
-				return ctrlNone, err
-			}
-			c, err := in.execStmt(st, n.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-			cond, err := in.evalExpr(st, n.Cond)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if !cond.Bool() {
-				return ctrlNone, nil
-			}
-		}
-	case *For:
-		st.pushScope()
-		defer st.popScope()
-		if n.Init != nil {
-			if c, err := in.execStmt(st, n.Init); err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-		for {
-			if err := in.step(); err != nil {
-				return ctrlNone, err
-			}
-			if n.Cond != nil {
-				cond, err := in.evalExpr(st, n.Cond)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if !cond.Bool() {
-					return ctrlNone, nil
-				}
-			}
-			c, err := in.execStmt(st, n.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if n.Post != nil {
-				if _, err := in.evalExpr(st, n.Post); err != nil {
-					return ctrlNone, err
-				}
-			}
-		}
-	}
-	return ctrlNone, fmt.Errorf("minic: unhandled statement %T", s)
-}
-
-// declareLocal allocates, registers and (optionally) initialises one local.
-func (in *Interp) declareLocal(st *execState, d VarDecl) error {
-	addr, err := st.frame.Alloc(d.Type.Size(), d.Type.Align())
-	if err != nil {
-		return err
-	}
-	sym, err := in.Syms.AddLocal(d.Name, addr, d.Type)
-	if err != nil {
-		return err
-	}
-	st.define(d.Name, sym)
-	if d.Init != nil {
-		v, err := in.evalExpr(st, d.Init)
-		if err != nil {
-			return err
-		}
-		return in.storeTo(lvalue{addr: addr, t: d.Type}, v)
-	}
-	if d.InitList != nil {
-		// Element-wise stores, as the compiled initialisation performs.
-		arr := d.Type.(*ctype.Array)
-		for i, e := range d.InitList {
-			v, err := in.evalExpr(st, e)
-			if err != nil {
-				return err
-			}
-			lv := lvalue{addr: addr + uint64(int64(i)*arr.Elem.Size()), t: arr.Elem}
-			if err := in.storeTo(lv, v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// execGleipnir implements the instrumentation markers. START enables
-// tracing and then, like the real Valgrind client request, touches the
-// hidden _zzq_result slot (a symbolised store followed by an unannotated
-// load — paper listing 2 lines 2-3).
-func (in *Interp) execGleipnir(st *execState, on bool) error {
-	if on {
-		in.lis.Instrument(true)
-		fn := in.curFn()
-		addr, ok := in.zzqAddr[fn]
-		if !ok {
-			var err error
-			addr, err = st.frame.Alloc(8, 8)
-			if err != nil {
-				return err
-			}
-			sym, err := in.Syms.AddLocal("_zzq_result", addr, ctype.ULong)
-			if err != nil {
-				return err
-			}
-			st.define("_zzq_result", sym)
-			in.zzqAddr[fn] = addr
-		}
-		in.access(OpStore, addr, 8)
-		// The readback is performed by glue code with no debug info; the
-		// tracer will find the _zzq_result symbol, but Gleipnir prints it
-		// bare. We emit it as a plain load; annotation is the tracer's call.
-		in.access(OpLoad, addr, 8)
-		return nil
-	}
-	in.lis.Instrument(false)
-	return nil
+	return IntValue(0)
 }

@@ -21,6 +21,7 @@ func Parse(src string, defines map[string]string) (*Program, error) {
 	if err := p.parseUnit(); err != nil {
 		return nil, err
 	}
+	p.prog.code = compile(p.prog)
 	return p.prog, nil
 }
 

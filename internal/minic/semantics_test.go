@@ -129,7 +129,7 @@ int main(void) {
 }
 
 func TestRvaluePointerSubscript(t *testing.T) {
-	// (p+1)[1] subscripts an rvalue pointer expression (indexBase fallback).
+	// (p+1)[1] subscripts a pointer value: a base that names no place.
 	src := `int main(void) {
 	int a[4];
 	int *p;

@@ -115,12 +115,18 @@ type Store struct {
 	hits    *telemetry.Counter
 	misses  *telemetry.Counter
 	puts    *telemetry.Counter
+
+	recordLookups *telemetry.Counter
+	recordHits    *telemetry.Counter
 }
 
-// Open returns a Store over dir, creating it if needed. Result telemetry
-// (simcache.lookups/hits/misses/puts) registers on reg — nil means the
-// default registry — eagerly, so manifests show zeros rather than
-// omitting the counters on an idle store. Records are not counted.
+// Open returns a Store over dir, creating it if needed. Its telemetry
+// registers on reg — nil means the default registry — eagerly, so
+// manifests show zeros rather than omitting the counters on an idle
+// store: result lookups, hits, misses and stores
+// (simcache.lookups/hits/misses/puts, with lookups == hits + misses), and
+// record reads and the reads that found a record
+// (simcache.record_lookups/record_hits).
 func Open(dir string, reg *telemetry.Registry) (*Store, error) {
 	if reg == nil {
 		reg = telemetry.Default()
@@ -134,6 +140,9 @@ func Open(dir string, reg *telemetry.Registry) (*Store, error) {
 		hits:    reg.Counter("simcache.hits"),
 		misses:  reg.Counter("simcache.misses"),
 		puts:    reg.Counter("simcache.puts"),
+
+		recordLookups: reg.Counter("simcache.record_lookups"),
+		recordHits:    reg.Counter("simcache.record_hits"),
 	}, nil
 }
 
@@ -164,9 +173,15 @@ func (s *Store) PutResult(k Key, e Entry) error {
 	return nil
 }
 
-// Record reads the record stored under key in namespace ns.
+// Record reads the record stored under key in namespace ns, counting the
+// read and, if it found the record, the hit.
 func Record[V any](s *Store, ns, key string) (V, bool, error) {
-	return load[string, V](s.path(ns, recordDigest(ns, key)), key)
+	s.recordLookups.Inc()
+	v, ok, err := load[string, V](s.path(ns, recordDigest(ns, key)), key)
+	if ok {
+		s.recordHits.Inc()
+	}
+	return v, ok, err
 }
 
 // PutRecord stores v under key in namespace ns, atomically replacing any

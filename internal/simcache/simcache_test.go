@@ -151,7 +151,8 @@ type figure struct {
 
 // TestRecordRoundTrip: a stored record reads back from the handle that
 // wrote it and from a fresh handle on the same directory, an absent key
-// misses, and records move none of the result counters.
+// misses, and records move none of the result counters: their reads are
+// counted as record lookups and hits.
 func TestRecordRoundTrip(t *testing.T) {
 	s, reg := testStore(t)
 	if err := s.PutRecord("fig", "fig3@engine1", figure{ID: "fig3", Misses: 42}); err != nil {
@@ -178,6 +179,11 @@ func TestRecordRoundTrip(t *testing.T) {
 	for _, name := range []string{"simcache.lookups", "simcache.hits", "simcache.misses", "simcache.puts"} {
 		if got := reg.Counter(name).Value(); got != 0 {
 			t.Errorf("%s = %d after record traffic, want 0", name, got)
+		}
+	}
+	for name, want := range map[string]int64{"simcache.record_lookups": 3, "simcache.record_hits": 1} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

@@ -299,7 +299,7 @@ func (t *Table) Describe(addr uint64, currentDepth int) (Ref, bool) {
 // paths are never written to once returned. The memo grows, empty, to
 // MemoSlots when the program's data has outgrown it.
 // The memo is keyed by type identity, not by symbol, since a heap block is
-// retyped when its pointer is first stored (minic's storeTo).
+// retyped when its pointer is first stored (minic's retype).
 func (t *Table) pathFor(addr uint64, ty ctype.Type, off int64) ctype.Path {
 	if !ctype.IsAggregate(ty) {
 		return nil
